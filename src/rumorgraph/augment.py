@@ -67,21 +67,6 @@ def feature_dropout(rep: Tensor, rate: float, gen: np.random.Generator) -> Tenso
     return rep * Tensor(keep)
 
 
-def dropedge_view(
-    embedding_rows: np.ndarray,
-    graph: PropagationGraph,
-    params: ModelParams,
-    rate: float,
-    gen: np.random.Generator,
-    mode: str = "eval",
-    streams: RngStreams | None = None,
-) -> Tensor:
-    """Re-encode one event on a dropedge-deformed copy of its topology."""
-    deformed = dropedge(graph, rate, gen)
-    batch = GraphBatch.from_events([embedding_rows], [deformed])
-    return encode_batch(batch, params, mode=mode, streams=streams).reps
-
-
 def classification_gradients(result: EncodeResult, labels: np.ndarray) -> np.ndarray:
     """Per-event gradient of each event's own classification loss w.r.t. its
     representation, captured without disturbing accumulated state."""

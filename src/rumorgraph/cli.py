@@ -18,8 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import numcore as nc
-from .dataio import CheckpointSpec, DatasetError, parse_events
+from .dataio import CheckpointSpec, DatasetError, parse_events, write_events
 from .embed import EmbeddingError, HashedProvider, provider_from_spec
 from .evalkit import (
     DegenerateDataError,
@@ -34,7 +33,6 @@ from .numcore import TrainingStepError
 from .runconfig import ConfigError, config_hash, load_run_config
 from .synth import SynthSpec, SynthSpecError, generate
 from .trainer import cross_validate, fit, prepare_events
-from .dataio import write_events
 
 
 def _write_manifest(out_dir: Path, files: list[str], cfg_record: dict) -> None:
@@ -92,13 +90,12 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nc.set_precision(run.train.precision)
 
     try:
         source_ds = parse_events(run.source_events, role="source")
         target_ds = parse_events(run.target_events, role="target")
-        source_provider = provider_from_spec(run.source_embeddings)
-        target_provider = provider_from_spec(run.target_embeddings)
+        source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
+        target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
     except (DatasetError, EmbeddingError, OSError) as err:
         return _fail(str(err), 1)
 
@@ -154,25 +151,25 @@ def _parse_checkpoints(text: str, mode: str) -> CheckpointSpec:
     return CheckpointSpec(mode=spec_mode, values=values)
 
 
-def _load_snapshot_or_fail(path: str):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"snapshot not found: {path}")
-    return load_snapshot(path)
+def _checked_width(provider, cfg, role: str):
+    if provider.dim != cfg.d_in:
+        raise EmbeddingError(f"{role} embeddings are {provider.dim} wide but the model expects d_in={cfg.d_in}")
+    return provider
 
 
 def _provider_for(args, cfg):
     if args.embeddings:
-        return provider_from_spec(args.embeddings)
+        return _checked_width(provider_from_spec(args.embeddings), cfg, "event")
     return HashedProvider(dim=cfg.d_in)
 
 
 def cmd_earlydetect(args) -> int:
     try:
-        params, _seed = _load_snapshot_or_fail(args.snapshot)
+        params, _seed = load_snapshot(args.snapshot)
         events = parse_events(args.events).events
         provider = _provider_for(args, params.config)
         spec = _parse_checkpoints(args.checkpoints, args.mode)
-    except (FileNotFoundError, DatasetError, EmbeddingError, ValueError) as err:
+    except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
     out_dir = Path(args.out)
@@ -193,10 +190,10 @@ def cmd_earlydetect(args) -> int:
 
 def cmd_export_features(args) -> int:
     try:
-        params, _seed = _load_snapshot_or_fail(args.snapshot)
+        params, _seed = load_snapshot(args.snapshot)
         events = parse_events(args.events).events
         provider = _provider_for(args, params.config)
-    except (FileNotFoundError, DatasetError, EmbeddingError, ValueError) as err:
+    except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
     _preds, reps = predict_events(events, params, provider)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numcore import RngStreams
 
@@ -65,14 +65,6 @@ class Event:
 class Dataset:
     events: list[Event]
     role: str = "unspecified"  # source | target
-    language: str = ""
-    domain: str = ""
-
-    def labels(self) -> list[str]:
-        return [e.label for e in self.events]
-
-    def by_id(self) -> dict[str, Event]:
-        return {e.event_id: e for e in self.events}
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def _parse_event(record: dict, line_no: int) -> Event:
     return Event(event_id=event_id, label=label, posts=tuple(posts))
 
 
-def parse_events(path, role: str = "unspecified", language: str = "", domain: str = "") -> Dataset:
+def parse_events(path, role: str = "unspecified") -> Dataset:
     """Parse and validate a JSONL event file into a Dataset."""
     events = []
     seen_ids = set()
@@ -203,7 +195,7 @@ def parse_events(path, role: str = "unspecified", language: str = "", domain: st
     labels = {e.label for e in events}
     if len(labels) == 1:
         log.warning("dataset %s contains a single label (%s)", path, labels.pop())
-    return Dataset(events=events, role=role, language=language, domain=domain)
+    return Dataset(events=events, role=role)
 
 
 def write_events(dataset: Dataset, path) -> None:

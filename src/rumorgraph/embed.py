@@ -28,7 +28,6 @@ class EmbeddingError(ValueError):
 class EmbeddingMatrix:
     event_id: str
     rows: np.ndarray  # (node_count, dim); row 0 is the claim
-    provenance: str
 
 
 # -- hashed fallback ----------------------------------------------------------
@@ -87,8 +86,6 @@ def hashed_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
 
 
 class HashedProvider:
-    kind = "hashed"
-
     def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
@@ -96,26 +93,17 @@ class HashedProvider:
     def vector_for(self, post: Post) -> np.ndarray:
         return hashed_embed(post.text, self.dim, self.seed)
 
-    def describe(self) -> str:
-        return f"hashed:{self.dim}"
-
 
 class PrecomputedProvider:
-    kind = "precomputed"
-
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray], origin: str = ""):
+    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
         self.dim = dim
         self._vectors = vectors
-        self.origin = origin
 
     def vector_for(self, post: Post) -> np.ndarray:
         try:
             return self._vectors[post.post_id]
         except KeyError:
             raise EmbeddingError(f"no embedding found for post {post.post_id!r}") from None
-
-    def describe(self) -> str:
-        return f"precomputed:{self.origin}"
 
 
 def load_precomputed(path) -> PrecomputedProvider:
@@ -136,19 +124,30 @@ def load_precomputed(path) -> PrecomputedProvider:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            vec = np.asarray(record["vector"], dtype=np.float64)
+            where = f"{path} line {line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise EmbeddingError(f"{where}: invalid JSON ({err.msg})") from err
+            if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
+                raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
+            if record["post_id"] in vectors:
+                raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
+            try:
+                vec = np.asarray(record["vector"], dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
             if vec.shape != (dim,):
                 raise EmbeddingError(
-                    f"{path} line {line_no}: vector length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
+                    f"{where}: vector length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
                     f"does not match header dim {dim}"
                 )
             if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path} line {line_no}: non-finite vector")
+                raise EmbeddingError(f"{where}: non-finite vector")
             vectors[record["post_id"]] = vec
     if len(vectors) != header["count"]:
         raise EmbeddingError(f"{path}: header count {header['count']} != {len(vectors)} records")
-    return PrecomputedProvider(dim=dim, vectors=vectors, origin=str(path))
+    return PrecomputedProvider(dim=dim, vectors=vectors)
 
 
 def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
@@ -161,7 +160,10 @@ def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
 def provider_from_spec(spec: str):
     """Build a provider from a config string: a file path or "hashed:<dim>"."""
     if spec.startswith("hashed:"):
-        return HashedProvider(dim=int(spec.split(":", 1)[1]))
+        width = spec.split(":", 1)[1]
+        if not width.isdigit() or int(width) < 1:
+            raise EmbeddingError(f"embedding spec {spec!r}: the width must be a positive integer")
+        return HashedProvider(dim=int(width))
     return load_precomputed(spec)
 
 
@@ -170,4 +172,4 @@ def embed_event(event: Event, provider) -> EmbeddingMatrix:
     rows = np.empty((event.node_count, provider.dim), dtype=np.float64)
     for i, post in enumerate(event.posts):
         rows[i] = provider.vector_for(post)
-    return EmbeddingMatrix(event_id=event.event_id, rows=rows, provenance=provider.describe())
+    return EmbeddingMatrix(event_id=event.event_id, rows=rows)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +33,7 @@ class Metrics:
     confusion: dict  # per class name: {"tp", "fp", "fn", "tn"}
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "f1_rumor": self.f1_rumor,
-            "f1_nonrumor": self.f1_nonrumor,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -154,48 +148,12 @@ class ProjectedFeatures:
     explained: tuple[float, float]  # fractions of total variance, descending
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps rotate every upper-triangle pair until the off-diagonal Frobenius
-    mass falls below ``tol`` relative to the matrix scale. Returns
-    (eigenvalues, eigenvectors as columns), unordered.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(np.linalg.norm(a), 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return np.diag(a).copy(), v
-
-
 def pca_project(representations: np.ndarray, event_ids=None, labels=None) -> ProjectedFeatures:
     """Project representations onto their top-2 principal axes.
 
-    Eigenvectors come from a cyclic Jacobi decomposition of the sample
-    covariance; each axis is sign-fixed so its largest-magnitude component
-    is positive, making exports reproducible.
+    Eigenvectors come from a symmetric eigendecomposition (LAPACK) of the
+    sample covariance; each axis is sign-fixed so its largest-magnitude
+    component is positive, making exports reproducible.
     """
     x = np.asarray(representations, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -208,7 +166,7 @@ def pca_project(representations: np.ndarray, event_ids=None, labels=None) -> Pro
     if total <= 0.0:
         raise DegenerateDataError("representations carry no variance")
 
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:2]
     axes = eigvecs[:, order]
     for col in range(axes.shape[1]):

@@ -15,7 +15,9 @@ same function as event-at-a-time encoding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,17 +52,6 @@ class ModelConfig:
     def rep_dim(self) -> int:
         """Width of the event representation (last hidden + claim residual)."""
         return self.d_out + self.d_hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "d_hidden": self.d_hidden,
-            "d_out": self.d_out,
-            "classes": self.classes,
-            "layers": self.layers,
-            "dropout": self.dropout,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -205,53 +196,69 @@ def encode_batch(
     return EncodeResult(node_states=h2_tilde, reps=reps, probs=probs)
 
 
-def forward(
-    embedding_rows: np.ndarray,
-    graph: PropagationGraph,
-    params: ModelParams,
-    mode: str = "eval",
-    streams: RngStreams | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode one event; returns (node states, event representation, probabilities)."""
-    if embedding_rows.shape[0] != graph.n:
-        raise nc.ShapeError(
-            f"embedding rows {embedding_rows.shape[0]} do not match graph size {graph.n}"
-        )
-    batch = GraphBatch.from_events([embedding_rows], [graph])
-    result = encode_batch(batch, params, mode=mode, streams=streams)
-    return result.node_states, result.reps, result.probs
-
-
 # -- snapshots -----------------------------------------------------------------
+
+
+class SnapshotError(ValueError):
+    """A snapshot or training-state file is malformed, truncated or overlong."""
+
+
+def _write_container(path, header: dict, blobs: Iterable[np.ndarray]) -> None:
+    """Sorted-key JSON header line, then each blob as little-endian float64."""
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for blob in blobs:
+            fh.write(np.asarray(blob, dtype="<f8").tobytes())
+
+
+def _read_container(path, layout: Callable[[dict], tuple[ModelConfig, int]]) -> tuple[dict, ModelParams, list[dict]]:
+    """Inverse of ``_write_container`` for payloads of whole parameter blocks.
+
+    ``layout(header)`` gives the model configuration and the block count;
+    each block holds the tensors named by ``header["order"]``, and the
+    payload must hold exactly those blocks. Returns the header, freshly
+    shaped parameters, and each block as a name -> float64 array dict.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+        cfg, blocks = layout(header)
+        params = init_params(cfg, RngStreams(0))
+        order = list(header["order"])
+        shapes = [params.tensors[name].data.shape for name in order] * blocks
+    except (ValueError, KeyError, TypeError) as err:
+        raise SnapshotError(f"{path}: unreadable header ({type(err).__name__}: {err})") from err
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = 8 * sum(sizes)
+    if len(payload) != expected:
+        problem = "truncated" if len(payload) < expected else "followed by trailing bytes"
+        raise SnapshotError(f"{path}: payload {problem} ({len(payload)} bytes, expected {expected})")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    offsets = np.cumsum([0] + sizes)
+    arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)]
+    n = len(order)
+    return header, params, [dict(zip(order, arrays[i * n : (i + 1) * n])) for i in range(blocks)]
 
 
 def save_snapshot(params: ModelParams, seed: int, path) -> None:
     """Header JSON line, then the parameter tensors as little-endian float64."""
     header = {
         "format_version": SNAPSHOT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "seed": seed,
         "order": list(PARAM_ORDER),
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for name in PARAM_ORDER:
-            fh.write(params.tensors[name].data.astype("<f8").tobytes())
+    _write_container(path, header, (params.tensors[name].data for name in PARAM_ORDER))
 
 
 def load_snapshot(path) -> tuple[ModelParams, int]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+    def layout(header: dict) -> tuple[ModelConfig, int]:
         if header.get("format_version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {header.get('format_version')}")
-        cfg = ModelConfig(**header["config"])
-        params = init_params(cfg, RngStreams(0))
-        for name in header["order"]:
-            t = params.tensors[name]
-            raw = fh.read(t.data.size * 8)
-            if len(raw) != t.data.size * 8:
-                raise ValueError(f"snapshot truncated while reading {name!r}")
-            t.data = (
-                np.frombuffer(raw, dtype="<f8").reshape(t.data.shape).astype(nc.active_dtype())
-            )
+            raise SnapshotError(f"unsupported snapshot version {header.get('format_version')}")
+        return ModelConfig(**header["config"]), 1
+
+    header, params, (values,) = _read_container(path, layout)
+    params.load_values(values)
     return params, header["seed"]

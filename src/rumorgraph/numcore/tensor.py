@@ -6,8 +6,9 @@ local gradient rule); ``Tensor.backward`` replays the tape in reverse
 topological order exactly once per node. The visit order is a pure function
 of graph structure, so gradients are bitwise reproducible run to run.
 
-Float64 is the default element type; float32 can be selected globally for
-faster experiment runs (gradient checks require float64).
+Float64 is the default element type; float32 can be selected for faster
+experiment runs, inside a ``precision`` block or process-wide with
+``set_precision`` (gradient checks require float64).
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def set_precision(name: str) -> None:
 
 def active_dtype() -> np.dtype:
     return np.dtype(_DTYPE)
+
+
+@contextlib.contextmanager
+def precision(name: str):
+    """Select the element type inside the block, restoring the previous one on exit."""
+    global _DTYPE
+    previous = _DTYPE
+    set_precision(name)
+    try:
+        yield
+    finally:
+        _DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -336,18 +349,6 @@ def concat_rows(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def row(x, index: int) -> Tensor:
-    x = as_tensor(x)
-    data = x.data[index : index + 1]
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[index : index + 1] = g
-        _accumulate(x, full)
-
-    return _make(data, (x,), backward)
-
-
 def gather_rows(x, indices: np.ndarray) -> Tensor:
     """Select rows ``x[indices]``; repeated indices accumulate gradient."""
     x = as_tensor(x)
@@ -358,30 +359,6 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
         full = np.zeros_like(x.data)
         np.add.at(full, idx, g)
         _accumulate(x, full)
-
-    return _make(data, (x,), backward)
-
-
-def tile_rows(x, count: int) -> Tensor:
-    x = as_tensor(x)
-    if x.data.shape[0] != 1:
-        raise ShapeError(f"tile_rows expects a single row, got {x.data.shape}")
-    data = np.repeat(x.data, count, axis=0)
-
-    def backward(g):
-        _accumulate(x, g.sum(axis=0, keepdims=True))
-
-    return _make(data, (x,), backward)
-
-
-def mean_rows(x) -> Tensor:
-    """Column-wise mean over rows, keeping a (1, d) shape."""
-    x = as_tensor(x)
-    n = x.data.shape[0]
-    data = x.data.mean(axis=0, keepdims=True)
-
-    def backward(g):
-        _accumulate(x, np.repeat(g / n, n, axis=0))
 
     return _make(data, (x,), backward)
 

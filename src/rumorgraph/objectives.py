@@ -6,15 +6,11 @@ cross-domain contrastive term that pulls each target event toward same-label
 source events, and a target-instance term that identifies each target event's
 augmented view against all other target views. A trade-off weight combines
 them into the per-domain joint losses and their average.
-
-Every term also has a ``*_reference`` twin written as plain-Python direct
-summation; tests hold the vectorized implementations to those oracles.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +31,10 @@ class SimilarityError(ValueError):
 class Batch:
     """Aligned per-event quantities for one mini-batch."""
 
-    role: str  # source | target
     reps: Tensor  # (n, d)
     labels: np.ndarray  # (n,) ints
     probs: Tensor  # (n, classes)
     aug_reps: Tensor | None = None  # target only; one augmented view per event
-    aug_probs: Tensor | None = None
 
     @property
     def size(self) -> int:
@@ -80,18 +74,6 @@ class LossReport:
 # -- similarity ----------------------------------------------------------------
 
 
-def sim(u: np.ndarray, v: np.ndarray, tau: float) -> float:
-    """Temperature-scaled cosine similarity of two vectors."""
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise SimilarityError("similarity of a zero vector is undefined")
-    return float(u @ v / (nu * nv * tau))
-
-
 def _normalize_rows(reps: Tensor) -> Tensor:
     norms_sq = nc.sum_rows(reps * reps)
     if np.any(norms_sq.data <= 0.0):
@@ -116,10 +98,6 @@ def ce_from_probs(probs: Tensor, labels: np.ndarray) -> Tensor:
     onehot[np.arange(n), labels] = 1.0
     p_true = nc.sum_rows(probs * Tensor(onehot))
     return nc.sum_all(nc.log(nc.clamp_min(p_true, PROB_FLOOR))) * (-1.0 / n)
-
-
-def ce_loss(batch: Batch) -> Tensor:
-    return ce_from_probs(batch.probs, batch.labels)
 
 
 def scl_source(batch: Batch, tau: float) -> Tensor:
@@ -154,7 +132,7 @@ def scl_cross(target: Batch, source: Batch, tau: float) -> Tensor:
     The denominator ranges over every source event in the batch; target
     anchors whose label is absent from the source batch contribute zero.
     """
-    n_t, n_s = target.size, source.size
+    n_t = target.size
     matches = (target.labels[:, None] == source.labels[None, :]).astype(np.float64)
     pos_counts = matches.sum(axis=1)
     weights = np.where(pos_counts > 0, 1.0 / (n_t * np.maximum(pos_counts, 1.0)), 0.0)
@@ -203,75 +181,3 @@ def joint(
     loss_s = ce_s * (1.0 - alpha) + scl_s * alpha
     loss_t = ce_t * (1.0 - alpha) + (scl_t + tcl_t) * alpha
     return loss_s, loss_t, (loss_s + loss_t) * 0.5
-
-
-# -- direct-summation references -------------------------------------------------
-
-
-def ce_reference(probs: np.ndarray, labels: np.ndarray) -> float:
-    total = 0.0
-    for p_row, label in zip(probs, labels):
-        total += -math.log(max(float(p_row[label]), PROB_FLOOR))
-    return total / len(labels)
-
-
-def scl_source_reference(reps: np.ndarray, labels: np.ndarray, tau: float) -> float:
-    n = len(labels)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        positives = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        if not positives:
-            continue
-        denom = sum(math.exp(sim(reps[i], reps[k], tau)) for k in range(n) if k != i)
-        inner = 0.0
-        for j in positives:
-            inner += -math.log(math.exp(sim(reps[i], reps[j], tau)) / denom)
-        total += inner / len(positives)
-    return total / n
-
-
-def scl_cross_reference(
-    reps_t: np.ndarray, labels_t: np.ndarray, reps_s: np.ndarray, labels_s: np.ndarray, tau: float
-) -> float:
-    n_t, n_s = len(labels_t), len(labels_s)
-    total = 0.0
-    for i in range(n_t):
-        positives = [j for j in range(n_s) if labels_s[j] == labels_t[i]]
-        if not positives:
-            continue
-        denom = sum(math.exp(sim(reps_t[i], reps_s[k], tau)) for k in range(n_s))
-        inner = 0.0
-        for j in positives:
-            inner += -math.log(math.exp(sim(reps_t[i], reps_s[j], tau)) / denom)
-        total += inner / len(positives)
-    return total / n_t
-
-
-def tcl_reference(
-    reps: np.ndarray, aug: np.ndarray, tau: float, include_positive: bool = False
-) -> float:
-    n = len(reps)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        denom = 0.0
-        for k in range(n):
-            if k == i:
-                continue
-            denom += math.exp(sim(reps[i], reps[k], tau))
-            denom += math.exp(sim(reps[i], aug[k], tau))
-        if include_positive:
-            denom += math.exp(sim(reps[i], aug[i], tau))
-        total += -math.log(math.exp(sim(reps[i], aug[i], tau)) / denom)
-    return total / n
-
-
-def joint_reference(
-    ce_s: float, scl_s: float, ce_t: float, scl_t: float, tcl_t: float, alpha: float
-) -> tuple[float, float, float]:
-    loss_s = (1.0 - alpha) * ce_s + alpha * scl_s
-    loss_t = (1.0 - alpha) * ce_t + alpha * (scl_t + tcl_t)
-    return loss_s, loss_t, 0.5 * (loss_s + loss_t)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,16 @@ from .augment import AugmentStrategy, augment_batch
 from .dataio import Dataset, Event, split_folds
 from .embed import embed_event
 from .evalkit import LABEL_INDEX, Metrics, compute_metrics
-from .model import GraphBatch, ModelConfig, ModelParams, encode_batch, init_params
+from .model import (
+    GraphBatch,
+    ModelConfig,
+    ModelParams,
+    SnapshotError,
+    _read_container,
+    _write_container,
+    encode_batch,
+    init_params,
+)
 from .numcore import AdamWState, RngStreams, Tensor, TrainingStepError, adamw_step, child_seed
 from .objectives import Batch, LossReport, ce_from_probs, joint, scl_cross, scl_source, tcl
 from .propagation import PropagationGraph, build_graph
@@ -146,15 +155,8 @@ def train_step(
         )
         aug_probs = nc.softmax_rows(nc.matmul(aug_reps, params.wc) + params.bc)
 
-    source = Batch(role="source", reps=src_result.reps, labels=src_labels, probs=src_result.probs)
-    target = Batch(
-        role="target",
-        reps=tgt_result.reps,
-        labels=tgt_labels,
-        probs=tgt_result.probs,
-        aug_reps=aug_reps,
-        aug_probs=aug_probs,
-    )
+    source = Batch(reps=src_result.reps, labels=src_labels, probs=src_result.probs)
+    target = Batch(reps=tgt_result.reps, labels=tgt_labels, probs=tgt_result.probs, aug_reps=aug_reps)
 
     ce_s = ce_from_probs(source.probs, source.labels)
     if aug_probs is not None:
@@ -284,145 +286,111 @@ def fit(
     monitored on the mean training loss instead (logged as a warning).
     Returns the parameters of the best-scoring epoch.
     """
-    nc.set_precision(cfg.precision)
-    if resume_state is not None:
-        state = resume_state
-        by_id = {p.event.event_id: p for p in target_fold}
-        val = [by_id[eid] for eid in state.val_ids]
-    else:
-        streams = RngStreams(cfg.seed)
-        params = init_params(cfg.model, streams)
-        state = TrainState(
-            params=params,
-            optimizer=AdamWState(cfg.learning_rate, weight_decay=cfg.weight_decay),
-            streams=streams,
-        )
-        val = _carve_validation(target_fold, cfg.val_fraction, streams.shuffle)
-        state.val_ids = [p.event.event_id for p in val]
-        state.monitor = "val_macro_f1" if val else "neg_train_loss"
-        state.best_values = state.params.copy_values()
-        if not val:
-            log.warning(
-                "target fold too small for a validation carve; monitoring training loss"
+    with nc.precision(cfg.precision):
+        if resume_state is not None:
+            state = resume_state
+            by_id = {p.event.event_id: p for p in target_fold}
+            val = [by_id[eid] for eid in state.val_ids]
+        else:
+            streams = RngStreams(cfg.seed)
+            params = init_params(cfg.model, streams)
+            state = TrainState(
+                params=params,
+                optimizer=AdamWState(cfg.learning_rate, weight_decay=cfg.weight_decay),
+                streams=streams,
             )
-    held_out = set(state.val_ids)
-    train_events = [p for p in target_fold if p.event.event_id not in held_out]
+            val = _carve_validation(target_fold, cfg.val_fraction, streams.shuffle)
+            state.val_ids = [p.event.event_id for p in val]
+            state.monitor = "val_macro_f1" if val else "neg_train_loss"
+            state.best_values = state.params.copy_values()
+            if not val:
+                log.warning(
+                    "target fold too small for a validation carve; monitoring training loss"
+                )
+        held_out = set(state.val_ids)
+        train_events = [p for p in target_fold if p.event.event_id not in held_out]
 
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        while state.epoch < cfg.max_epochs:
-            epoch = state.epoch + 1
+        log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+        try:
+            while state.epoch < cfg.max_epochs:
+                epoch = state.epoch + 1
 
-            def step_logger(step, report, _epoch=epoch):
+                def step_logger(step, report, _epoch=epoch):
+                    if log_fh:
+                        record = {"epoch": _epoch, "step": step}
+                        record.update(report.to_dict())
+                        log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+                reports = train_epoch(source, train_events, state, cfg, step_logger)
+                if val:
+                    score = evaluate_prepared(val, state.params).macro_f1
+                else:
+                    score = -float(np.mean([r.loss for r in reports]))
+                state.epoch = epoch
+                record = {"epoch": epoch, state.monitor: score}
+                state.history.append(record)
                 if log_fh:
-                    record = {"epoch": _epoch, "step": step}
-                    record.update(report.to_dict())
                     log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-            reports = train_epoch(source, train_events, state, cfg, step_logger)
-            if val:
-                score = evaluate_prepared(val, state.params).macro_f1
-            else:
-                score = -float(np.mean([r.loss for r in reports]))
-            state.epoch = epoch
-            record = {"epoch": epoch, state.monitor: score}
-            state.history.append(record)
+                if score > state.best_score:
+                    state.best_score = score
+                    state.best_values = state.params.copy_values()
+                    state.epochs_since_improvement = 0
+                else:
+                    state.epochs_since_improvement += 1
+                    if state.epochs_since_improvement >= cfg.patience:
+                        break
+        finally:
             if log_fh:
-                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                log_fh.close()
 
-            if score > state.best_score:
-                state.best_score = score
-                state.best_values = state.params.copy_values()
-                state.epochs_since_improvement = 0
-            else:
-                state.epochs_since_improvement += 1
-                if state.epochs_since_improvement >= cfg.patience:
-                    break
-    finally:
-        if log_fh:
-            log_fh.close()
-
-    best = init_params(cfg.model, RngStreams(cfg.seed))
-    best.load_values(state.best_values)
-    return FitResult(params=best, history=list(state.history), best_score=state.best_score, state=state)
+        best = init_params(cfg.model, RngStreams(cfg.seed))
+        best.load_values(state.best_values)
+        return FitResult(params=best, history=list(state.history), best_score=state.best_score, state=state)
 
 
 # -- state serialization ---------------------------------------------------------------
 
 
 def save_state(state: TrainState, cfg: TrainConfig, path) -> None:
-    """Single-file checkpoint: JSON header line, then float64 blobs."""
-    blobs: list[np.ndarray] = []
+    """Single-file checkpoint in the snapshot container: a JSON header line,
+    then parameters, both AdamW moments and the best values as float64 blocks."""
     order = list(state.params.tensors)
-    for name in order:
-        blobs.append(state.params.tensors[name].data)
-    for name in order:
-        blobs.append(state.optimizer.m.get(name, np.zeros_like(state.params.tensors[name].data)))
-    for name in order:
-        blobs.append(state.optimizer.v.get(name, np.zeros_like(state.params.tensors[name].data)))
-    for name in order:
-        blobs.append(state.best_values[name])
+    values = {name: t.data for name, t in state.params.tensors.items()}
+    zeros = {name: np.zeros_like(t.data) for name, t in state.params.tensors.items()}
+    blocks = (
+        values,
+        state.optimizer.m or zeros,
+        state.optimizer.v or zeros,
+        state.best_values,
+    )
     header = {
         "version": STATE_VERSION,
-        "model": cfg.model.to_dict(),
+        "model": asdict(cfg.model),
         "epoch": state.epoch,
         "best_score": state.best_score,
         "epochs_since_improvement": state.epochs_since_improvement,
         "val_ids": state.val_ids,
         "monitor": state.monitor,
         "history": state.history,
-        "optimizer": {
-            "learning_rate": state.optimizer.learning_rate,
-            "beta1": state.optimizer.beta1,
-            "beta2": state.optimizer.beta2,
-            "eps": state.optimizer.eps,
-            "weight_decay": state.optimizer.weight_decay,
-            "step_count": state.optimizer.step_count,
-        },
+        "optimizer": {k: v for k, v in vars(state.optimizer).items() if k not in ("m", "v")},
         "rng": state.streams.state_dict(),
         "order": order,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for blob in blobs:
-            fh.write(np.asarray(blob, dtype="<f8").tobytes())
+    _write_container(path, header, (block[name] for block in blocks for name in order))
 
 
 def load_state(path) -> TrainState:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+    def layout(header: dict) -> tuple[ModelConfig, int]:
         if header.get("version") != STATE_VERSION:
-            raise ValueError(f"unsupported training-state version {header.get('version')}")
-        cfg_model = ModelConfig(**header["model"])
-        params = init_params(cfg_model, RngStreams(0))
-        order = header["order"]
+            raise SnapshotError(f"unsupported training-state version {header.get('version')}")
+        return ModelConfig(**header["model"]), 4
 
-        def read_block() -> dict[str, np.ndarray]:
-            block = {}
-            for name in order:
-                size = params.tensors[name].data.size
-                raw = fh.read(size * 8)
-                block[name] = np.frombuffer(raw, dtype="<f8").reshape(
-                    params.tensors[name].data.shape
-                ).copy()
-            return block
-
-        params.load_values(read_block())
-        opt_meta = header["optimizer"]
-        optimizer = AdamWState(
-            learning_rate=opt_meta["learning_rate"],
-            beta1=opt_meta["beta1"],
-            beta2=opt_meta["beta2"],
-            eps=opt_meta["eps"],
-            weight_decay=opt_meta["weight_decay"],
-            step_count=opt_meta["step_count"],
-            m=read_block(),
-            v=read_block(),
-        )
-        best_values = read_block()
+    header, params, (values, m, v, best_values) = _read_container(path, layout)
+    params.load_values(values)
     return TrainState(
         params=params,
-        optimizer=optimizer,
+        optimizer=AdamWState(**header["optimizer"], m=m, v=v),
         streams=RngStreams.from_state_dict(header["rng"]),
         epoch=header["epoch"],
         best_score=header["best_score"],
@@ -461,31 +429,29 @@ def cross_validate(
     snapshot_writer=None,
 ) -> CVResult:
     """Few-shot protocol: train on each fold (the small slice), test on the rest."""
-    nc.set_precision(cfg.precision)
-    plan = split_folds(target_ds, k, cfg.seed)
-    source = prepare_events(source_ds.events, source_provider)
-    target = prepare_events(target_ds.events, target_provider)
-    by_id = {p.event.event_id: p for p in target}
+    with nc.precision(cfg.precision):
+        plan = split_folds(target_ds, k, cfg.seed)
+        source = prepare_events(source_ds.events, source_provider)
+        target = prepare_events(target_ds.events, target_provider)
+        by_id = {p.event.event_id: p for p in target}
 
-    fold_metrics = []
-    for fold in range(k):
-        train_ids = set(plan.fold_ids(fold))
-        train_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id in train_ids]
-        test_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id not in train_ids]
-        fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
-        log_path = None
-        if out_dir is not None:
-            log_path = f"{out_dir}/fold{fold}_train_log.jsonl"
-            open(log_path, "w").close()
-        result = fit(source, train_fold, fold_cfg, log_path=log_path)
-        if snapshot_writer is not None:
-            snapshot_writer(fold, result)
-        fold_metrics.append(evaluate_prepared(test_fold, result.params))
+        fold_metrics = []
+        for fold in range(k):
+            train_ids = set(plan.fold_ids(fold))
+            train_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id in train_ids]
+            test_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id not in train_ids]
+            fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
+            log_path = None
+            if out_dir is not None:
+                log_path = f"{out_dir}/fold{fold}_train_log.jsonl"
+                open(log_path, "w").close()
+            result = fit(source, train_fold, fold_cfg, log_path=log_path)
+            if snapshot_writer is not None:
+                snapshot_writer(fold, result)
+            fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
-    mean = {
-        "accuracy": float(np.mean([m.accuracy for m in fold_metrics])),
-        "macro_f1": float(np.mean([m.macro_f1 for m in fold_metrics])),
-        "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
-        "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
-    }
-    return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=dict(plan.assignment))
+        mean = {
+            key: float(np.mean([getattr(m, key) for m in fold_metrics]))
+            for key in ("accuracy", "macro_f1", "f1_rumor", "f1_nonrumor")
+        }
+        return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=dict(plan.assignment))

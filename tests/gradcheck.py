@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from rumorgraph.numcore import Tensor
 
 
 def finite_diff_grad(loss_fn: Callable[[], float], params: Sequence[Tensor], h: float = 1e-5) -> list[np.ndarray]:

@@ -9,13 +9,12 @@ from rumorgraph.augment import (
     adversarial,
     augment_batch,
     classification_gradients,
-    dropedge_view,
     feature_dropout,
 )
 from rumorgraph.embed import HashedProvider, embed_event
-from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, forward, init_params
+from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
 from rumorgraph.numcore import RngStreams, Tensor
-from rumorgraph.propagation import build_graph
+from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
 from tests.conftest import make_event
 
 TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
@@ -23,6 +22,15 @@ TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
 def _prepared(event, dim=6):
     return embed_event(event, HashedProvider(dim=dim)).rows, build_graph(event)
+
+
+def _rep(x, graph, params):
+    return encode_batch(GraphBatch.from_events([x], [graph]), params, mode="eval").reps
+
+
+def _dropedge_view(x, graph, params, rate, gen):
+    """Evaluation-mode representation of one event on a DropEdge-deformed topology."""
+    return _rep(x, dropedge(graph, rate, gen), params)
 
 
 def test_strategy_validation():
@@ -65,7 +73,7 @@ def test_adversarial_direction_is_ascent_for_classification_loss():
     result = encode_batch(batch, params, mode="eval")
     grads = classification_gradients(result, labels)
 
-    from rumorgraph.objectives import ce_reference
+    from tests.oracles import ce_reference
 
     def loss_at(reps):
         logits = reps @ params.wc.data + params.bc.data
@@ -126,8 +134,8 @@ def test_dropedge_view_rate_zero_eval_matches_original():
     event = make_event("e", "rumor", [0, 0, 1])
     params = init_params(TINY, RngStreams(2))
     x, graph = _prepared(event)
-    _, rep, _ = forward(x, graph, params)
-    view = dropedge_view(x, graph, params, 0.0, RngStreams(0).dropedge)
+    rep = _rep(x, graph, params)
+    view = _dropedge_view(x, graph, params, 0.0, RngStreams(0).dropedge)
     assert np.array_equal(view.data, rep.data)
 
 
@@ -135,24 +143,20 @@ def test_dropedge_view_rate_one_is_identity_mixing():
     event = make_event("e", "rumor", [0, 0])
     params = init_params(TINY, RngStreams(2))
     x, graph = _prepared(event)
-    view = dropedge_view(x, graph, params, 1.0, RngStreams(0).dropedge)
-    from rumorgraph.propagation import PropagationGraph
-
+    view = _dropedge_view(x, graph, params, 1.0, RngStreams(0).dropedge)
     lonely = PropagationGraph(
         n=graph.n, edges=(), adjacency=np.eye(graph.n), normalized=np.eye(graph.n)
     )
-    batch = GraphBatch.from_events([x], [lonely])
-    expected = encode_batch(batch, params, mode="eval").reps
-    assert np.array_equal(view.data, expected.data)
+    assert np.array_equal(view.data, _rep(x, lonely, params).data)
 
 
 def test_dropedge_view_single_node_invariant():
     event = make_event("solo", "rumor", [])
     params = init_params(TINY, RngStreams(4))
     x, graph = _prepared(event)
-    _, rep, _ = forward(x, graph, params)
+    rep = _rep(x, graph, params)
     for rate in (0.0, 0.3, 1.0):
-        view = dropedge_view(x, graph, params, rate, RngStreams(9).dropedge)
+        view = _dropedge_view(x, graph, params, rate, RngStreams(9).dropedge)
         assert np.array_equal(view.data, rep.data)
 
 

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
+from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
+from rumorgraph.model import ModelConfig, init_params, save_snapshot
+from rumorgraph.numcore import RngStreams
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
 
 
@@ -232,3 +237,68 @@ def test_single_fit_protocol(tmp_path, synth_dirs):
     assert (out_dir / "model.snapshot").exists()
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert "best_score" in metrics and "history" in metrics
+
+
+def test_train_f32_leaves_global_precision_untouched(tmp_path, synth_dirs):
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir)
+    assert main(["train", "--config", str(config_path), "--precision", "f32"]) == 0
+    assert nc.active_dtype() == np.float64
+
+
+def _train_argv(embeddings):
+    def build(tmp_path, data_dir, snapshot):
+        config_path = _run_config(tmp_path, data_dir)
+        record = json.loads(config_path.read_text())
+        record["paths"]["source_embeddings"] = embeddings
+        config_path.write_text(json.dumps(record))
+        return ["train", "--config", str(config_path)]
+
+    return build
+
+
+def _inference_argv(command, *extra, truncate=False):
+    def build(tmp_path, data_dir, snapshot):
+        if truncate:
+            damaged = tmp_path / "truncated.snapshot"
+            damaged.write_bytes(snapshot.read_bytes()[:-8])
+            snapshot = damaged
+        argv = [command, "--snapshot", str(snapshot), "--events", str(data_dir / "target_events.jsonl")]
+        if command == "earlydetect":
+            argv += ["--checkpoints", "1,inf", "--mode", "count"]
+        return argv + ["--out", str(tmp_path / "out"), *extra]
+
+    return build
+
+
+WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
+
+
+@pytest.mark.parametrize(
+    "build, code, message",
+    [
+        (_train_argv("hashed:abc"), 1, "width must be a positive integer"),
+        (_train_argv("hashed:16"), 1, WIDTH_MISMATCH),
+        (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
+        (_inference_argv("export-features", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
+        (_inference_argv("earlydetect", truncate=True), 1, "payload truncated"),
+        (_inference_argv("export-features", truncate=True), 1, "payload truncated"),
+    ],
+    ids=[
+        "train-malformed-hashed-spec",
+        "train-embedding-width",
+        "earlydetect-embedding-width",
+        "export-embedding-width",
+        "earlydetect-truncated-snapshot",
+        "export-truncated-snapshot",
+    ],
+)
+def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):
+    _tmp, data_dir = synth_dirs
+    snapshot = tmp_path / "tiny.snapshot"
+    save_snapshot(init_params(ModelConfig(d_in=8, d_hidden=6, d_out=4), RngStreams(1)), seed=1, path=snapshot)
+    capsys.readouterr()
+    assert main(build(tmp_path, data_dir, snapshot)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and re.search(message, err)

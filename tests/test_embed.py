@@ -11,6 +11,7 @@ from rumorgraph.embed import (
     ENCODER_DIM,
     EmbeddingError,
     HashedProvider,
+    PrecomputedProvider,
     embed_event,
     hashed_embed,
     load_precomputed,
@@ -89,6 +90,25 @@ def test_precomputed_dimension_mismatch(tmp_path):
         load_precomputed(path)
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b", "vector": [1.0,'], "invalid JSON"),
+        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"vector": [1.0, 2.0]}'], "'post_id'"),
+        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b"}'], "'vector'"),
+        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "a", "vector": [3.0, 4.0]}'], "duplicate post_id 'a'"),
+        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b", "vector": ["x", 2.0]}'], "not numeric"),
+    ],
+    ids=["malformed-json", "missing-post-id", "missing-vector", "duplicate-post-id", "non-numeric-vector"],
+)
+def test_precomputed_malformed_record_names_file_and_line(tmp_path, records, message):
+    path = tmp_path / "emb.jsonl"
+    path.write_text("\n".join([json.dumps({"dim": 2, "count": 2})] + records) + "\n")
+    with pytest.raises(EmbeddingError, match=message) as info:
+        load_precomputed(path)
+    assert f"{path} line 3" in str(info.value)
+
+
 def test_encoder_width_constant():
     assert ENCODER_DIM == 768
 
@@ -107,10 +127,13 @@ def test_embed_event_row_order_and_purity():
 
 def test_provider_from_spec(tmp_path):
     hashed = provider_from_spec("hashed:24")
-    assert hashed.kind == "hashed" and hashed.dim == 24
+    assert isinstance(hashed, HashedProvider) and hashed.dim == 24
     path = tmp_path / "emb.jsonl"
     write_embeddings({"x": np.zeros(2)}, 2, path)
-    assert provider_from_spec(str(path)).kind == "precomputed"
+    assert isinstance(provider_from_spec(str(path)), PrecomputedProvider)
+    for bad in ("hashed:abc", "hashed:0", "hashed:-3", "hashed:"):
+        with pytest.raises(EmbeddingError, match="positive integer"):
+            provider_from_spec(bad)
 
 
 def test_claim_only_event_single_row():

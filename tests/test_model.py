@@ -1,5 +1,7 @@
 """Model contract: parameter count, forward semantics, invariances, snapshots."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
+    SnapshotError,
     encode_batch,
-    forward,
     init_params,
     load_snapshot,
     param_count,
@@ -24,6 +26,12 @@ TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
 def _prepared(event, dim=6, seed=0):
     return embed_event(event, HashedProvider(dim=dim, seed=seed)).rows, build_graph(event)
+
+
+def _encode_one(x, graph, params, mode="eval", streams=None):
+    """Encode a single event; returns (node states, representation, probabilities)."""
+    result = encode_batch(GraphBatch.from_events([x], [graph]), params, mode=mode, streams=streams)
+    return result.node_states, result.reps, result.probs
 
 
 def test_param_count_matches_published_total():
@@ -61,7 +69,7 @@ def test_forward_manual_recomputation():
     event = make_event("e", "rumor", [0, 0])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(4))
-    _, rep, probs = forward(x, graph, params, mode="eval")
+    _, rep, probs = _encode_one(x, graph, params, mode="eval")
 
     a_hat = graph.normalized
 
@@ -87,7 +95,7 @@ def test_single_node_event_representation_is_single_row():
     event = make_event("solo", "rumor", [])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(1))
-    states, rep, _ = forward(x, graph, params)
+    states, rep, _ = _encode_one(x, graph, params)
     assert np.allclose(rep.data, states.data, atol=1e-15)
 
 
@@ -101,7 +109,7 @@ def test_claim_fixing_permutation_leaves_representation():
         event = make_event(f"e{trial}", "rumor", parents)
         x, graph = _prepared(event)
         n = graph.n
-        _, rep, probs = forward(x, graph, params)
+        _, rep, probs = _encode_one(x, graph, params)
         perm = np.concatenate([[0], 1 + gen.permutation(n - 1)])
         p = np.zeros((n, n))
         p[np.arange(n), perm] = 1.0
@@ -109,7 +117,7 @@ def test_claim_fixing_permutation_leaves_representation():
         permuted_graph = type(graph)(
             n=n, edges=graph.edges, adjacency=permuted_a, normalized=normalize(permuted_a)
         )
-        _, rep_perm, _ = forward(x[perm], permuted_graph, params)
+        _, rep_perm, _ = _encode_one(x[perm], permuted_graph, params)
         assert np.max(np.abs(rep.data - rep_perm.data)) < 1e-10
         assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
         checked += 1
@@ -124,7 +132,7 @@ def test_batched_encoding_matches_per_event():
     batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
     result = encode_batch(batch, params, mode="eval")
     for i, (x, graph) in enumerate(prepared):
-        _, rep, probs = forward(x, graph, params)
+        _, rep, probs = _encode_one(x, graph, params)
         assert np.allclose(result.reps.data[i], rep.data[0], atol=1e-12)
         assert np.allclose(result.probs.data[i], probs.data[0], atol=1e-12)
 
@@ -133,12 +141,12 @@ def test_eval_forward_deterministic_and_train_dropout_masks():
     event = make_event("e", "rumor", [0, 1, 1])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(6))
-    _, rep_a, _ = forward(x, graph, params, mode="eval")
-    _, rep_b, _ = forward(x, graph, params, mode="eval")
+    _, rep_a, _ = _encode_one(x, graph, params, mode="eval")
+    _, rep_b, _ = _encode_one(x, graph, params, mode="eval")
     assert np.array_equal(rep_a.data, rep_b.data)
 
-    _, train_a, _ = forward(x, graph, params, mode="train", streams=RngStreams(9))
-    _, train_b, _ = forward(x, graph, params, mode="train", streams=RngStreams(9))
+    _, train_a, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
+    _, train_b, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
     assert np.array_equal(train_a.data, train_b.data)
     assert not np.array_equal(train_a.data, rep_a.data)
 
@@ -148,10 +156,10 @@ def test_forward_shape_error():
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(0))
     with pytest.raises(nc.ShapeError):
-        forward(x[:1], graph, params)
+        _encode_one(x[:1], graph, params)
     bad_width = np.zeros((graph.n, 9))
     with pytest.raises(nc.ShapeError):
-        forward(bad_width, graph, params)
+        _encode_one(bad_width, graph, params)
 
 
 def test_snapshot_roundtrip_bytes_and_values(tmp_path):
@@ -164,3 +172,32 @@ def test_snapshot_roundtrip_bytes_and_values(tmp_path):
         assert np.array_equal(tensor.data, loaded.tensors[name].data)
     save_snapshot(loaded, seed=8, path=path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_snapshot_format_is_pinned(tmp_path):
+    # the file layout external readers parse: header keys "config" and "order",
+    # then exactly the float64 parameter bytes
+    path = tmp_path / "golden.snapshot"
+    save_snapshot(init_params(TINY, RngStreams(8)), seed=8, path=path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e79403a91ab19183624999bde3f30d92503b922867b62cdf2d2ce600b8adb374"
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda raw: raw[:-8], "truncated"),
+        (lambda raw: raw[:-3], "truncated"),
+        (lambda raw: raw + b"\x00", "trailing bytes"),
+        (lambda raw: raw + bytes(8), "trailing bytes"),
+        (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "unreadable header"),
+        (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), "unsupported snapshot version"),
+    ],
+    ids=["short-blob", "partial-float", "trailing-byte", "trailing-float", "bad-header", "bad-version"],
+)
+def test_damaged_snapshot_raises_typed_error(tmp_path, damage, message):
+    path = tmp_path / "model.snapshot"
+    save_snapshot(init_params(TINY, RngStreams(8)), seed=8, path=path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(SnapshotError, match=message):
+        load_snapshot(path)

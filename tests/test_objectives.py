@@ -7,21 +7,15 @@ import numpy as np
 import pytest
 
 from rumorgraph import numcore as nc
-from rumorgraph.numcore import Tensor, finite_diff_grad, relative_error
-from rumorgraph.objectives import (
-    Batch,
-    SimilarityError,
-    ce_from_probs,
-    ce_loss,
+from rumorgraph.numcore import Tensor
+from rumorgraph.objectives import Batch, SimilarityError, ce_from_probs, joint, scl_cross, scl_source, tcl
+from tests.gradcheck import finite_diff_grad, relative_error
+from tests.oracles import (
     ce_reference,
-    joint,
     joint_reference,
-    scl_cross,
     scl_cross_reference,
-    scl_source,
     scl_source_reference,
     sim,
-    tcl,
     tcl_reference,
 )
 
@@ -29,12 +23,11 @@ U = np.array([1.0, 0.0])
 V = np.array([0.0, 1.0])
 
 
-def _batch(reps, labels, role="source", aug=None):
+def _batch(reps, labels, aug=None):
     reps = np.asarray(reps, dtype=np.float64)
     n = reps.shape[0]
     probs = np.full((n, 2), 0.5)
     return Batch(
-        role=role,
         reps=nc.parameter(reps, "reps"),
         labels=np.asarray(labels),
         probs=Tensor(probs),
@@ -124,7 +117,7 @@ def test_scl_source_small_batch_warns(caplog):
 
 
 def test_scl_cross_anchor_value():
-    target = _batch([U], [0], role="target")
+    target = _batch([U], [0])
     source = _batch([U, V], [0, 1])
     expected = -math.log(math.e / (math.e + 1.0))
     assert expected == pytest.approx(0.31326, abs=1e-5)
@@ -132,15 +125,15 @@ def test_scl_cross_anchor_value():
 
 
 def test_scl_cross_label_absent_and_exact_duplicate():
-    target = _batch([U], [1], role="target")
+    target = _batch([U], [1])
     source = _batch([U, V], [0, 0])
     assert scl_cross(target, source, 1.0).item() == 0.0
     single = _batch([U], [0])
-    assert scl_cross(_batch([U], [0], role="target"), single, 1.0).item() == pytest.approx(0.0, abs=1e-12)
+    assert scl_cross(_batch([U], [0]), single, 1.0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tcl_anchor_value():
-    batch = _batch([U, V], [0, 1], role="target", aug=[U, V])
+    batch = _batch([U, V], [0, 1], aug=[U, V])
     expected = math.log(2.0) - 1.0
     assert expected == pytest.approx(-0.30685, abs=1e-5)
     assert tcl(batch, 1.0).item() == pytest.approx(expected, abs=1e-5)
@@ -148,18 +141,18 @@ def test_tcl_anchor_value():
 
 def test_tcl_all_orthogonal_closed_form():
     eye = np.eye(8)
-    batch = _batch(eye[:3], [0, 1, 0], role="target", aug=eye[3:6])
+    batch = _batch(eye[:3], [0, 1, 0], aug=eye[3:6])
     assert tcl(batch, 1.0).item() == pytest.approx(math.log(2 * (3 - 1)), abs=1e-10)
 
 
 def test_tcl_single_sample_skipped(caplog):
     with caplog.at_level("WARNING"):
-        value = tcl(_batch([U], [0], role="target", aug=[U]), 1.0).item()
+        value = tcl(_batch([U], [0], aug=[U]), 1.0).item()
     assert value == 0.0
 
 
 def test_tcl_include_positive_flag():
-    batch = _batch([U, V], [0, 1], role="target", aug=[U, V])
+    batch = _batch([U, V], [0, 1], aug=[U, V])
     as_printed = tcl(batch, 1.0).item()
     standard = tcl(batch, 1.0, include_positive=True).item()
     # adding the positive back makes the denominator larger: e + 2 instead of 2
@@ -207,7 +200,7 @@ def test_losses_match_references_on_100_random_batches():
     for _ in range(100):
         reps_s, labels_s, reps_t, labels_t, aug_t, tau = _random_case(gen)
         source = _batch(reps_s, labels_s)
-        target = _batch(reps_t, labels_t, role="target", aug=aug_t)
+        target = _batch(reps_t, labels_t, aug=aug_t)
 
         probs = np.abs(gen.normal(size=(len(labels_s), 2))) + 1e-3
         probs /= probs.sum(axis=1, keepdims=True)
@@ -234,7 +227,7 @@ def test_loss_bounds_on_random_batches():
     for _ in range(50):
         reps_s, labels_s, reps_t, labels_t, aug_t, tau = _random_case(gen)
         source = _batch(reps_s, labels_s)
-        target = _batch(reps_t, labels_t, role="target", aug=aug_t)
+        target = _batch(reps_t, labels_t, aug=aug_t)
         assert scl_source(source, tau).item() >= 0.0
         assert scl_cross(target, source, tau).item() >= 0.0
         probs = np.full((len(labels_s), 2), 0.5)
@@ -248,7 +241,7 @@ def test_loss_gradients_match_finite_differences():
     reps_s, labels_s, reps_t, labels_t, aug_t, _ = _random_case(gen, n_max=5, d_max=4)
     tau = 0.5
     source = _batch(reps_s, labels_s)
-    target = _batch(reps_t, labels_t, role="target", aug=aug_t)
+    target = _batch(reps_t, labels_t, aug=aug_t)
     tensors = [source.reps, target.reps, target.aug_reps]
 
     builders = {
@@ -283,11 +276,6 @@ def test_ce_gradient_matches_finite_differences():
     nc.clear_grads(visited)
     numeric = finite_diff_grad(lambda: build().item(), [logits])[0]
     assert relative_error(analytic, numeric) < 1e-4
-
-
-def test_batch_wrapper_ce():
-    batch = _batch([U, V], [0, 1])
-    assert ce_loss(batch).item() == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_zero_vector_representation_raises():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
-from rumorgraph.numcore import RngStreams, Tensor, finite_diff_grad, relative_error
+from rumorgraph.numcore import RngStreams, Tensor
+from tests.gradcheck import finite_diff_grad, relative_error
 
 
 def test_matmul_identity():
@@ -136,12 +137,10 @@ def test_backward_matches_finite_differences_over_random_shapes():
             "transpose": (lambda c=c: nc.transpose(c), [c]),
             "concat_cols": (lambda a=a, c=c: nc.concat_cols(c, c), [c]),
             "concat_rows": (lambda c=c: nc.concat_rows(c, c), [c]),
-            "row_tile": (lambda c=c, rows=rows: nc.tile_rows(nc.row(c, 0), rows), [c]),
             "gather_rows": (lambda c=c, idx=idx: nc.gather_rows(c, idx), [c]),
-            "mean_rows": (lambda c=c: nc.mean_rows(c), [c]),
             "sum_rows": (lambda c=c: nc.sum_rows(c), [c]),
             "segment_mean": (
-                lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, nc.row(c, 0)), sizes),
+                lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, nc.gather_rows(c, [0])), sizes),
                 [c],
             ),
             "softmax_rows": (lambda c=c: nc.softmax_rows(c), [c]),
@@ -191,6 +190,21 @@ def test_no_grad_blocks_recording():
         out = nc.matmul(p, p)
     assert not out.requires_grad
     assert out._backward is None
+
+
+def test_precision_context_restores_previous_dtype():
+    with nc.precision("f32"):
+        assert Tensor([1.0]).data.dtype == np.float32
+        with pytest.raises(RuntimeError):
+            with nc.precision("f64"):
+                assert nc.active_dtype() == np.float64
+                raise RuntimeError("inside")
+        assert nc.active_dtype() == np.float32
+    assert nc.active_dtype() == np.float64
+    with pytest.raises(ValueError, match="unknown precision"):
+        with nc.precision("f16"):
+            pass
+    assert nc.active_dtype() == np.float64
 
 
 def test_grad_wrt_reads_then_clears():

@@ -10,7 +10,7 @@ from rumorgraph import numcore as nc
 from rumorgraph.augment import AugmentStrategy
 from rumorgraph.dataio import Dataset
 from rumorgraph.embed import HashedProvider
-from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
+from rumorgraph.model import GraphBatch, ModelConfig, SnapshotError, encode_batch, init_params
 from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step
 from rumorgraph.objectives import ce_from_probs
 from rumorgraph.synth import SynthSpec, generate
@@ -240,6 +240,33 @@ def test_resume_is_bitwise_identical(tmp_path):
         assert np.array_equal(straight.state.best_values[name], resumed.state.best_values[name])
     assert straight.best_score == resumed.best_score
     assert straight.state.epoch == resumed.state.epoch
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(lambda raw: raw[:-8], "truncated"), (lambda raw: raw + bytes(8), "trailing bytes")],
+    ids=["truncated", "trailing-bytes"],
+)
+def test_damaged_state_file_raises_typed_error(tmp_path, damage, message):
+    cfg = _config(max_epochs=1)
+    state = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg).state
+    path = tmp_path / "state.bin"
+    save_state(state, cfg, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(SnapshotError, match=message):
+        load_state(path)
+
+
+def test_precision_is_scoped_to_the_call():
+    cfg = _config(max_epochs=1, precision="f32")
+    source = Dataset(events=[p.event for p in _mini_events(6, "s")], role="source")
+    target = Dataset(events=[p.event for p in _mini_events(8, "t")], role="target")
+    provider = HashedProvider(dim=8)
+    cross_validate(source, target, cfg, provider, provider, k=2)
+    assert nc.active_dtype() == np.float64
+    result = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg)
+    assert result.params.w0.data.dtype == np.float32
+    assert nc.active_dtype() == np.float64
 
 
 def test_training_reduces_loss_on_separable_batches():
