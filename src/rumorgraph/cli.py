@@ -18,7 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataio import CheckpointSpec, DatasetError, parse_events, write_events
+from . import numcore as nc
+from .dataio import CheckpointSpec, DatasetError, parse_events
 from .embed import EmbeddingError, HashedProvider, provider_from_spec
 from .evalkit import (
     DegenerateDataError,
@@ -33,6 +34,7 @@ from .numcore import TrainingStepError
 from .runconfig import ConfigError, config_hash, load_run_config
 from .synth import SynthSpec, SynthSpecError, generate
 from .trainer import cross_validate, fit, prepare_events
+from .dataio import write_events
 
 
 def _write_manifest(out_dir: Path, files: list[str], cfg_record: dict) -> None:
@@ -90,6 +92,9 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # process-wide, unlike fit and cross_validate: code run after the command
+    # in the same process reads its results at the trained precision
+    nc.set_precision(run.train.precision)
 
     try:
         source_ds = parse_events(run.source_events, role="source")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,13 @@ class Metrics:
     confusion: dict  # per class name: {"tp", "fp", "fn", "tn"}
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "accuracy": self.accuracy,
+            "macro_f1": self.macro_f1,
+            "f1_rumor": self.f1_rumor,
+            "f1_nonrumor": self.f1_nonrumor,
+            "confusion": self.confusion,
+        }
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:

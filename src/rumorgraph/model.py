@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -211,21 +211,29 @@ def _write_container(path, header: dict, blobs: Iterable[np.ndarray]) -> None:
             fh.write(np.asarray(blob, dtype="<f8").tobytes())
 
 
-def _read_container(path, layout: Callable[[dict], tuple[ModelConfig, int]]) -> tuple[dict, ModelParams, list[dict]]:
+def _read_container(
+    path, version_key: str, version: int, config_key: str, blocks: int
+) -> tuple[dict, ModelParams, list[dict]]:
     """Inverse of ``_write_container`` for payloads of whole parameter blocks.
 
-    ``layout(header)`` gives the model configuration and the block count;
-    each block holds the tensors named by ``header["order"]``, and the
-    payload must hold exactly those blocks. Returns the header, freshly
-    shaped parameters, and each block as a name -> float64 array dict.
+    The header must hold ``version`` under ``version_key`` and the model
+    configuration under ``config_key``; the payload must hold exactly
+    ``blocks`` blocks of the tensors named by ``header["order"]``. Returns
+    the header, freshly shaped parameters, and each block as a
+    name -> float64 array dict.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
     try:
         header = json.loads(line.decode("utf-8"))
-        cfg, blocks = layout(header)
-        params = init_params(cfg, RngStreams(0))
+    except ValueError as err:
+        raise SnapshotError(f"{path}: unreadable header ({err})") from err
+    found = header.get(version_key) if isinstance(header, dict) else None
+    if found != version:
+        raise SnapshotError(f"{path}: unsupported {version_key} {found!r} (expected {version})")
+    try:
+        params = init_params(ModelConfig(**header[config_key]), RngStreams(0))
         order = list(header["order"])
         shapes = [params.tensors[name].data.shape for name in order] * blocks
     except (ValueError, KeyError, TypeError) as err:
@@ -254,11 +262,6 @@ def save_snapshot(params: ModelParams, seed: int, path) -> None:
 
 
 def load_snapshot(path) -> tuple[ModelParams, int]:
-    def layout(header: dict) -> tuple[ModelConfig, int]:
-        if header.get("format_version") != SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {header.get('format_version')}")
-        return ModelConfig(**header["config"]), 1
-
-    header, params, (values,) = _read_container(path, layout)
+    header, params, (values,) = _read_container(path, "format_version", SNAPSHOT_VERSION, "config", 1)
     params.load_values(values)
     return params, header["seed"]

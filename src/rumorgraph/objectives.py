@@ -132,7 +132,7 @@ def scl_cross(target: Batch, source: Batch, tau: float) -> Tensor:
     The denominator ranges over every source event in the batch; target
     anchors whose label is absent from the source batch contribute zero.
     """
-    n_t = target.size
+    n_t, n_s = target.size, source.size
     matches = (target.labels[:, None] == source.labels[None, :]).astype(np.float64)
     pos_counts = matches.sum(axis=1)
     weights = np.where(pos_counts > 0, 1.0 / (n_t * np.maximum(pos_counts, 1.0)), 0.0)

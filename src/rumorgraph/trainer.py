@@ -27,7 +27,6 @@ from .model import (
     GraphBatch,
     ModelConfig,
     ModelParams,
-    SnapshotError,
     _read_container,
     _write_container,
     encode_batch,
@@ -373,7 +372,14 @@ def save_state(state: TrainState, cfg: TrainConfig, path) -> None:
         "val_ids": state.val_ids,
         "monitor": state.monitor,
         "history": state.history,
-        "optimizer": {k: v for k, v in vars(state.optimizer).items() if k not in ("m", "v")},
+        "optimizer": {
+            "learning_rate": state.optimizer.learning_rate,
+            "beta1": state.optimizer.beta1,
+            "beta2": state.optimizer.beta2,
+            "eps": state.optimizer.eps,
+            "weight_decay": state.optimizer.weight_decay,
+            "step_count": state.optimizer.step_count,
+        },
         "rng": state.streams.state_dict(),
         "order": order,
     }
@@ -381,12 +387,7 @@ def save_state(state: TrainState, cfg: TrainConfig, path) -> None:
 
 
 def load_state(path) -> TrainState:
-    def layout(header: dict) -> tuple[ModelConfig, int]:
-        if header.get("version") != STATE_VERSION:
-            raise SnapshotError(f"unsupported training-state version {header.get('version')}")
-        return ModelConfig(**header["model"]), 4
-
-    header, params, (values, m, v, best_values) = _read_container(path, layout)
+    header, params, (values, m, v, best_values) = _read_container(path, "version", STATE_VERSION, "model", 4)
     params.load_values(values)
     return TrainState(
         params=params,
@@ -451,7 +452,9 @@ def cross_validate(
             fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
         mean = {
-            key: float(np.mean([getattr(m, key) for m in fold_metrics]))
-            for key in ("accuracy", "macro_f1", "f1_rumor", "f1_nonrumor")
+            "accuracy": float(np.mean([m.accuracy for m in fold_metrics])),
+            "macro_f1": float(np.mean([m.macro_f1 for m in fold_metrics])),
+            "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
+            "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
         }
         return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=dict(plan.assignment))

@@ -5,10 +5,8 @@ import json
 import math
 import re
 
-import numpy as np
 import pytest
 
-from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
@@ -237,13 +235,6 @@ def test_single_fit_protocol(tmp_path, synth_dirs):
     assert (out_dir / "model.snapshot").exists()
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert "best_score" in metrics and "history" in metrics
-
-
-def test_train_f32_leaves_global_precision_untouched(tmp_path, synth_dirs):
-    tmp_path, data_dir = synth_dirs
-    config_path = _run_config(tmp_path, data_dir)
-    assert main(["train", "--config", str(config_path), "--precision", "f32"]) == 0
-    assert nc.active_dtype() == np.float64
 
 
 def _train_argv(embeddings):

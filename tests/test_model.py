@@ -191,7 +191,7 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: raw + b"\x00", "trailing bytes"),
         (lambda raw: raw + bytes(8), "trailing bytes"),
         (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "unreadable header"),
-        (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), "unsupported snapshot version"),
+        (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), r"unsupported format_version 9 \(expected 1\)$"),
     ],
     ids=["short-blob", "partial-float", "trailing-byte", "trailing-float", "bad-header", "bad-version"],
 )

@@ -244,8 +244,12 @@ def test_resume_is_bitwise_identical(tmp_path):
 
 @pytest.mark.parametrize(
     "damage, message",
-    [(lambda raw: raw[:-8], "truncated"), (lambda raw: raw + bytes(8), "trailing bytes")],
-    ids=["truncated", "trailing-bytes"],
+    [
+        (lambda raw: raw[:-8], "truncated"),
+        (lambda raw: raw + bytes(8), "trailing bytes"),
+        (lambda raw: raw.replace(b'"version": 1', b'"version": 9'), r"unsupported version 9 \(expected 1\)$"),
+    ],
+    ids=["truncated", "trailing-bytes", "bad-version"],
 )
 def test_damaged_state_file_raises_typed_error(tmp_path, damage, message):
     cfg = _config(max_epochs=1)
