@@ -135,6 +135,8 @@ def cmd_train(args) -> int:
             save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
             files.extend(["model.snapshot", log_name])
             metrics = {"best_score": result.best_score, "history": result.history}
+    except EmbeddingError as err:
+        return _fail(str(err), 1)
     except TrainingStepError as err:
         return _fail(str(err), 3)
 
@@ -177,9 +179,13 @@ def cmd_earlydetect(args) -> int:
     except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
+    try:
+        curve = early_detection(events, params, spec, provider)
+    except EmbeddingError as err:
+        return _fail(str(err), 1)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curve = early_detection(events, params, spec, provider)
     write_curve_csv(curve, out_dir / "early_detection.csv")
     _write_manifest(
         out_dir,
@@ -201,11 +207,13 @@ def cmd_export_features(args) -> int:
     except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
-    _preds, reps = predict_events(events, params, provider)
     try:
+        _preds, reps = predict_events(events, params, provider)
         features = pca_project(
             reps, event_ids=[e.event_id for e in events], labels=[e.label for e in events]
         )
+    except EmbeddingError as err:
+        return _fail(str(err), 1)
     except DegenerateDataError as err:
         return _fail(str(err), 4)
 

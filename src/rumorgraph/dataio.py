@@ -69,10 +69,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
     assignment: dict[str, int]  # event_id -> fold index
-    stratified: bool
-    seed: int
 
     def fold_ids(self, fold: int) -> list[str]:
         return [eid for eid, f in self.assignment.items() if f == fold]
@@ -223,30 +220,24 @@ def write_events(dataset: Dataset, path) -> None:
 # -- fold splitting ------------------------------------------------------------
 
 
-def split_folds(dataset: Dataset, k: int, seed: int, stratified: bool = True) -> FoldPlan:
+def split_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     """Assign every event to one of k folds, stratified by label."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     gen = RngStreams(seed).shuffle
     assignment: dict[str, int] = {}
-    if stratified:
-        for label in LABELS:
-            ids = sorted(e.event_id for e in dataset.events if e.label == label)
-            if not ids:
-                continue
-            if len(ids) < k:
-                raise DatasetError(
-                    f"cannot stratify: class {label!r} has {len(ids)} events for k={k}"
-                )
-            order = gen.permutation(len(ids))
-            for slot, idx in enumerate(order):
-                assignment[ids[idx]] = slot % k
-    else:
-        ids = sorted(e.event_id for e in dataset.events)
+    for label in LABELS:
+        ids = sorted(e.event_id for e in dataset.events if e.label == label)
+        if not ids:
+            continue
+        if len(ids) < k:
+            raise DatasetError(
+                f"cannot stratify: class {label!r} has {len(ids)} events for k={k}"
+            )
         order = gen.permutation(len(ids))
         for slot, idx in enumerate(order):
             assignment[ids[idx]] = slot % k
-    return FoldPlan(k=k, assignment=assignment, stratified=stratified, seed=seed)
+    return FoldPlan(assignment=assignment)
 
 
 # -- checkpoint truncation -----------------------------------------------------

@@ -150,13 +150,6 @@ def load_precomputed(path) -> PrecomputedProvider:
     return PrecomputedProvider(dim=dim, vectors=vectors)
 
 
-def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"dim": dim, "count": len(vectors)}) + "\n")
-        for post_id in vectors:
-            fh.write(json.dumps({"post_id": post_id, "vector": list(map(float, vectors[post_id]))}) + "\n")
-
-
 def provider_from_spec(spec: str):
     """Build a provider from a config string: a file path or "hashed:<dim>"."""
     if spec.startswith("hashed:"):

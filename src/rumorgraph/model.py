@@ -1,19 +1,22 @@
 """Two-layer graph convolution with claim-residual concatenation.
 
-Each layer mixes node states through the normalized adjacency, applies a
-learned linear map and ReLU, then concatenates the claim's previous hidden
-state onto every row and layer-normalizes the result. The event
-representation is the column-wise mean of the final node states, and a
-single affine head plus softmax produces class probabilities.
+Each layer mixes node states through the normalized adjacency
+A_hat = D^{-1/2} (A + I) D^{-1/2}, applies a learned linear map and ReLU,
+then concatenates the claim's previous hidden state onto every row and
+layer-normalizes the result. The event representation is the column-wise
+mean of the final node states, and a single affine head plus softmax
+produces class probabilities.
 
-Several events can be encoded in one pass by stacking their node features
-and placing their adjacencies on a block diagonal; per-event pooling and
+Several events are encoded in one pass by stacking their node features.
+``GraphBatch.from_events`` builds the operator once per batch, straight from
+the graphs' reply edges, as one block-diagonal matrix; per-event pooling and
 claim lookups are index-based, so the batched pass computes exactly the
 same function as event-at-a-time encoding.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -54,22 +57,6 @@ class ModelConfig:
         return self.d_out + self.d_hidden
 
 
-def param_count(cfg: ModelConfig) -> int:
-    """Closed-form number of trainable scalars."""
-    mid = cfg.d_hidden + cfg.d_in
-    top = cfg.d_out + cfg.d_hidden
-    return (
-        cfg.d_in * cfg.d_hidden
-        + cfg.d_hidden
-        + 2 * mid
-        + mid * cfg.d_out
-        + cfg.d_out
-        + 2 * top
-        + top * cfg.classes
-        + cfg.classes
-    )
-
-
 @dataclass
 class ModelParams:
     """Named trainable tensors in snapshot order."""
@@ -82,9 +69,6 @@ class ModelParams:
         if name in tensors:
             return tensors[name]
         raise AttributeError(name)
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
@@ -124,7 +108,7 @@ class GraphBatch:
 
     sizes: list[int]
     features: np.ndarray  # (sum(sizes), d_in)
-    mixing: np.ndarray  # block-diagonal normalized adjacency
+    mixing: np.ndarray  # block-diagonal D^{-1/2} (A + I) D^{-1/2}, built from the edges
     claim_index: np.ndarray  # per node, the global row of its event's claim
 
     @classmethod
@@ -136,13 +120,18 @@ class GraphBatch:
                 f"embedding row counts {[e.shape[0] for e in embeddings]} do not match graphs {sizes}"
             )
         features = np.concatenate(embeddings, axis=0)
+        offsets = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs))
+        pairs = np.fromiter(flat, dtype=np.intp).reshape(-1, 2)
+        pairs += np.repeat(offsets, [len(g.edges) for g in graphs])[:, None]
+        # A + I: a self-loop on every node and both directions of every reply edge
+        loops = np.arange(total)
+        rows = np.concatenate([loops, pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([loops, pairs[:, 1], pairs[:, 0]])
+        inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=total))
         mixing = np.zeros((total, total), dtype=np.float64)
-        claim_index = np.empty(total, dtype=np.intp)
-        offset = 0
-        for size, graph in zip(sizes, graphs):
-            mixing[offset : offset + size, offset : offset + size] = graph.normalized
-            claim_index[offset : offset + size] = offset
-            offset += size
+        mixing[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
+        claim_index = np.repeat(offsets, sizes)
         return cls(sizes=sizes, features=features, mixing=mixing, claim_index=claim_index)
 
 

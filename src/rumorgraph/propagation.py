@@ -1,8 +1,9 @@
-"""Undirected propagation topology and its symmetric normalization.
+"""Undirected propagation topology: an event's reply edges.
 
-Reply relations become undirected edges so opinion signals flow both ways;
-every node carries a self-loop. The mixing operator used by the graph
-convolution is A_hat = D^{-1/2} A D^{-1/2}.
+Reply relations become undirected edges so opinion signals flow both ways.
+A graph holds only its node count and its edges; the symmetric normalized
+operator A_hat = D^{-1/2} (A + I) D^{-1/2} that the graph convolution mixes
+through is built per batch from the edges (``model.GraphBatch.from_events``).
 """
 
 from __future__ import annotations
@@ -18,23 +19,6 @@ from .dataio import Event
 class PropagationGraph:
     n: int
     edges: tuple[tuple[int, int], ...]  # sorted (i, j) with i < j; reply pairs only
-    adjacency: np.ndarray  # 0/1 with unit diagonal
-    normalized: np.ndarray  # D^{-1/2} A D^{-1/2}
-
-
-def _assemble(n: int, edges: tuple[tuple[int, int], ...]) -> PropagationGraph:
-    a = np.eye(n, dtype=np.float64)
-    for i, j in edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return PropagationGraph(n=n, edges=edges, adjacency=a, normalized=normalize(a))
-
-
-def normalize(adjacency: np.ndarray) -> np.ndarray:
-    """A_hat[i][j] = A[i][j] / sqrt(d_i d_j), degrees taken as row sums."""
-    degrees = adjacency.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 def build_graph(event: Event) -> PropagationGraph:
@@ -44,21 +28,18 @@ def build_graph(event: Event) -> PropagationGraph:
     for post in event.posts[1:]:
         i, j = index[post.parent_id], index[post.post_id]
         edges.append((min(i, j), max(i, j)))
-    return _assemble(event.node_count, tuple(sorted(edges)))
+    return PropagationGraph(event.node_count, tuple(sorted(edges)))
 
 
 def dropedge(graph: PropagationGraph, rate: float, gen: np.random.Generator) -> PropagationGraph:
     """Remove each reply edge (both directions at once) with probability ``rate``.
 
-    Self-loops always survive, so every degree stays >= 1 and the
-    normalization remains well defined.
+    Self-loops are added by the operator, never dropped, so every degree
+    stays >= 1 and the normalization remains well defined.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"dropedge rate must lie in [0, 1], got {rate}")
     if rate == 0.0 or not graph.edges:
         return graph
     draws = gen.random(len(graph.edges))
-    kept = tuple(e for e, u in zip(graph.edges, draws) if u >= rate)
-    if len(kept) == len(graph.edges):
-        return graph
-    return _assemble(graph.n, kept)
+    return PropagationGraph(graph.n, tuple(e for e, u in zip(graph.edges, draws) if u >= rate))

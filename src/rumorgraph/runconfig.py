@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import jsonschema
 
 from .augment import AugmentStrategy
-from .dataio import CheckpointSpec
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -19,7 +17,6 @@ class ConfigError(ValueError):
     """The run configuration is malformed or violates the schema."""
 
 
-_NUMBER = {"type": "number"}
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 
 SCHEMA = {
@@ -91,19 +88,6 @@ SCHEMA = {
                 "folds": {"type": "integer", "minimum": 2},
             },
         },
-        "checkpoints": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["mode", "values"],
-            "properties": {
-                "mode": {"enum": ["elapsed_time", "post_count"]},
-                "values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"anyOf": [_NUMBER, {"enum": ["inf"]}]},
-                },
-            },
-        },
     },
 }
 
@@ -119,14 +103,6 @@ class RunConfig:
     output_dir: str
     protocol_mode: str
     folds: int
-    checkpoints: CheckpointSpec | None
-
-
-def _checkpoints_from(record: dict | None) -> CheckpointSpec | None:
-    if record is None:
-        return None
-    values = tuple(math.inf if v == "inf" else float(v) for v in record["values"])
-    return CheckpointSpec(mode=record["mode"], values=values)
 
 
 def parse_run_config(record: dict) -> RunConfig:
@@ -150,7 +126,6 @@ def parse_run_config(record: dict) -> RunConfig:
             precision=record.get("precision", "f64"),
             **training,
         )
-        checkpoints = _checkpoints_from(record.get("checkpoints"))
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -166,7 +141,6 @@ def parse_run_config(record: dict) -> RunConfig:
         output_dir=paths["output_dir"],
         protocol_mode=protocol.get("mode", "cv"),
         folds=protocol.get("folds", 5),
-        checkpoints=checkpoints,
     )
 
 

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from rumorgraph import numcore as nc
 from rumorgraph.dataio import Dataset, Event, Post
+from rumorgraph.model import GraphBatch
+from rumorgraph.propagation import PropagationGraph
 
 settings.register_profile("suite", derandomize=True, max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -37,3 +41,22 @@ def random_tree_event(gen: np.random.Generator, event_id: str, label: str, max_n
 
 def make_dataset(events, role="target") -> Dataset:
     return Dataset(events=list(events), role=role)
+
+
+def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"dim": dim, "count": len(vectors)}) + "\n")
+        for post_id in vectors:
+            fh.write(json.dumps({"post_id": post_id, "vector": list(map(float, vectors[post_id]))}) + "\n")
+
+
+def mixing_of(*graphs: PropagationGraph) -> np.ndarray:
+    """The propagation operator ``GraphBatch.from_events`` builds for a batch of graphs."""
+    return GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], list(graphs)).mixing
+
+
+def permute_graph(graph: PropagationGraph, perm: np.ndarray) -> PropagationGraph:
+    """The same topology with node ``i`` taken from node ``perm[i]`` of ``graph``."""
+    new = np.argsort(perm)
+    edges = ((int(new[i]), int(new[j])) for i, j in graph.edges)
+    return PropagationGraph(graph.n, tuple(sorted((min(e), max(e)) for e in edges)))

@@ -1,14 +1,18 @@
-"""Direct-summation oracles for the loss terms in ``rumorgraph.objectives``.
+"""Direct-evaluation oracles the tests hold the vectorized code to.
 
-Each oracle is plain Python over scalar cosine similarities; the tests hold
-the vectorized implementations to them.
+The loss-term oracles for ``rumorgraph.objectives`` are plain Python over
+scalar cosine similarities; the propagation oracles build a graph's dense
+adjacency and its normalization entry by entry; ``param_count`` is the
+model's closed-form parameter count.
 """
 
 import math
 
 import numpy as np
 
+from rumorgraph.model import ModelConfig
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
+from rumorgraph.propagation import PropagationGraph
 
 
 def sim(u: np.ndarray, v: np.ndarray, tau: float) -> float:
@@ -90,3 +94,39 @@ def joint_reference(
     loss_s = (1.0 - alpha) * ce_s + alpha * scl_s
     loss_t = (1.0 - alpha) * ce_t + alpha * (scl_t + tcl_t)
     return loss_s, loss_t, 0.5 * (loss_s + loss_t)
+
+
+def dense_adjacency(graph: PropagationGraph) -> np.ndarray:
+    """0/1 adjacency with unit diagonal: a self-loop plus both directions of each edge."""
+    a = np.eye(graph.n)
+    for i, j in graph.edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return a
+
+
+def normalized_reference(adjacency: np.ndarray) -> np.ndarray:
+    # double-loop direct evaluation of A[i][j] / sqrt(d_i d_j)
+    n = adjacency.shape[0]
+    degrees = [sum(adjacency[i]) for i in range(n)]
+    out = np.zeros_like(adjacency, dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = adjacency[i, j] / np.sqrt(degrees[i] * degrees[j])
+    return out
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """Closed-form number of trainable scalars."""
+    mid = cfg.d_hidden + cfg.d_in
+    top = cfg.d_out + cfg.d_hidden
+    return (
+        cfg.d_in * cfg.d_hidden
+        + cfg.d_hidden
+        + 2 * mid
+        + mid * cfg.d_out
+        + cfg.d_out
+        + 2 * top
+        + top * cfg.classes
+        + cfg.classes
+    )

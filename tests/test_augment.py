@@ -15,7 +15,7 @@ from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
 from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
-from tests.conftest import make_event
+from tests.conftest import make_event, mixing_of
 
 TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
@@ -144,9 +144,8 @@ def test_dropedge_view_rate_one_is_identity_mixing():
     params = init_params(TINY, RngStreams(2))
     x, graph = _prepared(event)
     view = _dropedge_view(x, graph, params, 1.0, RngStreams(0).dropedge)
-    lonely = PropagationGraph(
-        n=graph.n, edges=(), adjacency=np.eye(graph.n), normalized=np.eye(graph.n)
-    )
+    lonely = PropagationGraph(n=graph.n, edges=())
+    assert np.array_equal(mixing_of(lonely), np.eye(graph.n))
     assert np.array_equal(view.data, _rep(x, lonely, params).data)
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from rumorgraph.cli import main
@@ -12,6 +13,7 @@ from rumorgraph.dataio import parse_events
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
 from rumorgraph.numcore import RngStreams
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
+from tests.conftest import write_embeddings
 
 
 @pytest.fixture()
@@ -150,12 +152,13 @@ def test_validate_broken_file_exit_codes(tmp_path, capsys):
 def test_train_rejects_unknown_config_keys(tmp_path, synth_dirs):
     tmp_path, data_dir = synth_dirs
     config_path = _run_config(tmp_path, data_dir)
-    record = json.loads(config_path.read_text())
-    record["surprise"] = True
-    config_path.write_text(json.dumps(record))
-    assert main(["train", "--config", str(config_path)]) == 2
-    with pytest.raises(ConfigError, match="surprise"):
-        load_run_config(config_path)
+    base = json.loads(config_path.read_text())
+    # checkpoints are an earlydetect flag, not a run-config section
+    for key, value in (("surprise", True), ("checkpoints", {"mode": "post_count", "values": [1, "inf"]})):
+        config_path.write_text(json.dumps({**base, key: value}))
+        assert main(["train", "--config", str(config_path)]) == 2
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(config_path)
 
 
 def test_train_nested_unknown_key_rejected():
@@ -262,7 +265,20 @@ def _inference_argv(command, *extra, truncate=False):
     return build
 
 
+def _missing_embedding_argv(command):
+    """``command`` on an 8-wide embedding file whose one record matches no post."""
+
+    def build(tmp_path, data_dir, snapshot):
+        path = tmp_path / "stray.jsonl"
+        write_embeddings({"stray": np.ones(8)}, 8, path)
+        inner = _train_argv(str(path)) if command == "train" else _inference_argv(command, "--embeddings", str(path))
+        return inner(tmp_path, data_dir, snapshot)
+
+    return build
+
+
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
+NO_EMBEDDING = r"no embedding found for post"
 
 
 @pytest.mark.parametrize(
@@ -274,6 +290,9 @@ WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
         (_inference_argv("export-features", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
         (_inference_argv("earlydetect", truncate=True), 1, "payload truncated"),
         (_inference_argv("export-features", truncate=True), 1, "payload truncated"),
+        (_missing_embedding_argv("train"), 1, NO_EMBEDDING),
+        (_missing_embedding_argv("earlydetect"), 1, NO_EMBEDDING),
+        (_missing_embedding_argv("export-features"), 1, NO_EMBEDDING),
     ],
     ids=[
         "train-malformed-hashed-spec",
@@ -282,6 +301,9 @@ WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
         "export-embedding-width",
         "earlydetect-truncated-snapshot",
         "export-truncated-snapshot",
+        "train-missing-embedding",
+        "earlydetect-missing-embedding",
+        "export-missing-embedding",
     ],
 )
 def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):

@@ -137,14 +137,6 @@ def test_split_folds_balanced_counts():
         assert sorted(labels[i] for i in ids) == ["non-rumor", "rumor"]
 
 
-def test_split_folds_unstratified_two_events():
-    # stratified splitting demands >= k events per class; the unstratified
-    # path still deals one event per fold
-    events = [make_event("a", "rumor", [0]), make_event("b", "non-rumor", [0])]
-    plan = split_folds(make_dataset(events), k=2, seed=1, stratified=False)
-    assert sorted(plan.assignment.values()) == [0, 1]
-
-
 def test_split_folds_deterministic_and_partitioning():
     gen = np.random.default_rng(5)
     events = [

@@ -17,9 +17,8 @@ from rumorgraph.embed import (
     load_precomputed,
     provider_from_spec,
     tokenize,
-    write_embeddings,
 )
-from tests.conftest import make_event
+from tests.conftest import make_event, write_embeddings
 
 
 def test_tokenize_mixed_scripts():

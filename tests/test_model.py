@@ -14,12 +14,12 @@ from rumorgraph.model import (
     encode_batch,
     init_params,
     load_snapshot,
-    param_count,
     save_snapshot,
 )
 from rumorgraph.numcore import RngStreams
-from rumorgraph.propagation import build_graph, normalize
-from tests.conftest import make_event, random_tree_event
+from rumorgraph.propagation import build_graph
+from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
+from tests.oracles import dense_adjacency, normalized_reference, param_count
 
 TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
@@ -51,7 +51,7 @@ def test_param_count_class_growth_is_linear():
 
 def test_init_matches_count_and_conventions():
     params = init_params(TINY, RngStreams(0))
-    assert params.count() == param_count(TINY)
+    assert sum(t.data.size for t in params.tensors.values()) == param_count(TINY)
     assert np.array_equal(params.ln1_gain.data, np.ones(11))
     assert np.array_equal(params.ln2_bias.data, np.zeros(9))
     assert np.array_equal(params.b0.data, np.zeros(5))
@@ -71,7 +71,8 @@ def test_forward_manual_recomputation():
     params = init_params(TINY, RngStreams(4))
     _, rep, probs = _encode_one(x, graph, params, mode="eval")
 
-    a_hat = graph.normalized
+    a_hat = normalized_reference(dense_adjacency(graph))
+    assert np.allclose(mixing_of(graph), a_hat, atol=1e-15)
 
     def ln(m, gain, bias, eps=1e-5):
         mu = m.mean(axis=1, keepdims=True)
@@ -111,13 +112,7 @@ def test_claim_fixing_permutation_leaves_representation():
         n = graph.n
         _, rep, probs = _encode_one(x, graph, params)
         perm = np.concatenate([[0], 1 + gen.permutation(n - 1)])
-        p = np.zeros((n, n))
-        p[np.arange(n), perm] = 1.0
-        permuted_a = p @ graph.adjacency @ p.T
-        permuted_graph = type(graph)(
-            n=n, edges=graph.edges, adjacency=permuted_a, normalized=normalize(permuted_a)
-        )
-        _, rep_perm, _ = _encode_one(x[perm], permuted_graph, params)
+        _, rep_perm, _ = _encode_one(x[perm], permute_graph(graph, perm), params)
         assert np.max(np.abs(rep.data - rep_perm.data)) < 1e-10
         assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
         checked += 1
