@@ -9,9 +9,11 @@ produces class probabilities.
 
 Several events are encoded in one pass by stacking their node features.
 ``GraphBatch.from_events`` builds the operator once per batch, straight from
-the graphs' reply edges, as one block-diagonal matrix; per-event pooling and
-claim lookups are index-based, so the batched pass computes exactly the
-same function as event-at-a-time encoding.
+the graphs' reply edges, as a sparse neighbor-list operator
+(``numcore.NeighborOperator``) whose time and memory grow with nodes plus
+edges; no event's rows reach another's, and per-event pooling and claim
+lookups are index-based, so the batched pass computes the same function as
+event-at-a-time encoding.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class GraphBatch:
 
     sizes: list[int]
     features: np.ndarray  # (sum(sizes), d_in)
-    mixing: np.ndarray  # block-diagonal D^{-1/2} (A + I) D^{-1/2}, built from the edges
+    mixing: nc.NeighborOperator  # D^{-1/2} (A + I) D^{-1/2} of every graph, built from the edges
     claim_index: np.ndarray  # per node, the global row of its event's claim
 
     @classmethod
@@ -129,8 +131,7 @@ class GraphBatch:
         rows = np.concatenate([loops, pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([loops, pairs[:, 1], pairs[:, 0]])
         inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=total))
-        mixing = np.zeros((total, total), dtype=np.float64)
-        mixing[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
+        mixing = nc.NeighborOperator(inv_sqrt, rows, cols)
         claim_index = np.repeat(offsets, sizes)
         return cls(sizes=sizes, features=features, mixing=mixing, claim_index=claim_index)
 
@@ -158,10 +159,9 @@ def encode_batch(
         raise ValueError("train mode with dropout requires RNG streams")
 
     x = Tensor(np.asarray(batch.features, dtype=nc.active_dtype()))
-    mixing = Tensor(np.asarray(batch.mixing, dtype=nc.active_dtype()))
     eps = cfg.layer_norm_eps
 
-    h1 = nc.relu(nc.matmul(mixing, nc.matmul(x, params.w0)) + params.b0)
+    h1 = nc.relu(nc.spmm(batch.mixing, nc.matmul(x, params.w0)) + params.b0)
     h1_tilde = nc.layer_norm(
         nc.concat_cols(h1, nc.gather_rows(x, batch.claim_index)),
         params.ln1_gain,
@@ -173,7 +173,7 @@ def encode_batch(
         # mask-and-zero: survivors are not rescaled
         h1_tilde = h1_tilde * Tensor(keep.astype(nc.active_dtype()))
 
-    h2 = nc.relu(nc.matmul(mixing, nc.matmul(h1_tilde, params.w1)) + params.b1)
+    h2 = nc.relu(nc.spmm(batch.mixing, nc.matmul(h1_tilde, params.w1)) + params.b1)
     h2_tilde = nc.layer_norm(
         nc.concat_cols(h2, nc.gather_rows(h1, batch.claim_index)),
         params.ln2_gain,

@@ -259,6 +259,57 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+class NeighborOperator:
+    """The symmetric matrix diag(s) A diag(s), with A a 0/1 matrix kept as neighbor lists.
+
+    ``rows`` and ``cols`` index A's nonzero entries and must list both
+    (i, j) and (j, i) for every off-diagonal pair. Rows are grouped by
+    their entry count, and each group stores its rows and an
+    (rows, count) array of their neighbor columns in ascending order, so a
+    product costs one gather-and-sum per distinct count and memory linear
+    in the entries.
+    """
+
+    __slots__ = ("scale", "groups")
+
+    def __init__(self, scale: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        counts = np.bincount(rows, minlength=len(scale))
+        starts = np.cumsum(counts) - counts
+        neighbors = cols[np.lexsort((cols, rows))]
+        self.scale = scale
+        self.groups = []
+        for count in np.unique(counts):
+            members = np.flatnonzero(counts == count)
+            self.groups.append((members, neighbors[starts[members, None] + np.arange(count)]))
+
+    @property
+    def nbytes(self) -> int:
+        return self.scale.nbytes + sum(members.nbytes + cols.nbytes for members, cols in self.groups)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """``diag(s) A diag(s) @ y`` in the dtype of ``y``."""
+        if y.ndim != 2 or y.shape[0] != len(self.scale):
+            raise ShapeError(f"cannot apply a {len(self.scale)}-row operator to shape {y.shape}")
+        scale = self.scale.astype(y.dtype, copy=False)[:, None]
+        scaled = scale * y
+        out = np.empty_like(scaled)
+        for members, cols in self.groups:
+            out[members] = scaled[cols].sum(axis=1)
+        out *= scale
+        return out
+
+
+def spmm(op: NeighborOperator, y) -> Tensor:
+    """Product ``op @ y`` with a constant operator; ``op`` is symmetric, so the backward applies it again."""
+    y = as_tensor(y)
+    data = op.apply(y.data)
+
+    def backward(g):
+        _accumulate(y, op.apply(g))
+
+    return _make(data, (y,), backward)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0.0

@@ -3,7 +3,8 @@
 Reply relations become undirected edges so opinion signals flow both ways.
 A graph holds only its node count and its edges; the symmetric normalized
 operator A_hat = D^{-1/2} (A + I) D^{-1/2} that the graph convolution mixes
-through is built per batch from the edges (``model.GraphBatch.from_events``).
+through is built per batch from the edges, as neighbor lists
+(``model.GraphBatch.from_events``).
 """
 
 from __future__ import annotations

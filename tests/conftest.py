@@ -51,8 +51,9 @@ def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
 
 
 def mixing_of(*graphs: PropagationGraph) -> np.ndarray:
-    """The propagation operator ``GraphBatch.from_events`` builds for a batch of graphs."""
-    return GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], list(graphs)).mixing
+    """The propagation operator ``GraphBatch.from_events`` builds for a batch of graphs, as a dense matrix."""
+    total = sum(g.n for g in graphs)
+    return GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], list(graphs)).mixing.apply(np.eye(total))
 
 
 def permute_graph(graph: PropagationGraph, perm: np.ndarray) -> PropagationGraph:

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rumorgraph
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
@@ -196,6 +201,16 @@ def test_earlydetect_missing_snapshot_exit_1(tmp_path, synth_dirs):
         ]
     )
     assert code == 1
+
+
+def test_cli_imports_numpy_only():
+    # importing scipy.sparse alone costs about 0.2-0.3 s, which every command would pay
+    src = Path(rumorgraph.__file__).resolve().parents[1]
+    probe = "import sys, rumorgraph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_synth_invalid_spec_exit_2(tmp_path):

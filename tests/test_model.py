@@ -17,7 +17,7 @@ from rumorgraph.model import (
     save_snapshot,
 )
 from rumorgraph.numcore import RngStreams
-from rumorgraph.propagation import build_graph
+from rumorgraph.propagation import PropagationGraph, build_graph
 from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
 from tests.oracles import dense_adjacency, normalized_reference, param_count
 
@@ -130,6 +130,21 @@ def test_batched_encoding_matches_per_event():
         _, rep, probs = _encode_one(x, graph, params)
         assert np.allclose(result.reps.data[i], rep.data[0], atol=1e-12)
         assert np.allclose(result.probs.data[i], probs.data[0], atol=1e-12)
+
+
+def test_batch_operator_memory_is_linear_in_nodes_and_edges():
+    # about 6k nodes in one batch, as when a whole test fold is scored at once;
+    # a dense (sum n)^2 float64 operator would take about 290 MB
+    gen = np.random.default_rng(21)
+    graphs = []
+    for _ in range(300):
+        n = int(gen.integers(1, 40))
+        graphs.append(PropagationGraph(n, tuple(sorted((int(gen.integers(0, i)), i) for i in range(1, n)))))
+    nodes = sum(g.n for g in graphs)
+    edges = sum(len(g.edges) for g in graphs)
+    batch = GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], graphs)
+    assert nodes > 5000
+    assert batch.mixing.nbytes <= 64 * (nodes + edges)
 
 
 def test_eval_forward_deterministic_and_train_dropout_masks():

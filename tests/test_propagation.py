@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rumorgraph.numcore import RngStreams
+from rumorgraph import numcore as nc
+from rumorgraph.model import GraphBatch
+from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
 from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
+from tests.gradcheck import finite_diff_grad, relative_error
 from tests.oracles import dense_adjacency, normalized_reference
 
 
@@ -86,6 +89,57 @@ def test_row_sums_match_double_loop_oracle():
         graph = build_graph(random_tree_event(gen, f"e{trial}", "rumor", max_nodes=29))
         oracle = normalized_reference(dense_adjacency(graph))
         assert np.allclose(mixing_of(graph).sum(axis=1), oracle.sum(axis=1), atol=1e-12)
+
+
+# -- the sparse product ----------------------------------------------------------
+
+
+def _mixed_operator() -> tuple[list[PropagationGraph], nc.NeighborOperator]:
+    # a star, a chain, an edgeless graph and a single node: rows with 1 to 5 entries
+    graphs = [
+        build_graph(make_event("star", "rumor", [0, 0, 0, 0])),
+        build_graph(make_event("chain", "rumor", [0, 1, 2])),
+        PropagationGraph(3, ()),
+        PropagationGraph(1, ()),
+    ]
+    return graphs, GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], graphs).mixing
+
+
+def test_spmm_matches_dense_oracle():
+    graphs, op = _mixed_operator()
+    y = np.random.default_rng(4).normal(size=(sum(g.n for g in graphs), 5))
+    oracle = _block_diagonal([normalized_reference(dense_adjacency(g)) for g in graphs])
+    assert np.max(np.abs(nc.spmm(op, Tensor(y)).data - oracle @ y)) <= 1e-15
+
+
+def test_spmm_backward_matches_finite_differences():
+    graphs, op = _mixed_operator()
+    gen = np.random.default_rng(5)
+    y = nc.parameter(gen.normal(size=(sum(g.n for g in graphs), 3)), "y")
+    weights = Tensor(gen.normal(size=y.shape))
+
+    def build():
+        out = nc.spmm(op, y)
+        return nc.sum_all(out * out * weights)
+
+    visited = build().backward()
+    analytic = y.grad.copy()
+    nc.clear_grads(visited)
+    numeric = finite_diff_grad(lambda: float(build().data), [y])[0]
+    assert relative_error(analytic, numeric) < 1e-6
+
+
+def test_spmm_keeps_float32_and_checks_rows():
+    graphs, op = _mixed_operator()
+    rows = sum(g.n for g in graphs)
+    with nc.precision("f32"):
+        y = nc.parameter(np.random.default_rng(6).normal(size=(rows, 4)), "y")
+        out = nc.spmm(op, y)
+        nc.sum_all(out * out).backward()
+    assert out.data.dtype == np.float32
+    assert y.grad.dtype == np.float32
+    with pytest.raises(nc.ShapeError, match=f"{rows}-row operator"):
+        nc.spmm(op, Tensor(np.zeros((rows + 1, 4))))
 
 
 def test_permutation_equivariance_exact():

@@ -273,6 +273,28 @@ def test_precision_is_scoped_to_the_call():
     assert nc.active_dtype() == np.float64
 
 
+def test_f32_step_agrees_with_f64():
+    # same seed and batches: the loss terms agree to a relative 1e-5 (about 100
+    # float32 ulps) and the updated parameters to 1e-6, against an update of
+    # about learning_rate = 1e-2 per entry
+    source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=2))
+    provider = HashedProvider(dim=8)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = _config()
+    runs = {}
+    for name in ("f64", "f32"):
+        with nc.precision(name):
+            state = _fresh_state(cfg)
+            report = train_step(source, target, state, cfg)
+            runs[name] = report.to_dict(), state.params.copy_values()
+    (report64, params64), (report32, params32) = runs["f64"], runs["f32"]
+    assert params32["w0"].dtype == np.float32
+    for term, value in report64.items():
+        assert report32[term] == pytest.approx(value, rel=1e-5), term
+    for name, value in params64.items():
+        assert np.allclose(params32[name], value, rtol=0.0, atol=1e-6), name
+
+
 def test_training_reduces_loss_on_separable_batches():
     cfg = _config(
         max_epochs=1,
