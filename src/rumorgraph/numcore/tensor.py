@@ -5,6 +5,8 @@ record themselves on an implicit tape (each result keeps its parents and a
 local gradient rule); ``Tensor.backward`` replays the tape in reverse
 topological order exactly once per node. The visit order is a pure function
 of graph structure, so gradients are bitwise reproducible run to run.
+``spmm`` multiplies a tensor by a constant sparse symmetric
+``NeighborOperator``.
 
 Float64 is the default element type; float32 can be selected for faster
 experiment runs, inside a ``precision`` block or process-wide with
@@ -264,10 +266,12 @@ class NeighborOperator:
 
     ``rows`` and ``cols`` index A's nonzero entries and must list both
     (i, j) and (j, i) for every off-diagonal pair. Rows are grouped by
-    their entry count, and each group stores its rows and an
-    (rows, count) array of their neighbor columns in ascending order, so a
+    their entry count, and each group stores its rows and a
+    (count, rows) array of their neighbor columns in ascending order, so a
     product costs one gather-and-sum per distinct count and memory linear
-    in the entries.
+    in the entries. Summing the gathered (count, rows, width) block over
+    its leading axis adds whole contiguous slabs, which keeps the fixed
+    cost of each group's sum low on small batches.
     """
 
     __slots__ = ("scale", "groups")
@@ -280,7 +284,7 @@ class NeighborOperator:
         self.groups = []
         for count in np.unique(counts):
             members = np.flatnonzero(counts == count)
-            self.groups.append((members, neighbors[starts[members, None] + np.arange(count)]))
+            self.groups.append((members, neighbors[starts[members] + np.arange(count)[:, None]]))
 
     @property
     def nbytes(self) -> int:
@@ -294,7 +298,7 @@ class NeighborOperator:
         scaled = scale * y
         out = np.empty_like(scaled)
         for members, cols in self.groups:
-            out[members] = scaled[cols].sum(axis=1)
+            out[members] = scaled[cols].sum(axis=0)
         out *= scale
         return out
 
