@@ -288,6 +288,7 @@ class NeighborOperator:
 
     @property
     def nbytes(self) -> int:
+        """Bytes held by the scale and the index arrays."""
         return self.scale.nbytes + sum(members.nbytes + cols.nbytes for members, cols in self.groups)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
