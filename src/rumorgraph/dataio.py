@@ -109,8 +109,10 @@ def _require(record: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_event(record: dict, line_no: int) -> Event:
+def _parse_event(record, line_no: int) -> Event:
     where = f"line {line_no}"
+    if not isinstance(record, dict):
+        raise DatasetError(f"{where}: an event must be a JSON object")
     event_id = _require(record, "event_id", str, where)
     where = f"event {event_id!r}"
     label = _require(record, "label", str, where)
@@ -173,20 +175,23 @@ def parse_events(path, role: str = "unspecified") -> Dataset:
     """Parse and validate a JSONL event file into a Dataset."""
     events = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"line {line_no}: invalid JSON ({err.msg})") from err
-            event = _parse_event(record, line_no)
-            if event.event_id in seen_ids:
-                raise DatasetError(f"duplicate event_id {event.event_id!r}")
-            seen_ids.add(event.event_id)
-            events.append(event)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as err:  # malformed, or an integer past Python's digit limit
+                    raise DatasetError(f"line {line_no}: invalid JSON ({getattr(err, 'msg', err)})") from err
+                event = _parse_event(record, line_no)
+                if event.event_id in seen_ids:
+                    raise DatasetError(f"duplicate event_id {event.event_id!r}")
+                seen_ids.add(event.event_id)
+                events.append(event)
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path}: not UTF-8 text ({err.reason})") from err
     if not events:
         raise DatasetError(f"{path}: no events found")
     labels = {e.label for e in events}

@@ -3,7 +3,9 @@
 Real runs ingest vectors exported from a frozen cross-lingual sentence
 encoder (JSONL: a `{"dim", "count"}` header line, then one
 `{"post_id", "vector"}` record per line). Desk-scale runs use a hashed
-bag-of-tokens stand-in of configurable dimension.
+bag-of-tokens stand-in of configurable dimension. Each ``HashedProvider``
+memoizes the bucket and sign of every token it has hashed; the memo belongs
+to the instance, and the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -30,68 +32,47 @@ class EmbeddingMatrix:
     rows: np.ndarray  # (node_count, dim); row 0 is the claim
 
 
-# -- hashed fallback ----------------------------------------------------------
+# -- providers ----------------------------------------------------------------
 
-_CJK_RANGES = (
-    (0x3400, 0x4DBF),
-    (0x4E00, 0x9FFF),
-    (0xF900, 0xFAFF),
-)
-
-_WORD_RE = re.compile(r"[0-9a-z]+")
-
-
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+# a CJK codepoint from the three ideograph blocks stands alone; any other
+# character that is not [0-9a-z] separates tokens
+_TOKEN_RE = re.compile("[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff]|[0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace/punctuation, CJK codepoints stand alone."""
-    tokens: list[str] = []
-    buffer: list[str] = []
-    for ch in text.lower():
-        if _is_cjk(ch):
-            if buffer:
-                tokens.extend(_WORD_RE.findall("".join(buffer)))
-                buffer.clear()
-            tokens.append(ch)
-        else:
-            buffer.append(ch)
-    if buffer:
-        tokens.extend(_WORD_RE.findall("".join(buffer)))
-    return tokens
-
-
-def hashed_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
-    """Signed hashing of tokens into ``dim`` buckets, L2-normalized.
-
-    Each token lands in bucket fnv1a(token) mod dim with sign taken from
-    hash bit 63; empty text yields the zero vector.
-    """
-    if dim < 1:
-        raise EmbeddingError(f"embedding dimension must be >= 1, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        h = fnv1a64(token.encode("utf-8"), seed=seed)
-        sign = -1.0 if (h >> 63) & 1 else 1.0
-        vec[h % dim] += sign
-    norm = np.linalg.norm(vec)
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-# -- providers ----------------------------------------------------------------
+    return _TOKEN_RE.findall(text.lower())
 
 
 class HashedProvider:
+    """Signed hashing of a post's tokens into ``dim`` buckets, L2-normalized.
+
+    Each token lands in bucket fnv1a(token) mod dim with sign taken from
+    hash bit 63; empty text yields the zero vector. ``_slots`` memoizes
+    each distinct token's (bucket, sign), so a token is hashed once per
+    provider. A command builds its providers once, so the memo lives for
+    that command and holds one entry per distinct token it embedded; no
+    state is kept at module level.
+    """
+
     def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def vector_for(self, post: Post) -> np.ndarray:
-        return hashed_embed(post.text, self.dim, self.seed)
+        vec = np.zeros(self.dim, dtype=np.float64)
+        slots = self._slots
+        for token in tokenize(post.text):
+            slot = slots.get(token)
+            if slot is None:
+                h = fnv1a64(token.encode("utf-8"), seed=self.seed)
+                slot = slots[token] = (h % self.dim, -1.0 if (h >> 63) & 1 else 1.0)
+            vec[slot[0]] += slot[1]
+        norm = np.linalg.norm(vec)
+        if norm > 0.0:
+            vec /= norm
+        return vec
 
 
 class PrecomputedProvider:
@@ -108,43 +89,46 @@ class PrecomputedProvider:
 
 def load_precomputed(path) -> PrecomputedProvider:
     """Load an embedding file, validating the header and every record width."""
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as err:
-            raise EmbeddingError(f"{path}: invalid header line ({err.msg})") from err
-        if not isinstance(header, dict) or "dim" not in header or "count" not in header:
-            raise EmbeddingError(f"{path}: header must carry 'dim' and 'count'")
-        dim = header["dim"]
-        if not isinstance(dim, int) or dim <= 0:
-            raise EmbeddingError(f"{path}: header dimension must be a positive integer")
-        vectors: dict[str, np.ndarray] = {}
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path} line {line_no}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline()
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise EmbeddingError(f"{where}: invalid JSON ({err.msg})") from err
-            if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
-                raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
-            if record["post_id"] in vectors:
-                raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
-            try:
-                vec = np.asarray(record["vector"], dtype=np.float64)
-            except (TypeError, ValueError) as err:
-                raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
-            if vec.shape != (dim,):
-                raise EmbeddingError(
-                    f"{where}: vector length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
-                    f"does not match header dim {dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{where}: non-finite vector")
-            vectors[record["post_id"]] = vec
+                header = json.loads(header_line)
+            except ValueError as err:  # malformed, or an integer past Python's digit limit
+                raise EmbeddingError(f"{path} line 1: invalid header ({getattr(err, 'msg', err)})") from err
+            if not isinstance(header, dict) or "dim" not in header or "count" not in header:
+                raise EmbeddingError(f"{path} line 1: header must carry 'dim' and 'count'")
+            dim = header["dim"]
+            if type(dim) is not int or dim <= 0:  # bool is an int subclass
+                raise EmbeddingError(f"{path} line 1: header dimension must be a positive integer")
+            vectors: dict[str, np.ndarray] = {}
+            for line_no, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path} line {line_no}"
+                try:
+                    record = json.loads(line)
+                except ValueError as err:
+                    raise EmbeddingError(f"{where}: invalid JSON ({getattr(err, 'msg', err)})") from err
+                if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
+                    raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
+                if record["post_id"] in vectors:
+                    raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
+                try:
+                    vec = np.asarray(record["vector"], dtype=np.float64)
+                except (TypeError, ValueError, OverflowError) as err:
+                    raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
+                if vec.shape != (dim,):
+                    raise EmbeddingError(
+                        f"{where}: vector length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
+                        f"does not match header dim {dim}"
+                    )
+                if not np.all(np.isfinite(vec)):
+                    raise EmbeddingError(f"{where}: non-finite vector")
+                vectors[record["post_id"]] = vec
+    except UnicodeDecodeError as err:
+        raise EmbeddingError(f"{path}: not UTF-8 text ({err.reason})") from err
     if len(vectors) != header["count"]:
         raise EmbeddingError(f"{path}: header count {header['count']} != {len(vectors)} records")
     return PrecomputedProvider(dim=dim, vectors=vectors)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
 from rumorgraph.dataio import Dataset, Event, Post
@@ -18,6 +19,30 @@ def _double_precision():
     nc.set_precision("f64")
     yield
     nc.set_precision("f64")
+
+
+# any JSON value, for fuzzing the readers of JSONL input
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def valid_or_any(strategy):
+    """A draw of ``strategy`` or any JSON value in its place."""
+    return st.one_of(strategy, JSON_VALUES)
+
+
+def jsonl_files(first, rest):
+    """File bytes: a line from ``first`` then up to three from ``rest``, each
+    line possibly replaced by any JSON value or any text; or any bytes."""
+
+    def line(records):
+        return st.one_of(records.map(json.dumps), JSON_VALUES.map(json.dumps), st.text(max_size=20))
+
+    text = st.tuples(line(first), st.lists(line(rest), max_size=3)).map(lambda t: "\n".join([t[0], *t[1]]) + "\n")
+    return st.one_of(text.map(lambda s: s.encode("utf-8")), st.binary(max_size=40))
 
 
 def make_event(event_id: str, label: str, parents: list[int], timestamps=None, texts=None) -> Event:

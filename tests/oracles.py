@@ -3,14 +3,18 @@
 The loss-term oracles for ``rumorgraph.objectives`` are plain Python over
 scalar cosine similarities; the propagation oracles build a graph's dense
 adjacency and its normalization entry by entry; ``param_count`` is the
-model's closed-form parameter count.
+model's closed-form parameter count; ``tokenize_reference`` and
+``hashed_embed_reference`` are the character-loop tokenizer and the uncached
+signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit.
 """
 
 import math
+import re
 
 import numpy as np
 
 from rumorgraph.model import ModelConfig
+from rumorgraph.numcore import fnv1a64
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
 
@@ -130,3 +134,42 @@ def param_count(cfg: ModelConfig) -> int:
         + top * cfg.classes
         + cfg.classes
     )
+
+
+_CJK_RANGES = (
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0xF900, 0xFAFF),
+)
+
+_WORD_RE = re.compile(r"[0-9a-z]+")
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Lowercase, then a CJK codepoint stands alone and the text between splits into [0-9a-z] runs."""
+    tokens: list[str] = []
+    buffer: list[str] = []
+    for ch in text.lower():
+        if any(lo <= ord(ch) <= hi for lo, hi in _CJK_RANGES):
+            if buffer:
+                tokens.extend(_WORD_RE.findall("".join(buffer)))
+                buffer.clear()
+            tokens.append(ch)
+        else:
+            buffer.append(ch)
+    if buffer:
+        tokens.extend(_WORD_RE.findall("".join(buffer)))
+    return tokens
+
+
+def hashed_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """Each token adds its sign (hash bit 63) to bucket fnv1a(token) mod dim; then L2-normalize."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokenize_reference(text):
+        h = fnv1a64(token.encode("utf-8"), seed=seed)
+        sign = -1.0 if (h >> 63) & 1 else 1.0
+        vec[h % dim] += sign
+    norm = np.linalg.norm(vec)
+    if norm > 0.0:
+        vec /= norm
+    return vec

@@ -292,8 +292,31 @@ def _missing_embedding_argv(command):
     return build
 
 
+def _broken_events_argv(command, content: bytes):
+    """``command`` reading an event file that holds ``content``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(content)
+        if command == "validate":
+            return ["validate", "--events", str(path)]
+        if command == "train":
+            argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+            config = Path(argv[-1])
+            record = json.loads(config.read_text())
+            record["paths"]["target_events"] = str(path)
+            config.write_text(json.dumps(record))
+            return argv
+        argv = _inference_argv(command)(tmp_path, data_dir, snapshot)
+        argv[argv.index("--events") + 1] = str(path)
+        return argv
+
+    return build
+
+
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 NO_EMBEDDING = r"no embedding found for post"
+NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 
 
 @pytest.mark.parametrize(
@@ -308,6 +331,12 @@ NO_EMBEDDING = r"no embedding found for post"
         (_missing_embedding_argv("train"), 1, NO_EMBEDDING),
         (_missing_embedding_argv("earlydetect"), 1, NO_EMBEDDING),
         (_missing_embedding_argv("export-features"), 1, NO_EMBEDDING),
+        (_broken_events_argv("validate", b"5\n"), 1, NOT_AN_OBJECT),
+        (_broken_events_argv("train", b"null\n"), 1, NOT_AN_OBJECT),
+        (_broken_events_argv("earlydetect", b"5\n"), 1, NOT_AN_OBJECT),
+        (_broken_events_argv("export-features", b"null\n"), 1, NOT_AN_OBJECT),
+        (_broken_events_argv("validate", b'{"event_id": "\xff"}\n'), 1, "not UTF-8 text"),
+        (_broken_events_argv("train", b'{"event_id": "\xff"}\n'), 1, "not UTF-8 text"),
     ],
     ids=[
         "train-malformed-hashed-spec",
@@ -319,6 +348,12 @@ NO_EMBEDDING = r"no embedding found for post"
         "train-missing-embedding",
         "earlydetect-missing-embedding",
         "export-missing-embedding",
+        "validate-non-object-event",
+        "train-non-object-event",
+        "earlydetect-non-object-event",
+        "export-non-object-event",
+        "validate-non-utf8-events",
+        "train-non-utf8-events",
     ],
 )
 def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):

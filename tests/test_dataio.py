@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rumorgraph.dataio import (
+    LABELS,
     CheckpointSpec,
     DatasetError,
     parse_events,
@@ -16,7 +17,7 @@ from rumorgraph.dataio import (
     truncate_event,
     write_events,
 )
-from tests.conftest import make_dataset, make_event, random_tree_event
+from tests.conftest import jsonl_files, make_dataset, make_event, random_tree_event, valid_or_any
 
 
 def _write_jsonl(tmp_path, records, name="events.jsonl"):
@@ -99,6 +100,43 @@ def test_parse_parent_after_child_timestamp(tmp_path):
     ]
     with pytest.raises(DatasetError, match="posted later"):
         parse_events(_write_jsonl(tmp_path, [rec]))
+
+
+POST_IDS = st.sampled_from(["c", "r1", "r2", ""])
+REPLY = st.fixed_dictionaries(
+    {
+        "post_id": valid_or_any(POST_IDS),
+        "parent_id": valid_or_any(st.sampled_from(["c", "r1", "r2", "ghost"])),
+        "text": valid_or_any(st.text(max_size=6)),
+        "timestamp": valid_or_any(st.integers(-10, 10)),
+    }
+)
+EVENT = st.fixed_dictionaries(
+    {
+        "event_id": valid_or_any(st.sampled_from(["e1", "e2"])),
+        "label": valid_or_any(st.sampled_from(LABELS + ("satire",))),
+        "claim": valid_or_any(
+            st.fixed_dictionaries(
+                {
+                    "post_id": valid_or_any(POST_IDS),
+                    "text": valid_or_any(st.text(max_size=6)),
+                    "timestamp": valid_or_any(st.integers(-10, 10)),
+                }
+            )
+        ),
+        "posts": valid_or_any(st.lists(valid_or_any(REPLY), max_size=4)),
+    }
+)
+
+
+@given(jsonl_files(EVENT, EVENT))
+def test_parse_events_fuzz_raises_only_dataset_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "events.jsonl"
+    path.write_bytes(content)
+    try:
+        parse_events(path)
+    except DatasetError:
+        pass
 
 
 def test_parse_single_label_warns(tmp_path, caplog):

@@ -1,24 +1,49 @@
 """Embedding providers: hashed fallback and the precomputed file interface."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rumorgraph.dataio import Post
 from rumorgraph.embed import (
     ENCODER_DIM,
     EmbeddingError,
     HashedProvider,
     PrecomputedProvider,
     embed_event,
-    hashed_embed,
     load_precomputed,
     provider_from_spec,
     tokenize,
 )
-from tests.conftest import make_event, write_embeddings
+from rumorgraph.synth import SynthSpec, generate
+from tests.conftest import jsonl_files, make_event, valid_or_any, write_embeddings
+from tests.oracles import hashed_embed_reference, tokenize_reference
+
+
+def hashed_embed(text, dim, seed=0):
+    """One text through a fresh provider, whose token memo starts empty."""
+    return HashedProvider(dim, seed).vector_for(Post("p", None, text, 0))
+
+
+# the edges of the three CJK blocks and their neighbours outside them, dotted
+# capital I (lowercases to two characters), sharp s, the Kelvin sign
+# (lowercases to ASCII k) and astral letters and digits
+TRICKY = "\u33ff\u3400\u4dbf\u4dc0\u4dff\u4e00\u9fff\ua000\uf8ff\uf900\ufaff\ufb00\u0130\u00df\u212a\U0001d518\U0001d7d8\U00020000"
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(TRICKY),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x10000),
+        st.characters(),
+    ),
+    max_size=40,
+)
+# every edge character between two letters, then all of them in a row
+EDGES = "a" + "a".join(TRICKY) + "a " + TRICKY
 
 
 def test_tokenize_mixed_scripts():
@@ -26,6 +51,50 @@ def test_tokenize_mixed_scripts():
     assert tokenize("疫苗 fake news你好") == ["疫", "苗", "fake", "news", "你", "好"]
     assert tokenize("") == []
     assert tokenize("a1-b2") == ["a1", "b2"]
+
+
+@given(TEXT)
+@example(EDGES)
+def test_tokenize_matches_character_loop_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
+
+
+@given(
+    st.lists(TEXT, min_size=1, max_size=6),
+    st.sampled_from([1, 2, 7, 64, 768]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example([EDGES, EDGES.upper()], 768, 0)
+def test_hashed_provider_matches_uncached_reference_cold_and_warm(texts, dim, seed):
+    provider = HashedProvider(dim, seed)
+    posts = [Post(f"p{i}", None, text, 0) for i, text in enumerate(texts)]
+    expected = [hashed_embed_reference(text, dim, seed).tobytes() for text in texts]
+    assert [provider.vector_for(post).tobytes() for post in posts] == expected
+    # every token is now in the memo
+    assert [provider.vector_for(post).tobytes() for post in posts] == expected
+
+
+def test_hashed_embedding_bits_are_pinned():
+    # every snapshot and metric depends on these bits; the digests were
+    # computed before the tokenizer became one regex and the provider memoized
+    mixed = [
+        "Hello, World! a1-b2 \u75ab\u82d7 fake news\u4f60\u597d",
+        "\u0130stanbul STRASSE stra\u00dfe \U0001d518 \U0001d7d8",
+        "\u3400\u4dbf\u4e00\u9fff\uf900\ufaff x\u3400\u33ff\u4dc0 \u212aK",
+        "",
+        "!!! \u00c0\u00c9\u00ce \u0152\u0178",
+    ]
+    source, target = generate(SynthSpec(source_events=6, target_events=6, mean_replies=4.0, seed=11))
+    events = source.events + target.events + [make_event("mixed", "rumor", [0, 1, 0, 2, 0], texts=mixed)]
+    digests = {}
+    for seed in (0, 2**63 + 5):
+        provider = HashedProvider(dim=768, seed=seed)
+        rows = b"".join(embed_event(event, provider).rows.tobytes() for event in events)
+        digests[seed] = hashlib.sha256(rows).hexdigest()
+    assert digests == {
+        0: "7f5d108686b16a76840e4bfbce05111b65c33aa11910a4325920754f497a8cea",
+        2**63 + 5: "18f734955760e17ffddfed983d95949f1c57ce6731568927331547cfab5d7179",
+    }
 
 
 def test_hashed_empty_text_is_zero():
@@ -89,23 +158,67 @@ def test_precomputed_dimension_mismatch(tmp_path):
         load_precomputed(path)
 
 
+HEADER = json.dumps({"dim": 2, "count": 2})
+GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
+
+
 @pytest.mark.parametrize(
-    "records, message",
+    "header, record, message, line",
     [
-        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b", "vector": [1.0,'], "invalid JSON"),
-        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"vector": [1.0, 2.0]}'], "'post_id'"),
-        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b"}'], "'vector'"),
-        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "a", "vector": [3.0, 4.0]}'], "duplicate post_id 'a'"),
-        (['{"post_id": "a", "vector": [1.0, 2.0]}', '{"post_id": "b", "vector": ["x", 2.0]}'], "not numeric"),
+        (HEADER, '{"post_id": "b", "vector": [1.0,', "invalid JSON", 3),
+        (HEADER, '{"vector": [1.0, 2.0]}', "'post_id'", 3),
+        (HEADER, '{"post_id": "b"}', "'vector'", 3),
+        (HEADER, '{"post_id": "a", "vector": [3.0, 4.0]}', "duplicate post_id 'a'", 3),
+        (HEADER, '{"post_id": "b", "vector": ["x", 2.0]}', "not numeric", 3),
+        (HEADER, '{"post_id": "b", "vector": [1' + "0" * 400 + ', 2.0]}', "too large to convert to float", 3),
+        (HEADER, '{"post_id": "b", "vector": [1' + "0" * 5000 + ', 2.0]}', "invalid JSON .*digits", 3),
+        ('{"dim": true, "count": 2}', '{"post_id": "b", "vector": [1.0]}', "dimension must be a positive integer", 1),
+        ("5", GOOD, "must carry 'dim' and 'count'", 1),
     ],
-    ids=["malformed-json", "missing-post-id", "missing-vector", "duplicate-post-id", "non-numeric-vector"],
+    ids=[
+        "malformed-json",
+        "missing-post-id",
+        "missing-vector",
+        "duplicate-post-id",
+        "non-numeric-vector",
+        "float-overflow",
+        "integer-past-digit-limit",
+        "boolean-dim",
+        "non-object-header",
+    ],
 )
-def test_precomputed_malformed_record_names_file_and_line(tmp_path, records, message):
+def test_precomputed_malformed_record_names_file_and_line(tmp_path, header, record, message, line):
     path = tmp_path / "emb.jsonl"
-    path.write_text("\n".join([json.dumps({"dim": 2, "count": 2})] + records) + "\n")
+    path.write_text("\n".join([header, GOOD, record]) + "\n")
     with pytest.raises(EmbeddingError, match=message) as info:
         load_precomputed(path)
-    assert f"{path} line 3" in str(info.value)
+    assert f"{path} line {line}: " in str(info.value)
+
+
+# a component too large for a float64 sits among the vector entries
+COMPONENT = st.floats() | st.integers() | st.sampled_from([10**400, -(10**400)])
+
+
+@given(
+    jsonl_files(
+        st.fixed_dictionaries(
+            {"dim": valid_or_any(st.integers(0, 3)), "count": valid_or_any(st.integers(0, 3))}
+        ),
+        st.fixed_dictionaries(
+            {
+                "post_id": valid_or_any(st.sampled_from(["a", "b"])),
+                "vector": valid_or_any(st.lists(COMPONENT, max_size=3)),
+            }
+        ),
+    )
+)
+def test_load_precomputed_fuzz_raises_only_embedding_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "emb.jsonl"
+    path.write_bytes(content)
+    try:
+        load_precomputed(path)
+    except EmbeddingError:
+        pass
 
 
 def test_encoder_width_constant():
