@@ -76,7 +76,7 @@ def test_hashed_provider_matches_uncached_reference_cold_and_warm(texts, dim, se
 
 def test_hashed_embedding_bits_are_pinned():
     # every snapshot and metric depends on these bits; the digests were
-    # computed before the tokenizer became one regex and the provider memoized
+    # computed with the uncached character-loop form kept in tests/oracles.py
     mixed = [
         "Hello, World! a1-b2 \u75ab\u82d7 fake news\u4f60\u597d",
         "\u0130stanbul STRASSE stra\u00dfe \U0001d518 \U0001d7d8",
