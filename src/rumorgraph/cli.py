@@ -80,13 +80,7 @@ def cmd_validate(args) -> int:
 
 def cmd_train(args) -> int:
     try:
-        run = load_run_config(args.config)
-        if args.seed is not None:
-            run = replace(run, train=replace(run.train, seed=args.seed))
-            run.raw["seed"] = args.seed
-        if args.precision is not None:
-            run = replace(run, train=replace(run.train, precision=args.precision))
-            run.raw["precision"] = args.precision
+        run = load_run_config(args.config, seed=args.seed, precision=args.precision)
     except (ConfigError, OSError) as err:
         return _fail(str(err), 2)
 

@@ -183,7 +183,7 @@ def parse_events(path, role: str = "unspecified") -> Dataset:
                     continue
                 try:
                     record = json.loads(line)
-                except ValueError as err:  # malformed, or an integer past Python's digit limit
+                except (ValueError, RecursionError) as err:  # malformed, too many digits, or nested too deep
                     raise DatasetError(f"line {line_no}: invalid JSON ({getattr(err, 'msg', err)})") from err
                 event = _parse_event(record, line_no)
                 if event.event_id in seen_ids:

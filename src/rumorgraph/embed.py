@@ -94,13 +94,15 @@ def load_precomputed(path) -> PrecomputedProvider:
             header_line = fh.readline()
             try:
                 header = json.loads(header_line)
-            except ValueError as err:  # malformed, or an integer past Python's digit limit
+            except (ValueError, RecursionError) as err:  # malformed, too many digits, or nested too deep
                 raise EmbeddingError(f"{path} line 1: invalid header ({getattr(err, 'msg', err)})") from err
             if not isinstance(header, dict) or "dim" not in header or "count" not in header:
                 raise EmbeddingError(f"{path} line 1: header must carry 'dim' and 'count'")
             dim = header["dim"]
             if type(dim) is not int or dim <= 0:  # bool is an int subclass
                 raise EmbeddingError(f"{path} line 1: header dimension must be a positive integer")
+            if type(header["count"]) is not int:
+                raise EmbeddingError(f"{path} line 1: header count must be an integer")
             vectors: dict[str, np.ndarray] = {}
             for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -109,21 +111,21 @@ def load_precomputed(path) -> PrecomputedProvider:
                 where = f"{path} line {line_no}"
                 try:
                     record = json.loads(line)
-                except ValueError as err:
+                except (ValueError, RecursionError) as err:
                     raise EmbeddingError(f"{where}: invalid JSON ({getattr(err, 'msg', err)})") from err
                 if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
                     raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
                 if record["post_id"] in vectors:
                     raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
+                # np.asarray would parse numeric strings and take booleans as 0 and 1
+                if not isinstance(record["vector"], list) or not set(map(type, record["vector"])) <= {int, float}:
+                    raise EmbeddingError(f"{where}: vector is not numeric (expected a list of JSON numbers)")
                 try:
                     vec = np.asarray(record["vector"], dtype=np.float64)
-                except (TypeError, ValueError, OverflowError) as err:
+                except OverflowError as err:
                     raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
                 if vec.shape != (dim,):
-                    raise EmbeddingError(
-                        f"{where}: vector length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
-                        f"does not match header dim {dim}"
-                    )
+                    raise EmbeddingError(f"{where}: vector length {vec.shape[0]} does not match header dim {dim}")
                 if not np.all(np.isfinite(vec)):
                     raise EmbeddingError(f"{where}: non-finite vector")
                 vectors[record["post_id"]] = vec

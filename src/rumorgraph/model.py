@@ -49,9 +49,11 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.layers != 2:
-            raise ValueError("only a depth of 2 is supported")
+            raise ValueError(f"layers must be 2, the only supported depth, got {self.layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.layer_norm_eps <= 0:
+            raise ValueError(f"layer_norm_eps must be positive, got {self.layer_norm_eps}")
 
     @property
     def rep_dim(self) -> int:
@@ -216,7 +218,7 @@ def _read_container(
         payload = fh.read()
     try:
         header = json.loads(line.decode("utf-8"))
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
         raise SnapshotError(f"{path}: unreadable header ({err})") from err
     found = header.get(version_key) if isinstance(header, dict) else None
     if found != version:

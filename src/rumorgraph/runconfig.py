@@ -1,12 +1,20 @@
-"""Run configuration files: strict JSON schema, loading, and hashing."""
+"""Run configuration files: loading, field checks, and hashing.
+
+A run config is a JSON object with the sections ``paths`` and ``model``
+(required), ``training``, ``augment`` and ``protocol``, and the top-level
+``seed`` and ``precision``. The ``model``, ``augment`` and ``training``
+sections are the fields of ``ModelConfig``, ``AugmentStrategy`` and
+``TrainConfig``; ``dataclass_from_json`` checks each key's JSON type and the
+dataclass checks its bounds, so no field is described twice. Every malformed
+config raises ``ConfigError`` naming the field.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-
-import jsonschema
+import math
+from dataclasses import dataclass, fields
 
 from .augment import AugmentStrategy
 from .model import ModelConfig
@@ -14,82 +22,53 @@ from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
-    """The run configuration is malformed or violates the schema."""
+    """The run configuration is malformed or out of bounds."""
 
 
-_POSITIVE_INT = {"type": "integer", "minimum": 1}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["paths", "model"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "precision": {"enum": ["f32", "f64"]},
-        "paths": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["source_events", "target_events", "source_embeddings", "target_embeddings", "output_dir"],
-            "properties": {
-                "source_events": {"type": "string"},
-                "target_events": {"type": "string"},
-                "source_embeddings": {"type": "string"},
-                "target_embeddings": {"type": "string"},
-                "output_dir": {"type": "string"},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["d_in"],
-            "properties": {
-                "d_in": _POSITIVE_INT,
-                "d_hidden": _POSITIVE_INT,
-                "d_out": _POSITIVE_INT,
-                "classes": _POSITIVE_INT,
-                "layers": _POSITIVE_INT,
-                "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "layer_norm_eps": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "training": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "learning_rate": {"type": "number", "minimum": 0},
-                "source_batch_size": _POSITIVE_INT,
-                "target_batch_size": _POSITIVE_INT,
-                "max_epochs": {"type": "integer", "minimum": 0},
-                "patience": _POSITIVE_INT,
-                "val_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "weight_decay": {"type": "number", "minimum": 0},
-                "tcl_enabled": {"type": "boolean"},
-                "tcl_include_positive": {"type": "boolean"},
-            },
-        },
-        "augment": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["adversarial", "feature_dropout", "graph_dropedge"]},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "feature_dropout_rate": {"type": "number", "minimum": 0, "maximum": 1},
-                "dropedge_rate": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "protocol": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["cv", "single"]},
-                "folds": {"type": "integer", "minimum": 2},
-            },
-        },
-    },
+# JSON types per field annotation; every module here postpones annotations,
+# so ``dataclasses.fields`` reports them as strings
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "str": ((str,), "a string"),
+    "dict": ((dict,), "a JSON object"),
 }
+_PATH_KEYS = ("source_events", "target_events", "source_embeddings", "target_embeddings", "output_dir")
+
+
+def _shown(value) -> str:
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+
+
+def _check_json(record, kinds: dict[str, str], error, path: str) -> None:
+    """Reject a non-object, a key missing from ``kinds``, or a value of another JSON type or non-finite."""
+    if not isinstance(record, dict):
+        raise error(f"field {path or '<root>'}: expected a JSON object, got {_shown(record)}")
+    prefix = f"{path}/" if path else ""
+    for key, value in record.items():
+        if key not in kinds:
+            raise error(f"field {prefix}{key}: unknown key")
+        types, name = _JSON_TYPES[kinds[key]]
+        if type(value) not in types:  # bool is an int subclass; 6.0 is not an int
+            raise error(f"field {prefix}{key}: expected {name}, got {_shown(value)}")
+        if type(value) is float and not math.isfinite(value):
+            raise error(f"field {prefix}{key}: expected a finite number, got {value!r}")
+
+
+def dataclass_from_json(cls, record, error, path: str = "", **given):
+    """``cls(**record, **given)`` for a JSON object ``record``, raising ``error`` on any fault.
+
+    Each key of ``record`` must name an ``int``, ``float``, ``bool`` or
+    ``str`` field of ``cls`` that ``given`` does not set, and hold that JSON
+    type; an integer passes for a float. The dataclass checks the bounds.
+    """
+    kinds = {f.name: f.type for f in fields(cls) if f.type in _JSON_TYPES and f.name not in given}
+    _check_json(record, kinds, error, path)
+    try:
+        return cls(**record, **given)
+    except (TypeError, ValueError) as err:  # a missing required field, or a bound
+        raise error(f"{path} config: {err}" if path else str(err)) from err
 
 
 @dataclass
@@ -106,52 +85,48 @@ class RunConfig:
 
 
 def parse_run_config(record: dict) -> RunConfig:
-    """Validate against the strict schema and assemble typed configuration."""
-    try:
-        jsonschema.validate(record, SCHEMA)
-    except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}") from err
+    """Check every field of a run config and assemble typed configuration."""
+    sections = dict.fromkeys(("paths", "model", "training", "augment", "protocol"), "dict")
+    _check_json(record, {"seed": "int", "precision": "str", **sections}, ConfigError, "")
+    for key in ("paths", "model"):
+        if key not in record:
+            raise ConfigError(f"field {key}: required")
 
-    try:
-        model = ModelConfig(**record["model"])
-        augment = AugmentStrategy(**record["augment"]) if "augment" in record else None
-        training = dict(record.get("training", {}))
-        if augment is None and training.get("tcl_enabled", True):
-            augment = AugmentStrategy(kind="graph_dropedge")
-        train = TrainConfig(
-            model=model,
-            augment=augment,
-            seed=record.get("seed", 0),
-            precision=record.get("precision", "f64"),
-            **training,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    model = dataclass_from_json(ModelConfig, record["model"], ConfigError, "model")
+    augment = None
+    if "augment" in record:
+        augment = dataclass_from_json(AugmentStrategy, record["augment"], ConfigError, "augment")
+    training = record.get("training", {})
+    if augment is None and training.get("tcl_enabled", True):
+        augment = AugmentStrategy(kind="graph_dropedge")
+    top = {key: record.get(key, getattr(TrainConfig, key)) for key in ("seed", "precision")}
+    train = dataclass_from_json(TrainConfig, training, ConfigError, "training", model=model, augment=augment, **top)
 
     paths = record["paths"]
+    _check_json(paths, dict.fromkeys(_PATH_KEYS, "str"), ConfigError, "paths")
+    for key in _PATH_KEYS:
+        if key not in paths:
+            raise ConfigError(f"field paths/{key}: required")
     protocol = record.get("protocol", {})
-    return RunConfig(
-        raw=record,
-        train=train,
-        source_events=paths["source_events"],
-        target_events=paths["target_events"],
-        source_embeddings=paths["source_embeddings"],
-        target_embeddings=paths["target_embeddings"],
-        output_dir=paths["output_dir"],
-        protocol_mode=protocol.get("mode", "cv"),
-        folds=protocol.get("folds", 5),
-    )
+    _check_json(protocol, {"mode": "str", "folds": "int"}, ConfigError, "protocol")
+    mode, folds = protocol.get("mode", "cv"), protocol.get("folds", 5)
+    if mode not in ("cv", "single"):
+        raise ConfigError(f"field protocol/mode: expected 'cv' or 'single', got {mode!r}")
+    if folds < 2:
+        raise ConfigError(f"field protocol/folds: must be >= 2, got {folds}")
+    return RunConfig(record, train, **{key: paths[key] for key in _PATH_KEYS}, protocol_mode=mode, folds=folds)
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, **overrides) -> RunConfig:
+    """Parse a config file after setting each top-level key in ``overrides`` that is not None."""
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: invalid JSON ({err.msg})") from err
+        except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
+            raise ConfigError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: configuration must be a JSON object")
+    record.update({key: value for key, value in overrides.items() if value is not None})
     return parse_run_config(record)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .dataio import Dataset, Event, Post
 from .numcore import RngStreams
+from .runconfig import dataclass_from_json
 
 INDICATIVE_POOL = 32  # class-indicative cue tokens per class and domain
 STANCE_POOL = 12  # denial/support tokens per polarity, shared across domains
@@ -48,6 +49,8 @@ class SynthSpec:
             raise SynthSpecError("vocab_size must be >= 1")
         if self.mean_replies < 1:
             raise SynthSpecError("mean_replies must be >= 1")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         for name in ("source_events", "target_events"):
             count = getattr(self, name)
             rumors = int(round(self.class_balance * count))
@@ -56,24 +59,15 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SynthSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(record) - known
-        if unknown:
-            raise SynthSpecError(f"unknown synthetic-spec keys: {sorted(unknown)}")
-        try:
-            return cls(**record)
-        except TypeError as err:
-            raise SynthSpecError(str(err)) from err
+        return dataclass_from_json(cls, record, SynthSpecError)
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
         with open(path, encoding="utf-8") as fh:
             try:
                 record = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise SynthSpecError(f"{path}: invalid JSON ({err.msg})") from err
-        if not isinstance(record, dict):
-            raise SynthSpecError(f"{path}: spec must be a JSON object")
+            except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
+                raise SynthSpecError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
         return cls.from_dict(record)
 
 

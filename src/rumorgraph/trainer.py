@@ -64,14 +64,16 @@ class TrainConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.source_batch_size < 1 or self.target_batch_size < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("source_batch_size", "target_batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction <= 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("learning_rate", "weight_decay", "max_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.precision not in ("f32", "f64"):
+            raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
         if self.tcl_enabled and self.augment is None:
             raise ValueError("target-instance contrastive training requires an augmentation strategy")
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rumorgraph
 from rumorgraph.cli import main
@@ -18,7 +20,7 @@ from rumorgraph.dataio import parse_events
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
 from rumorgraph.numcore import RngStreams
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
-from tests.conftest import write_embeddings
+from tests.conftest import JSON_VALUES, valid_or_any, write_embeddings
 
 
 @pytest.fixture()
@@ -183,6 +185,109 @@ def test_train_nested_unknown_key_rejected():
         )
 
 
+def _valid_config() -> dict:
+    return {
+        "seed": 3,
+        "precision": "f64",
+        "paths": {
+            "source_events": "a",
+            "target_events": "b",
+            "source_embeddings": "hashed:4",
+            "target_embeddings": "hashed:4",
+            "output_dir": "out",
+        },
+        "model": {"d_in": 4, "d_hidden": 6, "dropout": 0.1, "layer_norm_eps": 1e-5},
+        "training": {"alpha": 0.5, "tau": 0.5, "learning_rate": 0.01, "weight_decay": 0.0},
+        "augment": {"kind": "feature_dropout"},
+        "protocol": {"mode": "cv", "folds": 3},
+    }
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("model/d_hidden", True),
+        ("model/d_out", "4"),
+        ("model/classes", 2.0),
+        ("training/alpha", "0.5"),
+        ("training/tcl_enabled", 1),
+        ("training/learning_rate", -0.1),
+        ("training/weight_decay", -1e-4),
+        ("seed", -1),
+        ("precision", "f16"),
+        ("model/layer_norm_eps", 0.0),
+        ("paths", DELETE),
+        ("paths/output_dir", DELETE),
+        ("training/seed", 3),
+        ("protocol/folds", 1),
+        ("protocol/mode", "loo"),
+        ("augment", [1]),
+        ("augment/kind", "mixup"),
+        ("model/d_hidden", 6.0),
+        ("training/tau", math.nan),
+        ("training/learning_rate", math.inf),
+        ("augment/epsilon", -math.inf),
+    ],
+    ids=lambda v: "delete" if v is DELETE else repr(v),
+)
+def test_run_config_rejections(path, value):
+    record = _valid_config()
+    *sections, key = path.split("/")
+    target = record
+    for section in sections:
+        target = target[section]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(record)
+    for part in path.split("/"):
+        assert part in str(info.value)
+
+
+def _section(required: dict, optional: dict):
+    """A JSON object drawn from ``required`` and ``optional`` field strategies, or any JSON value."""
+
+    def fields(spec: dict) -> dict:
+        return {key: valid_or_any(strategy) for key, strategy in spec.items()}
+
+    return valid_or_any(st.fixed_dictionaries(fields(required), optional=fields(optional)))
+
+
+RATE = st.floats(0, 1)
+RUN_CONFIGS = _section(
+    {
+        "paths": _section({key: st.text(max_size=4) for key in _valid_config()["paths"]}, {}),
+        "model": _section({"d_in": st.integers(1, 4)}, {"d_hidden": st.integers(1, 4), "dropout": st.floats(0, 0.9)}),
+    },
+    {
+        "seed": st.integers(0, 9),
+        "precision": st.sampled_from(["f32", "f64"]),
+        "training": _section(
+            {}, {"alpha": RATE, "tau": st.floats(0.1, 1), "max_epochs": st.integers(0, 3), "tcl_enabled": st.booleans()}
+        ),
+        "augment": _section(
+            {"kind": st.sampled_from(["adversarial", "feature_dropout"])},
+            {"epsilon": st.floats(0.1, 1), "dropedge_rate": RATE},
+        ),
+        "protocol": _section({}, {"mode": st.sampled_from(["cv", "single"]), "folds": st.integers(2, 5)}),
+    },
+)
+
+
+@given(RUN_CONFIGS)
+def test_parse_run_config_fuzz_raises_only_config_error(record):
+    try:
+        run = parse_run_config(record)
+    except ConfigError:
+        return
+    assert run.raw is record and run.folds >= 2
+
+
 def test_earlydetect_missing_snapshot_exit_1(tmp_path, synth_dirs):
     _tmp, data_dir = synth_dirs
     code = main(
@@ -206,7 +311,11 @@ def test_earlydetect_missing_snapshot_exit_1(tmp_path, synth_dirs):
 def test_cli_imports_numpy_only():
     # importing scipy.sparse alone costs about 0.2-0.3 s, which every command would pay
     src = Path(rumorgraph.__file__).resolve().parents[1]
-    probe = "import sys, rumorgraph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # importing jsonschema costs about 70 ms; run configs are checked by the config dataclasses
+    probe = (
+        "import sys, rumorgraph.cli;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -280,6 +389,40 @@ def _inference_argv(command, *extra, truncate=False):
     return build
 
 
+def _config_argv(*extra, content=None):
+    """``train`` with ``extra`` flags on the test config, or on a config file holding ``content``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        if content is not None:
+            Path(argv[-1]).write_bytes(content)
+        return argv + list(extra)
+
+    return build
+
+
+def _synth_argv(spec: dict | bytes, *extra):
+    """``synth`` with ``extra`` flags on a spec file holding ``spec``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        path = tmp_path / "spec_under_test.json"
+        path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        return ["synth", "--spec", str(path), "--out", str(tmp_path / "synth"), *extra]
+
+    return build
+
+
+def _broken_snapshot_argv(command, content: bytes):
+    """``command`` loading a snapshot file that holds ``content``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        damaged = tmp_path / "damaged.snapshot"
+        damaged.write_bytes(content)
+        return _inference_argv(command)(tmp_path, data_dir, damaged)
+
+    return build
+
+
 def _missing_embedding_argv(command):
     """``command`` on an 8-wide embedding file whose one record matches no post."""
 
@@ -317,6 +460,8 @@ def _broken_events_argv(command, content: bytes):
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
+# the JSON reader recurses once per bracket and runs out of stack long before
+DEEP = b"[" * 100_000 + b"\n"
 
 
 @pytest.mark.parametrize(
@@ -337,6 +482,18 @@ NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
         (_broken_events_argv("export-features", b"null\n"), 1, NOT_AN_OBJECT),
         (_broken_events_argv("validate", b'{"event_id": "\xff"}\n'), 1, "not UTF-8 text"),
         (_broken_events_argv("train", b'{"event_id": "\xff"}\n'), 1, "not UTF-8 text"),
+        (_broken_events_argv("validate", DEEP), 1, "line 1: invalid JSON"),
+        (_broken_events_argv("train", DEEP), 1, "line 1: invalid JSON"),
+        (_broken_snapshot_argv("earlydetect", DEEP), 1, "unreadable header"),
+        (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
+        (_config_argv(content=DEEP), 2, "invalid JSON"),
+        (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
+        (_synth_argv(DEEP), 2, "invalid JSON"),
+        (_synth_argv({"seed": -1}), 2, "seed must be >= 0"),
+        (_synth_argv({}, "--seed", "-5"), 2, "seed must be >= 0"),
+        (_synth_argv({"source_events": 20.5}), 2, "field source_events: expected an integer"),
+        (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
+        (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
     ],
     ids=[
         "train-malformed-hashed-spec",
@@ -354,6 +511,18 @@ NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
         "export-non-object-event",
         "validate-non-utf8-events",
         "train-non-utf8-events",
+        "validate-deeply-nested-events",
+        "train-deeply-nested-events",
+        "earlydetect-deeply-nested-snapshot-header",
+        "train-negative-seed-override",
+        "train-deeply-nested-config",
+        "train-non-utf8-config",
+        "synth-deeply-nested-spec",
+        "synth-negative-seed",
+        "synth-negative-seed-override",
+        "synth-float-event-count",
+        "synth-float-vocab-size",
+        "synth-boolean-mean-replies",
     ],
 )
 def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):

@@ -174,6 +174,11 @@ GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
         (HEADER, '{"post_id": "b", "vector": [1' + "0" * 5000 + ', 2.0]}', "invalid JSON .*digits", 3),
         ('{"dim": true, "count": 2}', '{"post_id": "b", "vector": [1.0]}', "dimension must be a positive integer", 1),
         ("5", GOOD, "must carry 'dim' and 'count'", 1),
+        (HEADER, '{"post_id": "b", "vector": ["1.5", " 2 "]}', "not numeric", 3),
+        (HEADER, '{"post_id": "b", "vector": [true, 2.0]}', "not numeric", 3),
+        ('{"dim": 2, "count": true}', "", "header count must be an integer", 1),
+        ("[" * 100_000, GOOD, "invalid header", 1),
+        (HEADER, "[" * 100_000, "invalid JSON", 3),
     ],
     ids=[
         "malformed-json",
@@ -185,6 +190,11 @@ GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
         "integer-past-digit-limit",
         "boolean-dim",
         "non-object-header",
+        "numeric-string-vector",
+        "boolean-vector-component",
+        "boolean-count",
+        "deeply-nested-header",
+        "deeply-nested-record",
     ],
 )
 def test_precomputed_malformed_record_names_file_and_line(tmp_path, header, record, message, line):
