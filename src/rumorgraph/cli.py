@@ -23,7 +23,6 @@ from .dataio import CheckpointSpec, DatasetError, parse_events
 from .embed import EmbeddingError, HashedProvider, provider_from_spec
 from .evalkit import (
     DegenerateDataError,
-    early_detection,
     pca_project,
     predict_events,
     write_curve_csv,
@@ -33,7 +32,7 @@ from .model import load_snapshot, save_snapshot
 from .numcore import TrainingStepError
 from .runconfig import ConfigError, config_hash, load_run_config
 from .synth import SynthSpec, SynthSpecError, generate
-from .trainer import cross_validate, fit, prepare_events
+from .trainer import cross_validate, early_detection, fit, prepare_events
 from .dataio import write_events
 
 

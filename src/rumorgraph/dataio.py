@@ -1,4 +1,4 @@
-"""Conversation-thread datasets: JSONL parsing, folds, and checkpoint truncation.
+"""Conversation-thread datasets: JSONL parsing, folds, and detection checkpoints.
 
 An event is a claim post plus its replies, which form a tree through
 parent links. On disk each event is one JSON object per line:
@@ -13,6 +13,7 @@ claim sits at 0 and replies carry elapsed seconds since the claim.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -245,25 +246,20 @@ def split_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(assignment=assignment)
 
 
-# -- checkpoint truncation -----------------------------------------------------
+# -- detection checkpoints ------------------------------------------------------
 
 
-def truncate_event(event: Event, mode: str, value: float) -> Event:
-    """Restrict an event to the content available at a detection checkpoint.
+def visible_posts(event: Event, mode: str, value: float) -> int:
+    """How many posts of an event a detection checkpoint keeps: always the first ones.
 
-    elapsed_time keeps replies posted no later than ``value`` seconds after
-    the claim; post_count keeps the first ``value`` posts in sorted order
-    (the claim counts). The claim itself always survives.
+    elapsed_time keeps the claim and the replies posted no later than ``value``
+    seconds after it (replies sort by timestamp); post_count keeps the first
+    ``value`` posts, the claim included. Every reply sorts after its parent.
     """
-    if value <= 0:
+    if not value > 0:
         raise DatasetError(f"checkpoint value must be positive, got {value}")
     if mode == "elapsed_time":
-        kept = [event.posts[0]] + [p for p in event.posts[1:] if p.timestamp <= value]
-    elif mode == "post_count":
-        count = len(event.posts) if math.isinf(value) else int(value)
-        kept = list(event.posts[:count])
-    else:
-        raise DatasetError(f"unknown checkpoint mode {mode!r}")
-    if len(kept) == len(event.posts):
-        return event
-    return Event(event_id=event.event_id, label=event.label, posts=tuple(kept))
+        return bisect.bisect_right(event.posts, value, lo=1, key=lambda p: p.timestamp)
+    if mode == "post_count":
+        return event.node_count if math.isinf(value) else min(int(value), event.node_count)
+    raise DatasetError(f"unknown checkpoint mode {mode!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .dataio import LABELS, CheckpointSpec, Event, truncate_event
+from .dataio import LABELS, CheckpointSpec, Event
 from .embed import embed_event
 from .model import GraphBatch, ModelParams, encode_batch
 from .propagation import build_graph
@@ -92,11 +92,6 @@ def predict_events(events: list[Event], params: ModelParams, provider) -> tuple[
     return preds, result.reps.data
 
 
-def evaluate_events(events: list[Event], params: ModelParams, provider) -> Metrics:
-    preds, _ = predict_events(events, params, provider)
-    return compute_metrics(preds, [LABEL_INDEX[e.label] for e in events])
-
-
 @dataclass
 class EarlyDetectionCurve:
     spec: CheckpointSpec
@@ -116,21 +111,6 @@ class EarlyDetectionCurve:
                 }
             )
         return out
-
-
-def early_detection(
-    events: list[Event], params: ModelParams, spec: CheckpointSpec, provider
-) -> EarlyDetectionCurve:
-    """Evaluate with only the content available at each checkpoint.
-
-    Every checkpoint truncates the test events, rebuilds their topologies and
-    embeddings from the surviving posts, and scores an evaluation-mode pass.
-    """
-    metrics = []
-    for value in spec.values:
-        truncated = [truncate_event(e, spec.mode, value) for e in events]
-        metrics.append(evaluate_events(truncated, params, provider))
-    return EarlyDetectionCurve(spec=spec, metrics=metrics)
 
 
 def write_curve_csv(curve: EarlyDetectionCurve, path) -> None:

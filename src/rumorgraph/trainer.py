@@ -20,9 +20,9 @@ import numpy as np
 
 from . import numcore as nc
 from .augment import AugmentStrategy, augment_batch
-from .dataio import Dataset, Event, split_folds
+from .dataio import CheckpointSpec, Dataset, Event, split_folds, visible_posts
 from .embed import embed_event
-from .evalkit import LABEL_INDEX, Metrics, compute_metrics
+from .evalkit import LABEL_INDEX, EarlyDetectionCurve, Metrics, compute_metrics
 from .model import (
     GraphBatch,
     ModelConfig,
@@ -86,6 +86,14 @@ class PreparedEvent:
     label: int
     embedding: np.ndarray
     graph: PropagationGraph
+
+    def prefix(self, k: int) -> PreparedEvent:
+        """The first ``k`` posts as preparing them alone would give; ``event`` stays
+        whole. A reply sorts after its parent, so each edge (i, j) has it at j."""
+        if k == self.graph.n:
+            return self
+        graph = PropagationGraph(k, tuple(e for e in self.graph.edges if e[1] < k))
+        return PreparedEvent(self.event, self.label, self.embedding[:k], graph)
 
 
 def prepare_events(events: list[Event], provider) -> list[PreparedEvent]:
@@ -460,3 +468,13 @@ def cross_validate(
             "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
         }
         return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=dict(plan.assignment))
+
+
+def early_detection(events: list[Event], params: ModelParams, spec: CheckpointSpec, provider) -> EarlyDetectionCurve:
+    """Score the events with only the posts visible at each checkpoint."""
+    prepared = prepare_events(events, provider)
+    metrics = [
+        evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
+        for value in spec.values
+    ]
+    return EarlyDetectionCurve(spec=spec, metrics=metrics)

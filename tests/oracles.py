@@ -5,7 +5,9 @@ scalar cosine similarities; the propagation oracles build a graph's dense
 adjacency and its normalization entry by entry; ``param_count`` is the
 model's closed-form parameter count; ``tokenize_reference`` and
 ``hashed_embed_reference`` are the character-loop tokenizer and the uncached
-signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit.
+signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
+``truncate_event`` rebuilds an event from the posts a detection checkpoint
+keeps, which early detection's prefixes of prepared events must match.
 """
 
 import math
@@ -13,6 +15,7 @@ import re
 
 import numpy as np
 
+from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
 from rumorgraph.numcore import fnv1a64
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
@@ -173,3 +176,24 @@ def hashed_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+def truncate_event(event: Event, mode: str, value: float) -> Event:
+    """Restrict an event to the content available at a detection checkpoint.
+
+    elapsed_time keeps replies posted no later than ``value`` seconds after
+    the claim; post_count keeps the first ``value`` posts in sorted order
+    (the claim counts). The claim itself always survives.
+    """
+    if value <= 0:
+        raise DatasetError(f"checkpoint value must be positive, got {value}")
+    if mode == "elapsed_time":
+        kept = [event.posts[0]] + [p for p in event.posts[1:] if p.timestamp <= value]
+    elif mode == "post_count":
+        count = len(event.posts) if math.isinf(value) else int(value)
+        kept = list(event.posts[:count])
+    else:
+        raise DatasetError(f"unknown checkpoint mode {mode!r}")
+    if len(kept) == len(event.posts):
+        return event
+    return Event(event_id=event.event_id, label=event.label, posts=tuple(kept))

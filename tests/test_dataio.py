@@ -1,4 +1,4 @@
-"""Event parsing, fold splitting, and checkpoint truncation."""
+"""Event parsing, fold splitting, and detection checkpoints."""
 
 import json
 import math
@@ -14,7 +14,7 @@ from rumorgraph.dataio import (
     DatasetError,
     parse_events,
     split_folds,
-    truncate_event,
+    visible_posts,
     write_events,
 )
 from tests.conftest import jsonl_files, make_dataset, make_event, random_tree_event, valid_or_any
@@ -200,47 +200,45 @@ def test_split_folds_small_class_error():
         split_folds(make_dataset(events), k=2, seed=0)
 
 
-def test_truncate_post_count_claim_only():
+def test_visible_posts_post_count_claim_only():
     event = make_event("e", "rumor", [0, 0, 1])
-    got = truncate_event(event, "post_count", 1)
-    assert got.node_count == 1
-    assert got.claim == event.claim
+    assert visible_posts(event, "post_count", 1) == 1
+    assert visible_posts(event, "post_count", 9) == 4
 
 
-def test_truncate_time_beyond_max_is_identity():
+def test_visible_posts_time_beyond_max_keeps_every_post():
     event = make_event("e", "rumor", [0, 1], timestamps=[60, 120])
-    assert truncate_event(event, "elapsed_time", 10_000) is event
-    assert truncate_event(event, "elapsed_time", math.inf) is event
+    assert visible_posts(event, "elapsed_time", 10_000) == 3
+    assert visible_posts(event, "elapsed_time", math.inf) == 3
 
 
-def test_truncate_time_chain_example():
+def test_visible_posts_time_chain_example():
     event = make_event("e", "rumor", [0, 1], timestamps=[60, 120])
-    got = truncate_event(event, "elapsed_time", 90)
-    assert got.node_count == 2
-    assert [p.timestamp for p in got.posts] == [0, 60]
+    assert visible_posts(event, "elapsed_time", 59) == 1
+    assert visible_posts(event, "elapsed_time", 60) == 2
+    assert visible_posts(event, "elapsed_time", 90) == 2
+    with pytest.raises(DatasetError, match="positive"):
+        visible_posts(event, "elapsed_time", math.nan)
+    with pytest.raises(DatasetError, match="mode"):
+        visible_posts(event, "sideways", 1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_truncate_monotone_and_valid(seed):
+def test_visible_posts_monotone_and_keeps_the_claim(seed):
     gen = np.random.default_rng(seed)
     event = random_tree_event(gen, "ev", "rumor", max_nodes=12)
     for mode, grid in (
         ("post_count", [1, 2, 4, 8, math.inf]),
         ("elapsed_time", [30, 90, 300, math.inf]),
     ):
-        previous = set()
-        for value in grid:
-            got = truncate_event(event, mode, value)
-            ids = {p.post_id for p in got.posts}
-            assert previous <= ids  # monotone growth
-            previous = ids
-            # surviving posts still form a parent-earlier tree
-            seen = set()
-            for i, post in enumerate(got.posts):
-                if i:
-                    assert post.parent_id in seen
-                seen.add(post.post_id)
-        assert truncate_event(event, mode, math.inf) is event
+        counts = [visible_posts(event, mode, value) for value in grid]
+        assert counts == sorted(counts)  # monotone growth
+        assert counts[0] >= 1  # the claim always survives
+        assert counts[-1] == event.node_count  # inf keeps every post
+        for k in counts:
+            # the kept prefix still forms a parent-earlier tree
+            seen = {p.post_id for p in event.posts[:k]}
+            assert all(p.parent_id in seen for p in event.posts[1:k])
 
 
 def test_checkpoint_spec_validation():

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rumorgraph.dataio import CheckpointSpec, truncate_event
+from rumorgraph.dataio import CheckpointSpec
 from rumorgraph.embed import HashedProvider
 from rumorgraph.evalkit import (
     DegenerateDataError,
     compute_metrics,
-    early_detection,
-    evaluate_events,
     pca_project,
+    predict_events,
     write_curve_csv,
     write_features_csv,
 )
 from rumorgraph.model import ModelConfig, init_params
 from rumorgraph.numcore import RngStreams
+from rumorgraph.trainer import early_detection
 from tests.conftest import make_event
+from tests.oracles import truncate_event
 
 TINY = ModelConfig(d_in=8, d_hidden=6, d_out=4)
 
@@ -81,15 +82,22 @@ def _test_events():
     return events
 
 
+def _reference_metrics(events, params, provider, spec, value):
+    """Metrics of re-embedding every event truncated at one checkpoint."""
+    truncated = [truncate_event(e, spec.mode, value) for e in events]
+    preds, _reps = predict_events(truncated, params, provider)
+    return compute_metrics(preds, [e.label for e in truncated])
+
+
 def test_early_detection_final_checkpoint_is_full_data_bitwise():
     events = _test_events()
     params = init_params(TINY, RngStreams(0))
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("elapsed_time", (60.0, 150.0, math.inf))
     curve = early_detection(events, params, spec, provider)
-    full = evaluate_events(events, params, provider)
-    assert curve.metrics[-1] == full
     assert len(curve.metrics) == 3
+    for value, metrics in zip(spec.values, curve.metrics):
+        assert metrics == _reference_metrics(events, params, provider, spec, value)
 
 
 def test_early_detection_first_post_count_is_claim_only():
@@ -98,8 +106,26 @@ def test_early_detection_first_post_count_is_claim_only():
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("post_count", (1, 3, math.inf))
     curve = early_detection(events, params, spec, provider)
-    claims_only = [truncate_event(e, "post_count", 1) for e in events]
-    assert curve.metrics[0] == evaluate_events(claims_only, params, provider)
+    for value, metrics in zip(spec.values, curve.metrics):
+        assert metrics == _reference_metrics(events, params, provider, spec, value)
+
+
+class _CountingProvider(HashedProvider):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = 0
+
+    def vector_for(self, post):
+        self.calls += 1
+        return super().vector_for(post)
+
+
+def test_early_detection_embeds_each_post_once():
+    events = _test_events()
+    provider = _CountingProvider(dim=8)
+    spec = CheckpointSpec("post_count", (1, 2, 4, math.inf))
+    early_detection(events, init_params(TINY, RngStreams(3)), spec, provider)
+    assert provider.calls == sum(e.node_count for e in events)
 
 
 def test_early_detection_csv_format(tmp_path):

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
 from rumorgraph.augment import AugmentStrategy
-from rumorgraph.dataio import Dataset
-from rumorgraph.embed import HashedProvider
+from rumorgraph.dataio import Dataset, visible_posts
+from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import GraphBatch, ModelConfig, SnapshotError, encode_batch, init_params
 from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step
 from rumorgraph.objectives import ce_from_probs
+from rumorgraph.propagation import build_graph
 from rumorgraph.synth import SynthSpec, generate
 from rumorgraph.trainer import (
     PreparedEvent,
@@ -27,7 +30,8 @@ from rumorgraph.trainer import (
     train_epoch,
     train_step,
 )
-from tests.conftest import make_event
+from tests.conftest import make_event, random_tree_event
+from tests.oracles import truncate_event
 
 TINY = ModelConfig(d_in=8, d_hidden=6, d_out=4, dropout=0.2)
 
@@ -362,3 +366,21 @@ def test_evaluate_prepared_accuracy():
     metrics = evaluate_prepared(target, state.params)
     assert 0.0 <= metrics.accuracy <= 1.0
     assert 0.0 <= metrics.macro_f1 <= 1.0
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_prefix_matches_preparing_the_truncated_event_bitwise(seed):
+    event = random_tree_event(np.random.default_rng(seed), "ev", "rumor", max_nodes=12)
+    provider = HashedProvider(dim=8)
+    (prepared,) = prepare_events([event], provider)
+    for mode, grid in (
+        ("post_count", [1, 2, 3, 5, 8, 13, math.inf]),
+        ("elapsed_time", [30, 60, 90, 150, 300, 600, math.inf]),
+    ):
+        for value in grid:
+            truncated = truncate_event(event, mode, value)
+            prefix = prepared.prefix(visible_posts(event, mode, value))
+            assert prefix.embedding.tobytes() == embed_event(truncated, provider).rows.tobytes()
+            assert prefix.graph == build_graph(truncated)
+            assert prefix.label == prepared.label
+        assert prepared.prefix(visible_posts(event, mode, math.inf)) is prepared
