@@ -84,12 +84,12 @@ def cmd_train(args) -> int:
         return _fail(str(err), 2)
 
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # process-wide, unlike fit and cross_validate: code run after the command
     # in the same process reads its results at the trained precision
     nc.set_precision(run.train.precision)
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         source_ds = parse_events(run.source_events, role="source")
         target_ds = parse_events(run.target_events, role="target")
         source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
@@ -128,7 +128,7 @@ def cmd_train(args) -> int:
             save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
             files.extend(["model.snapshot", log_name])
             metrics = {"best_score": result.best_score, "history": result.history}
-    except EmbeddingError as err:
+    except (DatasetError, EmbeddingError) as err:
         return _fail(str(err), 1)
     except TrainingStepError as err:
         return _fail(str(err), 3)
@@ -178,13 +178,16 @@ def cmd_earlydetect(args) -> int:
         return _fail(str(err), 1)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(curve, out_dir / "early_detection.csv")
-    _write_manifest(
-        out_dir,
-        ["early_detection.csv"],
-        {"snapshot": args.snapshot, "checkpoints": args.checkpoints, "mode": args.mode},
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_curve_csv(curve, out_dir / "early_detection.csv")
+        _write_manifest(
+            out_dir,
+            ["early_detection.csv"],
+            {"snapshot": args.snapshot, "checkpoints": args.checkpoints, "mode": args.mode},
+        )
+    except OSError as err:
+        return _fail(str(err), 1)
     print(f"curve written to {out_dir / 'early_detection.csv'}")
     return 0
 
@@ -211,13 +214,16 @@ def cmd_export_features(args) -> int:
         return _fail(str(err), 4)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_features_csv(features, out_dir / "features.csv", out_dir / "explained_variance.json")
-    _write_manifest(
-        out_dir,
-        ["features.csv", "explained_variance.json"],
-        {"snapshot": args.snapshot, "events": args.events},
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_features_csv(features, out_dir / "features.csv", out_dir / "explained_variance.json")
+        _write_manifest(
+            out_dir,
+            ["features.csv", "explained_variance.json"],
+            {"snapshot": args.snapshot, "events": args.events},
+        )
+    except OSError as err:
+        return _fail(str(err), 1)
     print(f"features written to {out_dir / 'features.csv'}")
     return 0
 
@@ -234,15 +240,18 @@ def cmd_synth(args) -> int:
         return _fail(str(err), 2)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     source, target = generate(spec)
-    write_events(source, out_dir / "source_events.jsonl")
-    write_events(target, out_dir / "target_events.jsonl")
-    _write_manifest(
-        out_dir,
-        ["source_events.jsonl", "target_events.jsonl"],
-        {"synth_spec": spec.__dict__},
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_events(source, out_dir / "source_events.jsonl")
+        write_events(target, out_dir / "target_events.jsonl")
+        _write_manifest(
+            out_dir,
+            ["source_events.jsonl", "target_events.jsonl"],
+            {"synth_spec": spec.__dict__},
+        )
+    except OSError as err:
+        return _fail(str(err), 1)
     print(f"synthetic datasets written to {out_dir}")
     return 0
 

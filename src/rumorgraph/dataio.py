@@ -9,6 +9,9 @@ parent links. On disk each event is one JSON object per line:
 
 Timestamps are seconds. Absolute epochs are accepted and normalized so the
 claim sits at 0 and replies carry elapsed seconds since the claim.
+
+An event's posts sort claim first, then replies by time; a detection
+checkpoint keeps the first of them, and ``visible_posts`` says how many.
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ class CheckpointSpec:
             raise DatasetError(f"unknown checkpoint mode {self.mode!r}")
         if not self.values:
             raise DatasetError("checkpoint list is empty")
+        for v in self.values:
+            if math.isnan(v):
+                raise DatasetError(f"checkpoint value {v} is not a number")
         if any(v <= 0 for v in self.values):
             raise DatasetError("checkpoint values must be positive")
         if list(self.values) != sorted(set(self.values)):

@@ -1,5 +1,10 @@
-"""Evaluation: classification metrics, early-detection curves, and 2-D feature
-projection for inspecting the learned representation space."""
+"""Evaluation: classification metrics, the early-detection curve and its CSV,
+and 2-D feature projection for inspecting the learned representation space.
+
+``predict_events`` embeds and encodes raw events, for the export. The
+protocols that score prepared events, early detection among them, are in
+``trainer``.
+"""
 
 from __future__ import annotations
 
@@ -143,7 +148,7 @@ def pca_project(representations: np.ndarray, event_ids=None, labels=None) -> Pro
     """
     x = np.asarray(representations, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError(f"need at least two representation rows, got shape {x.shape}")
+        raise DegenerateDataError(f"need at least two representation rows, got shape {x.shape}")
     if x.shape[1] < 2:
         raise ValueError(f"representation dimension must be >= 2, got {x.shape[1]}")
     centered = x - x.mean(axis=0, keepdims=True)

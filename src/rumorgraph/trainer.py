@@ -6,7 +6,11 @@ blended, and one AdamW update is applied. An epoch walks every target
 mini-batch and, inside it, every source mini-batch. Training on a target
 fold carves a small stratified validation subset and early-stops on its
 macro-F1. Cross-validation trains on each fold in turn (the small portion)
-and tests on everything else.
+and tests on everything else. Early detection scores, at each checkpoint,
+the posts visible so far: a prefix of each event's rows and edges.
+
+Every protocol embeds each event and builds its graph once
+(``prepare_events``) and scores through ``evaluate_prepared``.
 """
 
 from __future__ import annotations

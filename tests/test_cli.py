@@ -401,6 +401,40 @@ def _config_argv(*extra, content=None):
     return build
 
 
+def _folds_argv(folds: int):
+    """Cross-validated ``train`` with ``folds`` folds."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        record["protocol"]["folds"] = folds
+        config.write_text(json.dumps(record))
+        return argv
+
+    return build
+
+
+def _blocked_out_argv(inner):
+    """``inner``'s command with ``--out`` below a regular file, so the directory cannot be made."""
+
+    def build(tmp_path, data_dir, snapshot):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return inner(tmp_path, data_dir, snapshot) + ["--out", str(blocker / "out")]
+
+    return build
+
+
+def _single_event_argv(tmp_path, data_dir, snapshot):
+    """``export-features`` on a file holding the first event only."""
+    path = tmp_path / "one.jsonl"
+    path.write_text((data_dir / "target_events.jsonl").read_text().splitlines()[0] + "\n")
+    argv = _inference_argv("export-features")(tmp_path, data_dir, snapshot)
+    argv[argv.index("--events") + 1] = str(path)
+    return argv
+
+
 def _synth_argv(spec: dict | bytes, *extra):
     """``synth`` with ``extra`` flags on a spec file holding ``spec``."""
 
@@ -494,6 +528,14 @@ DEEP = b"[" * 100_000 + b"\n"
         (_synth_argv({"source_events": 20.5}), 2, "field source_events: expected an integer"),
         (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
         (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
+        (_folds_argv(7), 1, "cannot stratify"),
+        (_blocked_out_argv(_train_argv("hashed:8")), 1, "Not a directory"),
+        (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
+        (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),
+        (_blocked_out_argv(_synth_argv({})), 1, "Not a directory"),
+        (_single_event_argv, 4, "at least two representation rows"),
+        (_inference_argv("earlydetect", "--checkpoints", "2,nan", "--mode", "time"), 1, "checkpoint value nan"),
+        (_inference_argv("earlydetect", "--checkpoints", "2,nan"), 1, "checkpoint value nan"),
     ],
     ids=[
         "train-malformed-hashed-spec",
@@ -523,6 +565,14 @@ DEEP = b"[" * 100_000 + b"\n"
         "synth-float-event-count",
         "synth-float-vocab-size",
         "synth-boolean-mean-replies",
+        "train-folds-exceed-smallest-class",
+        "train-out-not-creatable",
+        "earlydetect-out-not-creatable",
+        "export-out-not-creatable",
+        "synth-out-not-creatable",
+        "export-single-event",
+        "earlydetect-nan-time-checkpoint",
+        "earlydetect-nan-count-checkpoint",
     ],
 )
 def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):

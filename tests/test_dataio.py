@@ -251,3 +251,7 @@ def test_checkpoint_spec_validation():
         CheckpointSpec("post_count", (1.5,))
     with pytest.raises(DatasetError, match="mode"):
         CheckpointSpec("sideways", (1.0,))
+    CheckpointSpec("elapsed_time", (2.0, math.inf))
+    for mode in ("elapsed_time", "post_count"):
+        with pytest.raises(DatasetError, match="checkpoint value nan is not a number"):
+            CheckpointSpec(mode, (2.0, math.nan))
