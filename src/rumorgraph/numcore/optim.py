@@ -47,12 +47,23 @@ def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np
             state.v[name] = np.zeros_like(param.data)
         m = state.m[name]
         v = state.v[name]
+        # in place, with the operations and order of m = beta1 m + (1 - beta1) g,
+        # v = beta2 v + ((1 - beta2) g) g, p -= (lr m_hat) / (sqrt(v_hat) + eps)
+        # and p -= (lr wd) p; the decay runs even at wd = 0, where it turns -0.0 into +0.0
+        step = (1.0 - state.beta1) * grad
         m *= state.beta1
-        m += (1.0 - state.beta1) * grad
+        m += step
+        np.multiply(1.0 - state.beta2, grad, out=step)
+        step *= grad
         v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        m_hat = m / bias1
-        v_hat = v / bias2
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-        param.data -= state.learning_rate * state.weight_decay * param.data
+        v += step
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bias1, out=step)
+        step *= state.learning_rate
+        step /= denom
+        param.data -= step
+        np.multiply(state.learning_rate * state.weight_decay, param.data, out=step)
+        param.data -= step
     return state

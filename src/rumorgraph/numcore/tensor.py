@@ -8,6 +8,13 @@ of graph structure, so gradients are bitwise reproducible run to run.
 ``spmm`` multiplies a tensor by a constant sparse symmetric
 ``NeighborOperator``.
 
+A backward rule skips the gradient product of an operand that needs no
+gradient. It writes in place only into buffers it has just allocated, never
+into its upstream gradient ``g``, an operand's ``.data`` or an array its
+closure keeps (``layer_norm``'s normalized rows, ``relu``'s mask, ``exp``'s
+output): ``_unbroadcast`` can return ``g`` itself, so a node's ``grad`` may
+alias its parent's.
+
 Float64 is the default element type; float32 can be selected for faster
 experiment runs, inside a ``precision`` block or process-wide with
 ``set_precision`` (gradient checks require float64).
@@ -217,8 +224,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -228,8 +237,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -239,8 +250,10 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -252,7 +265,6 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        # a constant operand (the input features in x @ w0) needs no gradient product
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
@@ -415,8 +427,24 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
     data = x.data[idx]
 
     def backward(g):
+        # np.add.at(full, idx, g) adds g's rows one at a time in index order.
+        # The same sums in the same order: stable-sort the indices into runs of
+        # equal rows, longest run first, then add the k-th row of every run
+        # still live in one slab, starting from zeros as np.add.at does.
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
+        if idx.size:
+            rows = np.where(idx < 0, idx + len(full), idx)
+            order = np.argsort(rows, kind="stable")
+            ordered = rows[order]
+            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            lengths = np.diff(np.append(starts, len(ordered)))
+            longest_first = np.argsort(-lengths, kind="stable")
+            starts, lengths = starts[longest_first], lengths[longest_first]
+            live = np.searchsorted(-lengths, -np.arange(lengths[0]))
+            acc = np.zeros((len(starts),) + full.shape[1:], dtype=full.dtype)
+            for k, n in enumerate(live):
+                acc[:n] += g[order[starts[:n] + k]]
+            full[ordered[starts]] = acc
         _accumulate(x, full)
 
     return _make(data, (x,), backward)
@@ -483,19 +511,26 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = (x.data - mean) * inv_std
-    data = normalized * gain.data + bias.data
+    # the operations of np.var and of (x - mean) * inv_std, sharing x - mean
+    normalized = x.data - x.data.mean(axis=1, keepdims=True)
+    data = normalized * normalized
+    inv_std = 1.0 / np.sqrt(data.sum(axis=1, keepdims=True) / d + eps)
+    normalized *= inv_std
+    np.multiply(normalized, gain.data, out=data)
+    data += bias.data
 
     def backward(g):
-        _accumulate(gain, (g * normalized).sum(axis=0))
+        tmp = g * normalized
+        _accumulate(gain, tmp.sum(axis=0))
         _accumulate(bias, g.sum(axis=0))
-        gx_hat = g * gain.data
-        term = gx_hat - gx_hat.mean(axis=1, keepdims=True)
-        term -= normalized * (gx_hat * normalized).mean(axis=1, keepdims=True)
-        _accumulate(x, term * inv_std)
+        term = g * gain.data
+        np.multiply(term, normalized, out=tmp)
+        proj = tmp.mean(axis=1, keepdims=True)
+        term -= term.mean(axis=1, keepdims=True)
+        np.multiply(normalized, proj, out=tmp)
+        term -= tmp
+        term *= inv_std
+        _accumulate(x, term)
 
     return _make(data, (x, gain, bias), backward)
 

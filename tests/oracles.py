@@ -7,7 +7,10 @@ model's closed-form parameter count; ``tokenize_reference`` and
 ``hashed_embed_reference`` are the character-loop tokenizer and the uncached
 signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
 ``truncate_event`` rebuilds an event from the posts a detection checkpoint
-keeps, which early detection's prefixes of prepared events must match.
+keeps, which early detection's prefixes of prepared events must match;
+``layer_norm``, ``gather_rows`` and ``adamw_step`` are the straightforward
+kernels (``np.var``, ``np.add.at``, out-of-place moments) whose bytes the
+in-place ones in ``rumorgraph.numcore`` must reproduce.
 """
 
 import math
@@ -17,7 +20,8 @@ import numpy as np
 
 from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
-from rumorgraph.numcore import fnv1a64
+from rumorgraph.numcore import AdamWState, Tensor, TrainingStepError, fnv1a64
+from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
 
@@ -197,3 +201,74 @@ def truncate_event(event: Event, mode: str, value: float) -> Event:
     if len(kept) == len(event.posts):
         return event
     return Event(event_id=event.event_id, label=event.label, posts=tuple(kept))
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Row-wise standardization (population variance, eps under the root),
+    then an affine map by ``gain`` and ``bias`` shared across rows."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
+    mean = x.data.mean(axis=1, keepdims=True)
+    var = x.data.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = (x.data - mean) * inv_std
+    data = normalized * gain.data + bias.data
+
+    def backward(g):
+        _accumulate(gain, (g * normalized).sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
+        gx_hat = g * gain.data
+        term = gx_hat - gx_hat.mean(axis=1, keepdims=True)
+        term -= normalized * (gx_hat * normalized).mean(axis=1, keepdims=True)
+        _accumulate(x, term * inv_std)
+
+    return _make(data, (x, gain, bias), backward)
+
+
+def gather_rows(x, indices: np.ndarray) -> Tensor:
+    """Select rows ``x[indices]``; repeated indices accumulate gradient."""
+    x = as_tensor(x)
+    idx = np.asarray(indices, dtype=np.intp)
+    data = x.data[idx]
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, idx, g)
+        _accumulate(x, full)
+
+    return _make(data, (x,), backward)
+
+
+def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> AdamWState:
+    """Apply one update in place; raises if any gradient is non-finite."""
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise TrainingStepError(f"non-finite gradient for parameter {name!r}")
+        if params[name].data.shape != grad.shape:
+            raise TrainingStepError(
+                f"gradient shape {grad.shape} does not match parameter {name!r} "
+                f"shape {params[name].data.shape}"
+            )
+
+    state.step_count += 1
+    t = state.step_count
+    bias1 = 1.0 - state.beta1 ** t
+    bias2 = 1.0 - state.beta2 ** t
+    for name, param in params.items():
+        grad = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param.data)
+            state.v[name] = np.zeros_like(param.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        param.data -= state.learning_rate * state.weight_decay * param.data
+    return state

@@ -61,7 +61,8 @@ def test_adamw_decay_only_step():
 
 
 def test_adamw_matches_reference_over_steps():
-    # reference: textbook bias-corrected update plus decoupled decay
+    # reference: textbook bias-corrected update plus decoupled decay, written
+    # with the update's own constants ((1.0 - 0.9) is not 0.1), so it holds bitwise
     gen = np.random.default_rng(0)
     p = gen.normal(size=(3, 2))
     params = _params({"w": p.copy()})
@@ -70,13 +71,15 @@ def test_adamw_matches_reference_over_steps():
     for t in range(1, 8):
         g = gen.normal(size=(3, 2))
         adamw_step(state, params, {"w": g})
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        m_hat = m / (1 - 0.9 ** t)
-        v_hat = v / (1 - 0.999 ** t)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
         ref = ref - 0.02 * m_hat / (np.sqrt(v_hat) + 1e-8)
         ref = ref - 0.02 * 0.04 * ref
-    assert np.allclose(params["w"].data, ref, atol=1e-12)
+    assert np.array_equal(params["w"].data, ref)
+    assert np.array_equal(state.m["w"], m)
+    assert np.array_equal(state.v["w"], v)
     assert state.step_count == 7
 
 

@@ -184,6 +184,26 @@ def test_gradients_bitwise_deterministic():
     assert np.array_equal(first[1], second[1])
 
 
+CONSTANT_OPERAND_CASES = {
+    # (op, constant, parameter, upstream gradient, the parameter's gradient);
+    # the constant's gradient product would be 0 * inf, or inf + -inf in add's
+    # broadcast sum, and warn
+    "add": (nc.add, [1.0], [1.0, 2.0], [np.inf, -np.inf], [np.inf, -np.inf]),
+    "mul": (nc.mul, [1.0, 2.0], [np.inf, 1.0], [0.0, 0.0], [0.0, 0.0]),
+    "div": (lambda c, p: nc.div(p, c), [2.0, 4.0], [np.inf, 1.0], [0.0, 0.0], [0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_OPERAND_CASES))
+def test_elementwise_backward_skips_the_constant_operand(case):
+    op, constant, value, upstream, expected = CONSTANT_OPERAND_CASES[case]
+    c, p = Tensor(constant), nc.parameter(np.array(value), "p")
+    out = op(c, p)
+    out._backward(np.array(upstream))
+    assert np.array_equal(p.grad, expected)
+    assert c.grad is None
+
+
 def test_no_grad_blocks_recording():
     p = nc.parameter(np.ones((2, 2)), "p")
     with nc.no_grad():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
+from rumorgraph import trainer
 from rumorgraph.augment import AugmentStrategy
 from rumorgraph.dataio import Dataset, visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
@@ -30,6 +31,7 @@ from rumorgraph.trainer import (
     train_epoch,
     train_step,
 )
+from tests import oracles
 from tests.conftest import make_event, random_tree_event
 from tests.oracles import truncate_event
 
@@ -297,6 +299,36 @@ def test_f32_step_agrees_with_f64():
         assert report32[term] == pytest.approx(value, rel=1e-5), term
     for name, value in params64.items():
         assert np.allclose(params32[name], value, rtol=0.0, atol=1e-6), name
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("kind", ["adversarial", "feature_dropout", "graph_dropedge"])
+def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
+    # each in-place kernel matches its oracle alone (test_kernels.py); whole
+    # steps also catch a buffer reused while a neighbouring rule still reads it
+    source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=3))
+    provider = HashedProvider(dim=8)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = _config(augment=AugmentStrategy(kind=kind), weight_decay=0.01)
+    assert cfg.model.dropout > 0.0
+
+    def two_steps():
+        with nc.precision(precision):
+            state = _fresh_state(cfg)
+            for _ in range(2):
+                train_step(source, target, state, cfg)
+        return state
+
+    lean = two_steps()
+    monkeypatch.setattr(nc, "layer_norm", oracles.layer_norm)
+    monkeypatch.setattr(nc, "gather_rows", oracles.gather_rows)
+    monkeypatch.setattr(trainer, "adamw_step", oracles.adamw_step)
+    reference = two_steps()
+    assert lean.params.w0.data.dtype == {"f64": np.float64, "f32": np.float32}[precision]
+    for name, tensor in lean.params.tensors.items():
+        assert tensor.data.tobytes() == reference.params.tensors[name].data.tobytes(), name
+        assert lean.optimizer.m[name].tobytes() == reference.optimizer.m[name].tobytes(), name
+        assert lean.optimizer.v[name].tobytes() == reference.optimizer.v[name].tobytes(), name
 
 
 def test_training_reduces_loss_on_separable_batches():
