@@ -63,8 +63,7 @@ def feature_dropout(rep: Tensor, rate: float, gen: np.random.Generator) -> Tenso
     """Zero each coordinate independently with probability ``rate``; no rescaling."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"feature dropout rate must lie in [0, 1], got {rate}")
-    keep = (gen.random(rep.shape) >= rate).astype(nc.active_dtype())
-    return rep * Tensor(keep)
+    return nc.mask(rep, gen.random(rep.shape) >= rate)
 
 
 def classification_gradients(result: EncodeResult, labels: np.ndarray) -> np.ndarray:

@@ -14,6 +14,11 @@ the graphs' reply edges, as a sparse neighbor-list operator
 edges; no event's rows reach another's, and per-event pooling and claim
 lookups are index-based, so the batched pass computes the same function as
 event-at-a-time encoding.
+
+Each claim residual is built inside ``numcore.layer_norm``, which writes the
+layer's rows and their claims' rows straight into its own buffer, and the
+dropout mask stays on the tape as a boolean array: per node row, a training
+encode keeps no gathered claim rows, no concatenation and no float mask.
 """
 
 from __future__ import annotations
@@ -164,24 +169,13 @@ def encode_batch(
     eps = cfg.layer_norm_eps
 
     h1 = nc.relu(nc.spmm(batch.mixing, nc.matmul(x, params.w0)) + params.b0)
-    h1_tilde = nc.layer_norm(
-        nc.concat_cols(h1, nc.gather_rows(x, batch.claim_index)),
-        params.ln1_gain,
-        params.ln1_bias,
-        eps,
-    )
+    h1_tilde = nc.layer_norm(h1, x, batch.claim_index, params.ln1_gain, params.ln1_bias, eps)
     if mode == "train" and cfg.dropout > 0.0:
-        keep = streams.dropout.random(h1_tilde.shape) >= cfg.dropout
         # mask-and-zero: survivors are not rescaled
-        h1_tilde = h1_tilde * Tensor(keep.astype(nc.active_dtype()))
+        h1_tilde = nc.mask(h1_tilde, streams.dropout.random(h1_tilde.shape) >= cfg.dropout)
 
     h2 = nc.relu(nc.spmm(batch.mixing, nc.matmul(h1_tilde, params.w1)) + params.b1)
-    h2_tilde = nc.layer_norm(
-        nc.concat_cols(h2, nc.gather_rows(h1, batch.claim_index)),
-        params.ln2_gain,
-        params.ln2_bias,
-        eps,
-    )
+    h2_tilde = nc.layer_norm(h2, h1, batch.claim_index, params.ln2_gain, params.ln2_bias, eps)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     probs = nc.softmax_rows(nc.matmul(reps, params.wc) + params.bc)
     return EncodeResult(node_states=h2_tilde, reps=reps, probs=probs)

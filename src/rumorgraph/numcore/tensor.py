@@ -8,6 +8,11 @@ of graph structure, so gradients are bitwise reproducible run to run.
 ``spmm`` multiplies a tensor by a constant sparse symmetric
 ``NeighborOperator``.
 
+``Tensor.backward`` drops each interior node's gradient as soon as its rule
+has passed it on, so only leaves (nodes without a rule, such as parameters)
+hold a gradient afterwards; ``grad_wrt`` reads the gradient of one interior
+node by stopping its walk there.
+
 A backward rule skips the gradient product of an operand that needs no
 gradient. It writes in place only into buffers it has just allocated, never
 into its upstream gradient ``g``, an operand's ``.data`` or an array its
@@ -100,9 +105,10 @@ class Tensor:
 
     # -- graph walking ------------------------------------------------------
 
-    def _topo_order(self) -> list["Tensor"]:
+    def _topo_order(self, stop: "Tensor | None" = None) -> list["Tensor"]:
         # Iterative DFS; visit order depends only on the parent structure,
-        # never on object identity, so replays are bit-reproducible.
+        # never on object identity, so replays are bit-reproducible. ``stop``
+        # is neither expanded nor listed; every other node keeps its place.
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -111,7 +117,7 @@ class Tensor:
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if id(node) in visited or node is stop:
                 continue
             visited.add(id(node))
             stack.append((node, True))
@@ -121,16 +127,15 @@ class Tensor:
         return order
 
     def backward(self) -> list["Tensor"]:
-        """Accumulate gradients of ``self`` into every reachable node.
+        """Accumulate gradients of ``self`` into every reachable leaf.
 
-        Returns the visited nodes so callers can clear their ``grad`` fields
-        afterwards (see :func:`clear_grads`).
+        An interior node's ``grad`` is dropped right after its rule has run,
+        so afterwards only leaves (nodes without a rule, such as parameters)
+        hold a gradient. Returns the visited nodes so callers can clear
+        those fields afterwards (see :func:`clear_grads`).
         """
         order = self._topo_order()
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        _replay(self, order)
         return order
 
     # -- operator sugar -----------------------------------------------------
@@ -179,13 +184,26 @@ def clear_grads(nodes: Iterable[Tensor]) -> None:
 def grad_wrt(loss: Tensor, target: Tensor) -> np.ndarray:
     """Gradient of a scalar ``loss`` with respect to ``target``.
 
-    Runs a private backward pass and clears every gradient it touched, so the
-    surrounding training step sees pristine state afterwards.
+    Runs a private backward pass that stops at ``target``: no rule of
+    ``target`` or of the nodes only it reaches runs. The pass visits the
+    remaining nodes in the order a full backward would, so the gradient has
+    the same bytes. Every gradient it touched is cleared, so the surrounding
+    training step sees pristine state afterwards.
     """
-    visited = loss.backward()
-    grad = np.zeros_like(target.data) if target.grad is None else target.grad.copy()
-    clear_grads(visited)
-    return grad
+    order = loss._topo_order(stop=target)
+    _replay(loss, order)
+    grad, target.grad = target.grad, None
+    clear_grads(order)
+    return np.zeros_like(target.data) if grad is None else grad
+
+
+def _replay(root: Tensor, order: list[Tensor]) -> None:
+    """Run the rules of ``order`` (topological, ``root`` last) from a unit gradient at ``root``."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            grad, node.grad = node.grad, None
+            node._backward(grad)
 
 
 # -- primitive construction helpers ----------------------------------------
@@ -338,6 +356,17 @@ def relu(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def mask(x, keep: np.ndarray) -> Tensor:
+    """``x`` times a constant boolean array; numpy reads True as exactly 1 and False as 0."""
+    x = as_tensor(x)
+    data = x.data * keep
+
+    def backward(g):
+        _accumulate(x, g * keep)
+
+    return _make(data, (x,), backward)
+
+
 def exp(x) -> Tensor:
     x = as_tensor(x)
     data = np.exp(x.data)
@@ -392,20 +421,6 @@ def transpose(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"row counts differ: {a.data.shape} vs {b.data.shape}")
-    split = a.data.shape[1]
-    data = np.concatenate([a.data, b.data], axis=1)
-
-    def backward(g):
-        _accumulate(a, g[:, :split])
-        _accumulate(b, g[:, split:])
-
-    return _make(data, (a, b), backward)
-
-
 def concat_rows(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[1:] != b.data.shape[1:]:
@@ -420,34 +435,29 @@ def concat_rows(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def gather_rows(x, indices: np.ndarray) -> Tensor:
-    """Select rows ``x[indices]``; repeated indices accumulate gradient."""
-    x = as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    data = x.data[idx]
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The gradient of ``like[idx]`` under ``g``: row k of ``g`` added into row ``idx[k]``.
 
-    def backward(g):
-        # np.add.at(full, idx, g) adds g's rows one at a time in index order.
-        # The same sums in the same order: stable-sort the indices into runs of
-        # equal rows, longest run first, then add the k-th row of every run
-        # still live in one slab, starting from zeros as np.add.at does.
-        full = np.zeros_like(x.data)
-        if idx.size:
-            rows = np.where(idx < 0, idx + len(full), idx)
-            order = np.argsort(rows, kind="stable")
-            ordered = rows[order]
-            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-            lengths = np.diff(np.append(starts, len(ordered)))
-            longest_first = np.argsort(-lengths, kind="stable")
-            starts, lengths = starts[longest_first], lengths[longest_first]
-            live = np.searchsorted(-lengths, -np.arange(lengths[0]))
-            acc = np.zeros((len(starts),) + full.shape[1:], dtype=full.dtype)
-            for k, n in enumerate(live):
-                acc[:n] += g[order[starts[:n] + k]]
-            full[ordered[starts]] = acc
-        _accumulate(x, full)
-
-    return _make(data, (x,), backward)
+    np.add.at(full, idx, g) adds g's rows one at a time in index order. The
+    same sums in the same order: stable-sort the indices into runs of equal
+    rows, longest run first, then add the k-th row of every run still live in
+    one slab, starting from zeros as np.add.at does.
+    """
+    full = np.zeros_like(like)
+    if idx.size:
+        rows = np.where(idx < 0, idx + len(full), idx)
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        lengths = np.diff(np.append(starts, len(ordered)))
+        longest_first = np.argsort(-lengths, kind="stable")
+        starts, lengths = starts[longest_first], lengths[longest_first]
+        live = np.searchsorted(-lengths, -np.arange(lengths[0]))
+        acc = np.zeros((len(starts),) + full.shape[1:], dtype=full.dtype)
+        for k, n in enumerate(live):
+            acc[:n] += g[order[starts[:n] + k]]
+        full[ordered[starts]] = acc
+    return full
 
 
 def segment_mean(x, sizes: Sequence[int]) -> Tensor:
@@ -504,15 +514,30 @@ def softmax_rows(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float) -> Tensor:
-    """Row-wise standardization (population variance, eps under the root),
-    then an affine map by ``gain`` and ``bias`` shared across rows."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.data.shape[-1]
+def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
+    """Row-wise standardization of ``[h | source[index]]`` (population
+    variance, eps under the root), then an affine map by ``gain`` and ``bias``
+    shared across rows.
+
+    Both blocks are written straight into the buffer that becomes the
+    normalized rows, so neither the gathered rows nor their concatenation
+    stay on the tape. The backward finishes the input gradient only for the
+    blocks that need one; the gathered block's gradient adds row k into row
+    ``index[k]`` of ``source``, in the order ``np.add.at`` would.
+    """
+    h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
+    idx = np.asarray(index, dtype=np.intp)
+    if h.data.ndim != 2 or source.data.ndim != 2 or idx.shape != (h.data.shape[0],):
+        raise ShapeError(f"cannot join rows of {h.data.shape} to {idx.shape} rows of {source.data.shape}")
+    split = h.data.shape[1]
+    d = split + source.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
+    normalized = np.empty((len(idx), d), dtype=np.result_type(h.data, source.data))
+    normalized[:, :split] = h.data
+    normalized[:, split:] = source.data[idx]
     # the operations of np.var and of (x - mean) * inv_std, sharing x - mean
-    normalized = x.data - x.data.mean(axis=1, keepdims=True)
+    normalized -= normalized.mean(axis=1, keepdims=True)
     data = normalized * normalized
     inv_std = 1.0 / np.sqrt(data.sum(axis=1, keepdims=True) / d + eps)
     normalized *= inv_std
@@ -523,16 +548,22 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         tmp = g * normalized
         _accumulate(gain, tmp.sum(axis=0))
         _accumulate(bias, g.sum(axis=0))
+        if not (h.requires_grad or source.requires_grad):
+            return
         term = g * gain.data
         np.multiply(term, normalized, out=tmp)
         proj = tmp.mean(axis=1, keepdims=True)
         term -= term.mean(axis=1, keepdims=True)
-        np.multiply(normalized, proj, out=tmp)
-        term -= tmp
-        term *= inv_std
-        _accumulate(x, term)
+        # the row means above need every column; the rest only the blocks that get a gradient
+        cols = slice(None if h.requires_grad else split, None if source.requires_grad else split)
+        np.multiply(normalized[:, cols], proj, out=tmp[:, cols])
+        term[:, cols] -= tmp[:, cols]
+        term[:, cols] *= inv_std
+        _accumulate(h, term[:, :split])
+        if source.requires_grad:
+            _accumulate(source, _scatter_rows(term[:, split:], idx, source.data))
 
-    return _make(data, (x, gain, bias), backward)
+    return _make(data, (h, source, gain, bias), backward)
 
 
 # -- initialization ----------------------------------------------------------

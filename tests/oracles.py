@@ -10,7 +10,11 @@ signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
 keeps, which early detection's prefixes of prepared events must match;
 ``layer_norm``, ``gather_rows`` and ``adamw_step`` are the straightforward
 kernels (``np.var``, ``np.add.at``, out-of-place moments) whose bytes the
-in-place ones in ``rumorgraph.numcore`` must reproduce.
+in-place ones in ``rumorgraph.numcore`` must reproduce; ``claim_layer_norm``
+(``layer_norm`` of ``concat_cols`` and ``gather_rows``), ``float_mask``,
+``backward`` and ``grad_wrt`` are the encoder composition and tape walk that
+the fused claim residual, the boolean dropout mask and the backward pass that
+frees interior gradients must match byte for byte.
 """
 
 import math
@@ -20,7 +24,7 @@ import numpy as np
 
 from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
-from rumorgraph.numcore import AdamWState, Tensor, TrainingStepError, fnv1a64
+from rumorgraph.numcore import AdamWState, Tensor, TrainingStepError, active_dtype, clear_grads, fnv1a64
 from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
@@ -239,6 +243,48 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
         _accumulate(x, full)
 
     return _make(data, (x,), backward)
+
+
+def concat_cols(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape[0] != b.data.shape[0]:
+        raise ShapeError(f"row counts differ: {a.data.shape} vs {b.data.shape}")
+    split = a.data.shape[1]
+    data = np.concatenate([a.data, b.data], axis=1)
+
+    def backward(g):
+        _accumulate(a, g[:, :split])
+        _accumulate(b, g[:, split:])
+
+    return _make(data, (a, b), backward)
+
+
+def claim_layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
+    """``numcore.layer_norm`` as three tape nodes: gather the claim rows, concatenate, normalize."""
+    return layer_norm(concat_cols(h, gather_rows(source, index)), gain, bias, eps)
+
+
+def float_mask(x, keep: np.ndarray) -> Tensor:
+    """``numcore.mask`` as a product with the mask cast to the active element type."""
+    return x * Tensor(keep.astype(active_dtype()))
+
+
+def backward(root: Tensor) -> list[Tensor]:
+    """``Tensor.backward`` that leaves every node's gradient in place."""
+    order = root._topo_order()
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return order
+
+
+def grad_wrt(loss: Tensor, target: Tensor) -> np.ndarray:
+    """``numcore.grad_wrt`` by a full backward pass."""
+    visited = backward(loss)
+    grad = np.zeros_like(target.data) if target.grad is None else target.grad.copy()
+    clear_grads(visited)
+    return grad
 
 
 def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> AdamWState:

@@ -14,7 +14,9 @@ from rumorgraph.augment import (
 from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
 from rumorgraph.numcore import RngStreams, Tensor
+from rumorgraph.objectives import ce_from_probs
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
+from tests import oracles
 from tests.conftest import make_event, mixing_of
 
 TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
@@ -100,6 +102,32 @@ def test_adversarial_leaves_no_stale_gradients():
     classification_gradients(result, np.array([1]))
     assert result.reps.grad is None
     assert all(t.grad is None for t in params.tensors.values())
+
+
+def _two_event_result():
+    events = [make_event("a", "rumor", [0, 0, 1]), make_event("b", "non-rumor", [0])]
+    prepared = [_prepared(e) for e in events]
+    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    params = init_params(TINY, RngStreams(2))
+    return encode_batch(batch, params, mode="train", streams=RngStreams(3)), np.array([1, 0])
+
+
+def test_classification_gradients_match_a_full_backward_bitwise():
+    result, labels = _two_event_result()
+    want = oracles.grad_wrt(ce_from_probs(result.probs, labels) * float(len(labels)), result.reps)
+    got = classification_gradients(result, labels)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_classification_gradients_run_no_rule_below_the_representations():
+    result, labels = _two_event_result()
+    below = result.reps._topo_order()
+    ran = []
+    for node in below:
+        if node._backward is not None:
+            node._backward = lambda g, node=node: ran.append(node)
+    classification_gradients(result, labels)
+    assert len(below) > 20 and ran == []
 
 
 def test_feature_dropout_edge_rates():

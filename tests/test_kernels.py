@@ -1,8 +1,9 @@
 """The in-place kernels against their straightforward oracles, byte for byte.
 
-``layer_norm``, ``gather_rows`` and ``adamw_step`` reuse buffers and, for
-``gather_rows``, reorder the work; each must still give the same values and
-gradients as the version in ``tests.oracles`` at f64 and at f32.
+``layer_norm`` (which gathers and joins the claim rows itself), the row
+scatter of its backward and ``adamw_step`` reuse buffers and, for the
+scatter, reorder the work; each must still give the same values and
+gradients as the composition in ``tests.oracles`` at f64 and at f32.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from rumorgraph import numcore as nc
 from rumorgraph.numcore import AdamWState, Tensor, adamw_step
+from rumorgraph.numcore.tensor import _scatter_rows
 from tests import oracles
 
 PRECISIONS = st.sampled_from(["f64", "f32"])
@@ -37,40 +39,59 @@ def _forward_backward(op, operands, upstream, *args):
     return out.data, [t.grad for t in tensors]
 
 
-@given(st.data(), PRECISIONS, st.integers(1, 7), st.integers(1, 40), st.sampled_from([1e-5, 1e-2]))
-def test_layer_norm_matches_the_oracle_bitwise(data, precision, rows, cols, eps):
+@given(
+    st.data(),
+    PRECISIONS,
+    st.integers(1, 7),
+    st.integers(1, 20),
+    st.integers(1, 5),
+    st.integers(1, 20),
+    st.sampled_from([1e-5, 1e-2]),
+)
+def test_layer_norm_matches_the_oracle_bitwise(data, precision, rows, width, source_rows, source_width, eps):
     dtype = DTYPES[precision]
-    x = data.draw(_values(dtype, (rows, cols)))
-    gain = data.draw(_values(dtype, (cols,), bound=4.0))
-    bias = data.draw(_values(dtype, (cols,), bound=4.0))
-    upstream = data.draw(_values(dtype, (rows, cols), bound=4.0))
+    d = width + source_width
+    h = data.draw(_values(dtype, (rows, width)))
+    source = data.draw(_values(dtype, (source_rows, source_width)))
+    # unsorted, repeated and negative rows of source
+    index = np.asarray(data.draw(st.lists(st.integers(-source_rows, source_rows - 1), min_size=rows, max_size=rows)))
+    gain = data.draw(_values(dtype, (d,), bound=4.0))
+    bias = data.draw(_values(dtype, (d,), bound=4.0))
+    upstream = data.draw(_values(dtype, (rows, d), bound=4.0))
+    trainable = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    runs = []
     with nc.precision(precision):
-        got, got_grads = _forward_backward(nc.layer_norm, [x, gain, bias], upstream, eps)
-        want, want_grads = _forward_backward(oracles.layer_norm, [x, gain, bias], upstream, eps)
+        for op in (nc.layer_norm, oracles.claim_layer_norm):
+            operands = [
+                nc.parameter(a.copy(), "p") if grad else Tensor(a.copy())
+                for a, grad in zip([h, source, gain, bias], trainable + (True, True))
+            ]
+            out = op(*operands[:2], index, *operands[2:], eps)
+            oracles.backward(nc.sum_all(out * Tensor(upstream)))
+            runs.append((out.data, [t.grad for t in operands]))
+    (got, got_grads), (want, want_grads) = runs
     assert _same_bytes(got, want)
     for a, b in zip(got_grads, want_grads):
-        assert _same_bytes(a, b)
+        assert (a is None and b is None) or _same_bytes(a, b)
 
 
 @given(st.data(), PRECISIONS, st.integers(1, 6), st.integers(0, 4))
 def test_gather_rows_matches_the_oracle_bitwise(data, precision, rows, cols):
+    # the scatter behind layer_norm's claim-block gradient against np.add.at
     dtype = DTYPES[precision]
     x = data.draw(_values(dtype, (rows, cols)))
     indices = np.asarray(data.draw(st.lists(st.integers(-rows, rows - 1), max_size=12)), dtype=np.intp)
     upstream = data.draw(_values(dtype, (len(indices), cols)))
     with nc.precision(precision):
-        got, [got_grad] = _forward_backward(nc.gather_rows, [x], upstream, indices)
-        want, [want_grad] = _forward_backward(oracles.gather_rows, [x], upstream, indices)
-    assert _same_bytes(got, want)
-    assert _same_bytes(got_grad, want_grad)
+        _, [want_grad] = _forward_backward(oracles.gather_rows, [x], upstream, indices)
+    assert _same_bytes(_scatter_rows(upstream, indices, x), want_grad)
 
 
 def test_gather_rows_backward_keeps_the_zeros_np_add_at_makes():
     # np.add.at starts from +0.0, so a row gathered once with gradient -0.0 reads +0.0
-    x = nc.parameter(np.ones((3, 2)), "x")
-    out = nc.gather_rows(x, np.array([2, 0, 2]))
-    nc.sum_all(out * Tensor([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])).backward()
-    assert _same_bytes(x.grad, np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 1.0]]))
+    upstream = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
+    full = _scatter_rows(upstream, np.array([2, 0, 2]), np.ones((3, 2)))
+    assert _same_bytes(full, np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 1.0]]))
 
 
 @given(

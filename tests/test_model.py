@@ -18,6 +18,7 @@ from rumorgraph.model import (
 )
 from rumorgraph.numcore import RngStreams
 from rumorgraph.propagation import PropagationGraph, build_graph
+from tests import oracles
 from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
 from tests.oracles import dense_adjacency, normalized_reference, param_count
 
@@ -159,6 +160,24 @@ def test_eval_forward_deterministic_and_train_dropout_masks():
     _, train_b, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
     assert np.array_equal(train_a.data, train_b.data)
     assert not np.array_equal(train_a.data, rep_a.data)
+
+
+def test_backward_frees_interior_gradients_and_keeps_leaf_bytes():
+    events = [make_event("a", "rumor", [0, 0, 1]), make_event("b", "non-rumor", [0, 1])]
+    prepared = [_prepared(e) for e in events]
+    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    runs = []
+    for walk in (nc.Tensor.backward, oracles.backward):
+        params = init_params(TINY, RngStreams(4))
+        result = encode_batch(batch, params, mode="train", streams=RngStreams(5))
+        loss = nc.sum_all(result.probs * result.probs) + nc.sum_all(result.reps * result.reps)
+        visited = walk(loss)
+        runs.append((params, visited))
+    (params, visited), (reference, _) = runs
+    interior = [node for node in visited if node._backward is not None]
+    assert interior and all(node.grad is None for node in interior)
+    for name, tensor in params.tensors.items():
+        assert tensor.grad.tobytes() == reference.tensors[name].grad.tobytes(), name
 
 
 def test_forward_shape_error():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
 from rumorgraph.numcore import RngStreams, Tensor
+from tests import oracles
 from tests.gradcheck import finite_diff_grad, relative_error
 
 
@@ -31,20 +32,32 @@ def test_matmul_shape_error_names_both_shapes():
         nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def _layer_norm(x, gain, bias, eps):
+    """``nc.layer_norm`` of the rows of ``x``, its last column joined on as a one-column claim block."""
+    x = np.asarray(x, dtype=np.float64)
+    return nc.layer_norm(Tensor(x[:, :-1]), Tensor(x[:, -1:]), np.arange(len(x)), Tensor(gain), Tensor(bias), eps)
+
+
 def test_layer_norm_constant_row_is_bias():
-    out = nc.layer_norm(Tensor([[1.0, 1.0, 1.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
+    out = _layer_norm([[1.0, 1.0, 1.0]], np.ones(3), np.zeros(3), 1e-5)
     assert np.allclose(out.data, 0.0, atol=1e-6)
 
 
 def test_layer_norm_two_point_row():
-    out = nc.layer_norm(Tensor([[0.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), 1e-5)
+    out = _layer_norm([[0.0, 2.0]], np.ones(2), np.zeros(2), 1e-5)
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
 
 
 def test_layer_norm_zero_gain_gives_bias():
     bias = np.array([3.0, -1.0, 0.5])
-    out = nc.layer_norm(Tensor(np.random.default_rng(0).normal(size=(4, 3))), Tensor(np.zeros(3)), Tensor(bias), 1e-5)
+    out = _layer_norm(np.random.default_rng(0).normal(size=(4, 3)), np.zeros(3), bias, 1e-5)
     assert np.allclose(out.data, np.tile(bias, (4, 1)))
+
+
+def test_layer_norm_rejects_an_index_that_misses_rows():
+    h, source = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1)))
+    with pytest.raises(nc.ShapeError, match="cannot join"):
+        nc.layer_norm(h, source, np.array([1, 0]), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
 
 
 def test_layer_norm_row_statistics():
@@ -52,7 +65,7 @@ def test_layer_norm_row_statistics():
     # variance well above eps's reach
     gen = np.random.default_rng(3)
     x = gen.normal(size=(20, 9)) * 20 + 2
-    out = nc.layer_norm(Tensor(x), Tensor(np.ones(9)), Tensor(np.zeros(9)), 1e-5).data
+    out = _layer_norm(x, np.ones(9), np.zeros(9), 1e-5).data
     assert np.all(np.abs(out.mean(axis=1)) < 1e-9)
     assert np.all(np.abs(out.var(axis=1) - 1.0) < 1e-6)
 
@@ -121,9 +134,13 @@ def test_backward_matches_finite_differences_over_random_shapes():
         c = nc.parameter(_away_from_zero(gen, (rows, cols)), "c")
         pos = nc.parameter(np.abs(gen.normal(size=(rows, cols))) + 0.5, "pos")
         vec = nc.parameter(gen.normal(size=cols), "vec")
-        gain = nc.parameter(gen.normal(size=cols) + 1.5, "gain")
-        idx = gen.integers(0, rows, size=rows + 1)
-        sizes = [rows, 1]
+        wide_gain = nc.parameter(gen.normal(size=cols + inner) + 1.5, "wide_gain")
+        wide_bias = nc.parameter(gen.normal(size=cols + inner), "wide_bias")
+        twice_gain = nc.parameter(gen.normal(size=2 * cols) + 1.5, "twice_gain")
+        twice_bias = nc.parameter(gen.normal(size=2 * cols), "twice_bias")
+        idx = gen.integers(-rows, rows, size=rows)
+        keep = gen.random((rows, cols)) >= 0.3
+        sizes = [1, 2 * rows - 1]
         builders = {
             "matmul": (lambda a=a, b=b: nc.matmul(a, b), [a, b]),
             "add_broadcast": (lambda c=c, vec=vec: c + vec, [c, vec]),
@@ -135,18 +152,18 @@ def test_backward_matches_finite_differences_over_random_shapes():
             "sqrt": (lambda pos=pos: nc.sqrt(pos), [pos]),
             "clamp_min": (lambda c=c: nc.clamp_min(c, 0.0), [c]),
             "transpose": (lambda c=c: nc.transpose(c), [c]),
-            "concat_cols": (lambda a=a, c=c: nc.concat_cols(c, c), [c]),
             "concat_rows": (lambda c=c: nc.concat_rows(c, c), [c]),
-            "gather_rows": (lambda c=c, idx=idx: nc.gather_rows(c, idx), [c]),
+            "mask": (lambda c=c, keep=keep: nc.mask(c, keep), [c]),
             "sum_rows": (lambda c=c: nc.sum_rows(c), [c]),
-            "segment_mean": (
-                lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, nc.gather_rows(c, [0])), sizes),
-                [c],
-            ),
+            "segment_mean": (lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, c), sizes), [c]),
             "softmax_rows": (lambda c=c: nc.softmax_rows(c), [c]),
             "layer_norm": (
-                lambda c=c, gain=gain, vec=vec: nc.layer_norm(c, gain, vec, 1e-5),
-                [c, gain, vec],
+                lambda c=c, a=a, idx=idx, g=wide_gain, b=wide_bias: nc.layer_norm(c, a, idx, g, b, 1e-5),
+                [c, a, wide_gain, wide_bias],
+            ),
+            "layer_norm_own_rows": (
+                lambda c=c, idx=idx, g=twice_gain, b=twice_bias: nc.layer_norm(c, c, idx, g, b, 1e-5),
+                [c, twice_gain, twice_bias],
             ),
         }
         name = list(builders)[len(cases) % len(builders)]
@@ -162,7 +179,7 @@ def test_backward_gather_segment_div_transpose():
     idx = np.array([0, 0, 2, 5, 1, 0])
 
     def build():
-        g = nc.gather_rows(x, idx)
+        g = oracles.gather_rows(x, idx)
         seg = nc.segment_mean(g, [2, 3, 1])
         norm = nc.sqrt(nc.sum_rows(seg * seg) + 0.5)
         return nc.transpose(nc.div(seg, norm))

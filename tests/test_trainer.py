@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,7 +306,10 @@ def test_f32_step_agrees_with_f64():
 @pytest.mark.parametrize("kind", ["adversarial", "feature_dropout", "graph_dropedge"])
 def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     # each in-place kernel matches its oracle alone (test_kernels.py); whole
-    # steps also catch a buffer reused while a neighbouring rule still reads it
+    # steps also catch a buffer reused while a neighbouring rule still reads it.
+    # The oracle side runs the unfused encoder (gathered claim rows, their
+    # concatenation, a float dropout mask) and a backward pass that keeps
+    # every gradient, so the tape's visit and accumulation order is checked too.
     source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=3))
     provider = HashedProvider(dim=8)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
@@ -320,8 +324,10 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
         return state
 
     lean = two_steps()
-    monkeypatch.setattr(nc, "layer_norm", oracles.layer_norm)
-    monkeypatch.setattr(nc, "gather_rows", oracles.gather_rows)
+    monkeypatch.setattr(nc, "layer_norm", oracles.claim_layer_norm)
+    monkeypatch.setattr(nc, "mask", oracles.float_mask)
+    monkeypatch.setattr(nc, "grad_wrt", oracles.grad_wrt)
+    monkeypatch.setattr(nc.Tensor, "backward", oracles.backward)
     monkeypatch.setattr(trainer, "adamw_step", oracles.adamw_step)
     reference = two_steps()
     assert lean.params.w0.data.dtype == {"f64": np.float64, "f32": np.float32}[precision]
@@ -329,6 +335,28 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
         assert tensor.data.tobytes() == reference.params.tensors[name].data.tobytes(), name
         assert lean.optimizer.m[name].tobytes() == reference.optimizer.m[name].tobytes(), name
         assert lean.optimizer.v[name].tobytes() == reference.optimizer.v[name].tobytes(), name
+
+
+def test_train_step_memory_peak_stays_lean():
+    # 324 source and 346 target nodes; a step encodes the target batch twice
+    # (the second time as its DropEdge view). Keeping the gathered claim rows, their concatenation, a float dropout
+    # mask and every interior gradient on the tape read 12.9 MB here; the
+    # fused claim residual, the boolean mask and the freed gradients 6.8 MB.
+    source_ds, target_ds = generate(SynthSpec(source_events=16, target_events=16, mean_replies=20.0, seed=7))
+    provider = HashedProvider(dim=64)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = _config(
+        model=ModelConfig(d_in=64, d_hidden=32, d_out=16), source_batch_size=16, target_batch_size=16
+    )
+    state = _fresh_state(cfg)
+    train_step(source, target, state, cfg)  # AdamW allocates its moments in the first step
+    tracemalloc.start()
+    try:
+        train_step(source, target, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_training_reduces_loss_on_separable_batches():
