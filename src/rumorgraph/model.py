@@ -16,9 +16,16 @@ lookups are index-based, so the batched pass computes the same function as
 event-at-a-time encoding.
 
 Each claim residual is built inside ``numcore.layer_norm``, which writes the
-layer's rows and their claims' rows straight into its own buffer, and the
-dropout mask stays on the tape as a boolean array: per node row, a training
-encode keeps no gathered claim rows, no concatenation and no float mask.
+layer's rows and their claims' rows straight into its own buffer, a block of
+rows at a time, and the dropout mask stays on the tape as a boolean array:
+per node row, a training encode keeps no gathered claim rows, no
+concatenation and no float mask. An evaluation encode under ``no_grad``
+keeps one buffer per normalization, since ``layer_norm`` writes its output
+over its normalized rows when no tape records it.
+
+Parameters read from a snapshot or a training state, and the best epoch's
+parameters that ``fit`` returns, are built from their shapes
+(``ModelParams.from_values``) without drawing initial weights.
 """
 
 from __future__ import annotations
@@ -82,29 +89,45 @@ class ModelParams:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, t in self.tensors.items():
-            t.data = np.asarray(values[name], dtype=nc.active_dtype()).reshape(t.data.shape)
+    @classmethod
+    def from_values(cls, config: ModelConfig, values: dict[str, np.ndarray]) -> "ModelParams":
+        """Parameters of ``config``'s shapes holding ``values`` in the active element type; draws nothing."""
+        dtype = nc.active_dtype()
+        tensors = {
+            name: nc.parameter(np.asarray(values[name], dtype=dtype).reshape(shape), name)
+            for name, shape in _shapes(config).items()
+        }
+        return cls(tensors=tensors, config=config)
+
+
+def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in snapshot order."""
+    mid = cfg.d_hidden + cfg.d_in
+    top = cfg.rep_dim
+    return {
+        "w0": (cfg.d_in, cfg.d_hidden),
+        "b0": (cfg.d_hidden,),
+        "ln1_gain": (mid,),
+        "ln1_bias": (mid,),
+        "w1": (mid, cfg.d_out),
+        "b1": (cfg.d_out,),
+        "ln2_gain": (top,),
+        "ln2_bias": (top,),
+        "wc": (top, cfg.classes),
+        "bc": (cfg.classes,),
+    }
 
 
 def init_params(cfg: ModelConfig, streams: RngStreams) -> ModelParams:
     """Glorot-uniform weights, zero biases, unit/zero normalization affine."""
-    gen = streams.init
-    mid = cfg.d_hidden + cfg.d_in
-    top = cfg.rep_dim
     dtype = nc.active_dtype()
-    tensors = {
-        "w0": nc.glorot_init((cfg.d_in, cfg.d_hidden), gen, "w0"),
-        "b0": nc.parameter(np.zeros(cfg.d_hidden, dtype=dtype), "b0"),
-        "ln1_gain": nc.parameter(np.ones(mid, dtype=dtype), "ln1_gain"),
-        "ln1_bias": nc.parameter(np.zeros(mid, dtype=dtype), "ln1_bias"),
-        "w1": nc.glorot_init((mid, cfg.d_out), gen, "w1"),
-        "b1": nc.parameter(np.zeros(cfg.d_out, dtype=dtype), "b1"),
-        "ln2_gain": nc.parameter(np.ones(top, dtype=dtype), "ln2_gain"),
-        "ln2_bias": nc.parameter(np.zeros(top, dtype=dtype), "ln2_bias"),
-        "wc": nc.glorot_init((top, cfg.classes), gen, "wc"),
-        "bc": nc.parameter(np.zeros(cfg.classes, dtype=dtype), "bc"),
-    }
+    tensors = {}
+    for name, shape in _shapes(cfg).items():
+        if len(shape) == 2:
+            tensors[name] = nc.glorot_init(shape, streams.init, name)
+        else:
+            fill = np.ones if name.endswith("_gain") else np.zeros
+            tensors[name] = nc.parameter(fill(shape, dtype=dtype), name)
     return ModelParams(tensors=tensors, config=cfg)
 
 
@@ -198,13 +221,13 @@ def _write_container(path, header: dict, blobs: Iterable[np.ndarray]) -> None:
 
 def _read_container(
     path, version_key: str, version: int, config_key: str, blocks: int
-) -> tuple[dict, ModelParams, list[dict]]:
+) -> tuple[dict, ModelConfig, list[dict]]:
     """Inverse of ``_write_container`` for payloads of whole parameter blocks.
 
     The header must hold ``version`` under ``version_key`` and the model
     configuration under ``config_key``; the payload must hold exactly
     ``blocks`` blocks of the tensors named by ``header["order"]``. Returns
-    the header, freshly shaped parameters, and each block as a
+    the header, the model configuration, and each block as a
     name -> float64 array dict.
     """
     with open(path, "rb") as fh:
@@ -218,9 +241,9 @@ def _read_container(
     if found != version:
         raise SnapshotError(f"{path}: unsupported {version_key} {found!r} (expected {version})")
     try:
-        params = init_params(ModelConfig(**header[config_key]), RngStreams(0))
+        config = ModelConfig(**header[config_key])
         order = list(header["order"])
-        shapes = [params.tensors[name].data.shape for name in order] * blocks
+        shapes = [_shapes(config)[name] for name in order] * blocks
     except (ValueError, KeyError, TypeError) as err:
         raise SnapshotError(f"{path}: unreadable header ({type(err).__name__}: {err})") from err
     sizes = [math.prod(shape) for shape in shapes]
@@ -232,7 +255,7 @@ def _read_container(
     offsets = np.cumsum([0] + sizes)
     arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)]
     n = len(order)
-    return header, params, [dict(zip(order, arrays[i * n : (i + 1) * n])) for i in range(blocks)]
+    return header, config, [dict(zip(order, arrays[i * n : (i + 1) * n])) for i in range(blocks)]
 
 
 def save_snapshot(params: ModelParams, seed: int, path) -> None:
@@ -247,6 +270,5 @@ def save_snapshot(params: ModelParams, seed: int, path) -> None:
 
 
 def load_snapshot(path) -> tuple[ModelParams, int]:
-    header, params, (values,) = _read_container(path, "format_version", SNAPSHOT_VERSION, "config", 1)
-    params.load_values(values)
-    return params, header["seed"]
+    header, config, (values,) = _read_container(path, "format_version", SNAPSHOT_VERSION, "config", 1)
+    return ModelParams.from_values(config, values), header["seed"]

@@ -18,7 +18,11 @@ gradient. It writes in place only into buffers it has just allocated, never
 into its upstream gradient ``g``, an operand's ``.data`` or an array its
 closure keeps (``layer_norm``'s normalized rows, ``relu``'s mask, ``exp``'s
 output): ``_unbroadcast`` can return ``g`` itself, so a node's ``grad`` may
-alias its parent's.
+alias its parent's. A forward kernel may likewise overwrite a buffer it has
+just allocated once nothing will read it again: untaped, ``layer_norm``
+writes its output over its normalized rows. Whether a call is taped is
+decided by ``_taped``, the one test ``_make`` also applies, so the in-place
+path never runs where a recorded backward would read those rows.
 
 Float64 is the default element type; float32 can be selected for faster
 experiment runs, inside a ``precision`` block or process-wide with
@@ -39,6 +43,8 @@ class ShapeError(ValueError):
 
 _DTYPE = np.float64
 _GRAD_ENABLED = True
+# rows of one layer_norm block: a block and its scratch stay in a core's L2 cache
+_BLOCK_BYTES = 256 * 1024
 
 _PRECISION_NAMES = {"f32": np.float32, "f64": np.float64}
 
@@ -209,9 +215,14 @@ def _replay(root: Tensor, order: list[Tensor]) -> None:
 # -- primitive construction helpers ----------------------------------------
 
 
+def _taped(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded: gradients are enabled and one of them needs one."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -521,9 +532,17 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
 
     Both blocks are written straight into the buffer that becomes the
     normalized rows, so neither the gathered rows nor their concatenation
-    stay on the tape. The backward finishes the input gradient only for the
-    blocks that need one; the gathered block's gradient adds row k into row
-    ``index[k]`` of ``source``, in the order ``np.add.at`` would.
+    stay on the tape. Forward and backward walk the rows in blocks of about
+    ``_BLOCK_BYTES``, so each pass over a block reads it from cache; a row's
+    statistics are its own, so blocking changes no value. Untaped, the affine
+    output is written over the normalized rows, and the call keeps one
+    ``(n, d)`` buffer. The backward carries the ``gain`` and ``bias`` column
+    sums from block to block as the leading row of the next block's sum:
+    numpy's axis-0 sum of a C-contiguous array at least two columns wide adds
+    its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
+    carried sums equal the whole-array sums bit for bit. It finishes the input gradient only for the blocks that need one;
+    the gathered block's gradient adds row k into row ``index[k]`` of
+    ``source``, in the order ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
     idx = np.asarray(index, dtype=np.intp)
@@ -533,37 +552,69 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
     d = split + source.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
+    parents = (h, source, gain, bias)
+    taped = _taped(parents)
     normalized = np.empty((len(idx), d), dtype=np.result_type(h.data, source.data))
-    normalized[:, :split] = h.data
-    normalized[:, split:] = source.data[idx]
-    # the operations of np.var and of (x - mean) * inv_std, sharing x - mean
-    normalized -= normalized.mean(axis=1, keepdims=True)
-    data = normalized * normalized
-    inv_std = 1.0 / np.sqrt(data.sum(axis=1, keepdims=True) / d + eps)
-    normalized *= inv_std
-    np.multiply(normalized, gain.data, out=data)
-    data += bias.data
+    # untaped, no backward reads the normalized rows, so the output overwrites them
+    data = np.empty_like(normalized) if taped else normalized
+    step = max(1, _BLOCK_BYTES // (d * normalized.itemsize))
+    blocks = []  # (rows, their inverse standard deviations)
+    for start in range(0, max(len(idx), 1), step):
+        rows = slice(start, start + step)
+        x, y = normalized[rows], data[rows]
+        x[:, :split] = h.data[rows]
+        x[:, split:] = source.data[idx[rows]]
+        # the operations of np.var and of (x - mean) * inv_std, sharing x - mean
+        x -= x.mean(axis=1, keepdims=True)
+        squares = np.multiply(x, x, out=y) if taped else x * x
+        inv_std = 1.0 / np.sqrt(squares.sum(axis=1, keepdims=True) / d + eps)
+        x *= inv_std
+        np.multiply(x, gain.data, out=y)
+        y += bias.data
+        blocks.append((rows, inv_std))
 
     def backward(g):
-        tmp = g * normalized
-        _accumulate(gain, tmp.sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
-        if not (h.requires_grad or source.requires_grad):
-            return
-        term = g * gain.data
-        np.multiply(term, normalized, out=tmp)
-        proj = tmp.mean(axis=1, keepdims=True)
-        term -= term.mean(axis=1, keepdims=True)
-        # the row means above need every column; the rest only the blocks that get a gradient
+        needs_input = h.requires_grad or source.requires_grad
+        term = np.empty_like(normalized) if needs_input else None
+        # the row means need every column; the rest only the blocks that get a gradient
         cols = slice(None if h.requires_grad else split, None if source.requires_grad else split)
-        np.multiply(normalized[:, cols], proj, out=tmp[:, cols])
-        term[:, cols] -= tmp[:, cols]
-        term[:, cols] *= inv_std
-        _accumulate(h, term[:, :split])
+        for k, (rows, inv_std) in enumerate(blocks):
+            x, gb = normalized[rows], g[rows]
+            if k == 0:
+                tmp = gb * x
+                gain_sum = tmp.sum(axis=0)
+                bias_sum = gb.sum(axis=0)
+            else:
+                # the sums so far lead the block's rows, so each sum adds rows in whole-array order
+                if k == 1:
+                    carry = np.empty((step + 1, d), dtype=tmp.dtype)
+                lead = carry[: len(x) + 1]
+                tmp = lead[1:]
+                lead[0] = gain_sum
+                np.multiply(gb, x, out=tmp)
+                gain_sum = lead.sum(axis=0)
+                lead[0] = bias_sum
+                tmp[...] = gb
+                bias_sum = lead.sum(axis=0)
+            if not needs_input:
+                continue
+            t = term[rows]
+            np.multiply(gb, gain.data, out=t)
+            np.multiply(t, x, out=tmp)
+            proj = tmp.mean(axis=1, keepdims=True)
+            t -= t.mean(axis=1, keepdims=True)
+            t, scratch = t[:, cols], tmp[:, cols]
+            np.multiply(x[:, cols], proj, out=scratch)
+            t -= scratch
+            t *= inv_std
+        _accumulate(gain, gain_sum)
+        _accumulate(bias, bias_sum)
+        if needs_input:
+            _accumulate(h, term[:, :split])
         if source.requires_grad:
             _accumulate(source, _scatter_rows(term[:, split:], idx, source.data))
 
-    return _make(data, (h, source, gain, bias), backward)
+    return _make(data, parents, backward)
 
 
 # -- initialization ----------------------------------------------------------

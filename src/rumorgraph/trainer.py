@@ -357,8 +357,7 @@ def fit(
             if log_fh:
                 log_fh.close()
 
-        best = init_params(cfg.model, RngStreams(cfg.seed))
-        best.load_values(state.best_values)
+        best = ModelParams.from_values(cfg.model, state.best_values)
         return FitResult(params=best, history=list(state.history), best_score=state.best_score, state=state)
 
 
@@ -401,10 +400,9 @@ def save_state(state: TrainState, cfg: TrainConfig, path) -> None:
 
 
 def load_state(path) -> TrainState:
-    header, params, (values, m, v, best_values) = _read_container(path, "version", STATE_VERSION, "model", 4)
-    params.load_values(values)
+    header, config, (values, m, v, best_values) = _read_container(path, "version", STATE_VERSION, "model", 4)
     return TrainState(
-        params=params,
+        params=ModelParams.from_values(config, values),
         optimizer=AdamWState(**header["optimizer"], m=m, v=v),
         streams=RngStreams.from_state_dict(header["rng"]),
         epoch=header["epoch"],

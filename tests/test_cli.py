@@ -18,7 +18,7 @@ import rumorgraph
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
-from rumorgraph.numcore import RngStreams
+from rumorgraph.numcore import RngStreams, tensor
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
 from tests.conftest import JSON_VALUES, valid_or_any, write_embeddings
 
@@ -362,6 +362,28 @@ def test_single_fit_protocol(tmp_path, synth_dirs):
     assert (out_dir / "model.snapshot").exists()
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert "best_score" in metrics and "history" in metrics
+
+
+def test_layer_norm_blocks_change_no_artifact(tmp_path, synth_dirs, monkeypatch):
+    # layer_norm blocks of one row against the default, where every batch here fits one block
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir, max_epochs=2, val_fraction=0.2)
+    record = json.loads(config_path.read_text())
+    record["protocol"] = {"mode": "single"}
+    config_path.write_text(json.dumps(record))
+    events = ["--events", str(data_dir / "target_events.jsonl"), "--embeddings", "hashed:8"]
+    artifacts = []
+    for block_bytes in (tensor._BLOCK_BYTES, 1):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes)
+        out = tmp_path / f"blocks{block_bytes}"
+        snapshot = ["--snapshot", str(out / "run" / "model.snapshot")]
+        assert main(["train", "--config", str(config_path), "--out", str(out / "run")]) == 0
+        detect = ["earlydetect", *snapshot, *events, "--checkpoints", "1,2,4,inf", "--mode", "count"]
+        assert main([*detect, "--out", str(out / "curve")]) == 0
+        assert main(["export-features", *snapshot, *events, "--out", str(out / "features")]) == 0
+        paths = ("run/model.snapshot", "curve/early_detection.csv", "features/features.csv")
+        artifacts.append([(out / path).read_bytes() for path in paths])
+    assert artifacts[0] == artifacts[1]
 
 
 def _train_argv(embeddings):

@@ -1,18 +1,23 @@
 """The in-place kernels against their straightforward oracles, byte for byte.
 
-``layer_norm`` (which gathers and joins the claim rows itself), the row
-scatter of its backward and ``adamw_step`` reuse buffers and, for the
-scatter, reorder the work; each must still give the same values and
-gradients as the composition in ``tests.oracles`` at f64 and at f32.
+``layer_norm`` (which gathers and joins the claim rows itself, a block of
+rows at a time), the row scatter of its backward and ``adamw_step`` reuse
+buffers and, for the scatter, reorder the work; each must still give the
+same values and gradients as the composition in ``tests.oracles`` at f64
+and at f32, whatever the block size.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rumorgraph import numcore as nc
-from rumorgraph.numcore import AdamWState, Tensor, adamw_step
+from rumorgraph.numcore import AdamWState, Tensor, adamw_step, tensor
 from rumorgraph.numcore.tensor import _scatter_rows
 from tests import oracles
 
@@ -39,16 +44,49 @@ def _forward_backward(op, operands, upstream, *args):
     return out.data, [t.grad for t in tensors]
 
 
+def _claim_layer_norm(op, arrays, index, upstream, eps, trainable):
+    """``op``'s output and gradients for ``h, source, gain, bias``; only ``trainable`` ones of ``h, source`` get one."""
+    operands = [
+        nc.parameter(a.copy(), "p") if grad else Tensor(a.copy()) for a, grad in zip(arrays, trainable + (True, True))
+    ]
+    out = op(*operands[:2], index, *operands[2:], eps)
+    oracles.backward(nc.sum_all(out * Tensor(upstream)))
+    return out.data, [t.grad for t in operands]
+
+
+def _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, eps, trainable):
+    arrays = [h, source, gain, bias]
+    with nc.precision(precision):
+        got, got_grads = _claim_layer_norm(nc.layer_norm, arrays, index, upstream, eps, trainable)
+        want, want_grads = _claim_layer_norm(oracles.claim_layer_norm, arrays, index, upstream, eps, trainable)
+        with nc.no_grad():
+            untaped = nc.layer_norm(*[nc.parameter(a.copy(), "p") for a in arrays[:2]], index, gain, bias, eps)
+    assert _same_bytes(got, want)
+    assert _same_bytes(untaped.data, want)
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None and b is None) or _same_bytes(a, b)
+
+
+def _block_rows(rows, width, dtype):
+    """Patch ``layer_norm`` to blocks of ``rows`` rows at this width and dtype; ``None`` keeps the default budget."""
+    budget = rows * width * np.dtype(dtype).itemsize if rows else tensor._BLOCK_BYTES
+    return mock.patch.object(tensor, "_BLOCK_BYTES", budget)
+
+
 @given(
     st.data(),
     PRECISIONS,
-    st.integers(1, 7),
+    st.integers(0, 9),
     st.integers(1, 20),
     st.integers(1, 5),
     st.integers(1, 20),
     st.sampled_from([1e-5, 1e-2]),
+    st.sampled_from([None, 1, 2, 3]),
 )
-def test_layer_norm_matches_the_oracle_bitwise(data, precision, rows, width, source_rows, source_width, eps):
+def test_layer_norm_matches_the_oracle_bitwise(
+    data, precision, rows, width, source_rows, source_width, eps, block_rows
+):
+    # a few rows a block spans several blocks with a ragged last one; None is one block
     dtype = DTYPES[precision]
     d = width + source_width
     h = data.draw(_values(dtype, (rows, width)))
@@ -59,20 +97,46 @@ def test_layer_norm_matches_the_oracle_bitwise(data, precision, rows, width, sou
     bias = data.draw(_values(dtype, (d,), bound=4.0))
     upstream = data.draw(_values(dtype, (rows, d), bound=4.0))
     trainable = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
-    runs = []
-    with nc.precision(precision):
-        for op in (nc.layer_norm, oracles.claim_layer_norm):
-            operands = [
-                nc.parameter(a.copy(), "p") if grad else Tensor(a.copy())
-                for a, grad in zip([h, source, gain, bias], trainable + (True, True))
-            ]
-            out = op(*operands[:2], index, *operands[2:], eps)
-            oracles.backward(nc.sum_all(out * Tensor(upstream)))
-            runs.append((out.data, [t.grad for t in operands]))
-    (got, got_grads), (want, want_grads) = runs
-    assert _same_bytes(got, want)
-    for a, b in zip(got_grads, want_grads):
-        assert (a is None and b is None) or _same_bytes(a, b)
+    with _block_rows(block_rows, d, dtype):
+        _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, eps, trainable)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("block_rows", [None, 1])
+def test_layer_norm_of_zero_and_one_rows_matches_the_oracle_bitwise(precision, rows, block_rows):
+    # zero rows give zero gain and bias gradients
+    dtype = DTYPES[precision]
+    gen = np.random.default_rng(rows)
+    h, source = gen.normal(size=(rows, 3)).astype(dtype), gen.normal(size=(2, 4)).astype(dtype)
+    gain, bias = gen.normal(size=7).astype(dtype), gen.normal(size=7).astype(dtype)
+    upstream = gen.normal(size=(rows, 7)).astype(dtype)
+    index = np.arange(rows, dtype=np.intp)
+    with _block_rows(block_rows, 7, dtype):
+        for trainable in [(True, True), (True, False), (False, True)]:
+            _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, 1e-5, trainable)
+
+
+def test_untaped_layer_norm_keeps_one_output_buffer():
+    # 2,000 rows of 64 + 768 columns at f64: the output is 13.3 MB. Untaped,
+    # the affine output overwrites the normalized rows and the claim rows are
+    # gathered a block at a time: 13.9 MB peak. Two (n, d) buffers, for the
+    # normalized rows and the output, after a whole (n, 768) copy of the
+    # gathered claim rows read 26.7 MB.
+    gen = np.random.default_rng(0)
+    h, source = Tensor(gen.normal(size=(2000, 64))), Tensor(gen.normal(size=(100, 768)))
+    index = np.repeat(np.arange(100), 20)
+    gain, bias = nc.parameter(np.ones(832), "gain"), nc.parameter(np.zeros(832), "bias")
+    output_bytes = 2000 * 832 * 8
+    with nc.no_grad():
+        tracemalloc.start()
+        try:
+            out = nc.layer_norm(h, source, index, gain, bias, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.data.nbytes == output_bytes
+    assert peak < output_bytes + 1_000_000
 
 
 @given(st.data(), PRECISIONS, st.integers(1, 6), st.integers(0, 4))

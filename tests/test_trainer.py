@@ -14,8 +14,16 @@ from rumorgraph import trainer
 from rumorgraph.augment import AugmentStrategy
 from rumorgraph.dataio import Dataset, visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
-from rumorgraph.model import GraphBatch, ModelConfig, SnapshotError, encode_batch, init_params
-from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step
+from rumorgraph.model import (
+    GraphBatch,
+    ModelConfig,
+    SnapshotError,
+    encode_batch,
+    init_params,
+    load_snapshot,
+    save_snapshot,
+)
+from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step, tensor
 from rumorgraph.objectives import ce_from_probs
 from rumorgraph.propagation import build_graph
 from rumorgraph.synth import SynthSpec, generate
@@ -83,8 +91,8 @@ def test_train_step_zero_lr_keeps_params_and_reports():
     state = _fresh_state(cfg)
     before = state.params.copy_values()
     report = train_step(_mini_events(3, "s"), _mini_events(2, "t"), state, cfg)
-    for name, tensor in state.params.tensors.items():
-        assert np.array_equal(tensor.data, before[name])
+    for name, param in state.params.tensors.items():
+        assert np.array_equal(param.data, before[name])
     assert math.isfinite(report.loss)
     assert report.alpha == cfg.alpha
     # reported blend obeys the stated relation
@@ -249,6 +257,22 @@ def test_resume_is_bitwise_identical(tmp_path):
     assert straight.state.epoch == resumed.state.epoch
 
 
+def test_only_a_fresh_fit_draws_initial_weights(tmp_path, monkeypatch):
+    # the best epoch's parameters, a loaded state and a loaded snapshot are built from their shapes
+    draws = []
+    glorot_init = nc.glorot_init
+    monkeypatch.setattr(nc, "glorot_init", lambda *args: draws.append(args[0]) or glorot_init(*args))
+    source, target = _mini_events(6, "s"), _mini_events(8, "t")
+    cfg = _config(max_epochs=1)
+    first = fit(source, target, cfg)
+    assert len(draws) == 3  # w0, w1 and wc
+    save_state(first.state, cfg, tmp_path / "state.bin")
+    save_snapshot(first.params, seed=cfg.seed, path=tmp_path / "model.snapshot")
+    fit(source, target, _config(max_epochs=2), resume_state=load_state(tmp_path / "state.bin"))
+    load_snapshot(tmp_path / "model.snapshot")
+    assert len(draws) == 3
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -324,17 +348,20 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
         return state
 
     lean = two_steps()
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 200)  # layer_norm blocks of 1 to 5 rows here
+    blocked = two_steps()
     monkeypatch.setattr(nc, "layer_norm", oracles.claim_layer_norm)
     monkeypatch.setattr(nc, "mask", oracles.float_mask)
     monkeypatch.setattr(nc, "grad_wrt", oracles.grad_wrt)
     monkeypatch.setattr(nc.Tensor, "backward", oracles.backward)
     monkeypatch.setattr(trainer, "adamw_step", oracles.adamw_step)
     reference = two_steps()
-    assert lean.params.w0.data.dtype == {"f64": np.float64, "f32": np.float32}[precision]
-    for name, tensor in lean.params.tensors.items():
-        assert tensor.data.tobytes() == reference.params.tensors[name].data.tobytes(), name
-        assert lean.optimizer.m[name].tobytes() == reference.optimizer.m[name].tobytes(), name
-        assert lean.optimizer.v[name].tobytes() == reference.optimizer.v[name].tobytes(), name
+    for state in (lean, blocked):
+        assert state.params.w0.data.dtype == {"f64": np.float64, "f32": np.float32}[precision]
+        for name, param in state.params.tensors.items():
+            assert param.data.tobytes() == reference.params.tensors[name].data.tobytes(), name
+            assert state.optimizer.m[name].tobytes() == reference.optimizer.m[name].tobytes(), name
+            assert state.optimizer.v[name].tobytes() == reference.optimizer.v[name].tobytes(), name
 
 
 def test_train_step_memory_peak_stays_lean():
