@@ -80,7 +80,6 @@ def augment_batch(
     embeddings: list[np.ndarray],
     graphs: list[PropagationGraph],
     params: ModelParams,
-    mode: str,
     streams: RngStreams,
 ) -> Tensor:
     """One augmented representation per event, as a differentiable tensor."""
@@ -91,4 +90,4 @@ def augment_batch(
         return feature_dropout(result.reps, strategy.feature_dropout_rate, streams.feature_dropout)
     deformed = [dropedge(g, strategy.dropedge_rate, streams.dropedge) for g in graphs]
     batch = GraphBatch.from_events(embeddings, deformed)
-    return encode_batch(batch, params, mode=mode, streams=streams).reps
+    return encode_batch(batch, params, mode="train", streams=streams).reps

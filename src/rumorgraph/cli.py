@@ -90,8 +90,8 @@ def cmd_train(args) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        source_ds = parse_events(run.source_events, role="source")
-        target_ds = parse_events(run.target_events, role="target")
+        source_ds = parse_events(run.source_events)
+        target_ds = parse_events(run.target_events)
         source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
         target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
     except (DatasetError, EmbeddingError, OSError) as err:
@@ -123,21 +123,19 @@ def cmd_train(args) -> int:
             source = prepare_events(source_ds.events, source_provider)
             target = prepare_events(target_ds.events, target_provider)
             log_name = "train_log.jsonl"
-            open(out_dir / log_name, "w").close()
             result = fit(source, target, run.train, log_path=out_dir / log_name)
             save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
             files.extend(["model.snapshot", log_name])
             metrics = {"best_score": result.best_score, "history": result.history}
-    except (DatasetError, EmbeddingError) as err:
+        with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
+            json.dump(metrics, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        files.append("metrics.json")
+        _write_manifest(out_dir, files, run.raw)
+    except (DatasetError, EmbeddingError, OSError) as err:
         return _fail(str(err), 1)
     except TrainingStepError as err:
         return _fail(str(err), 3)
-
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append("metrics.json")
-    _write_manifest(out_dir, files, run.raw)
     print(f"artifacts written to {out_dir}")
     return 0
 

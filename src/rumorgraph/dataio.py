@@ -68,7 +68,6 @@ class Event:
 @dataclass
 class Dataset:
     events: list[Event]
-    role: str = "unspecified"  # source | target
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def _parse_event(record, line_no: int) -> Event:
     return Event(event_id=event_id, label=label, posts=tuple(posts))
 
 
-def parse_events(path, role: str = "unspecified") -> Dataset:
+def parse_events(path) -> Dataset:
     """Parse and validate a JSONL event file into a Dataset."""
     events = []
     seen_ids = set()
@@ -204,7 +203,7 @@ def parse_events(path, role: str = "unspecified") -> Dataset:
     labels = {e.label for e in events}
     if len(labels) == 1:
         log.warning("dataset %s contains a single label (%s)", path, labels.pop())
-    return Dataset(events=events, role=role)
+    return Dataset(events=events)
 
 
 def write_events(dataset: Dataset, path) -> None:

@@ -23,9 +23,9 @@ concatenation and no float mask. An evaluation encode under ``no_grad``
 keeps one buffer per normalization, since ``layer_norm`` writes its output
 over its normalized rows when no tape records it.
 
-Parameters read from a snapshot or a training state, and the best epoch's
-parameters that ``fit`` returns, are built from their shapes
-(``ModelParams.from_values``) without drawing initial weights.
+Parameters read from a snapshot, and the best epoch's parameters that
+``fit`` returns, are built from their shapes (``ModelParams.from_values``)
+without drawing initial weights.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -208,27 +207,29 @@ def encode_batch(
 
 
 class SnapshotError(ValueError):
-    """A snapshot or training-state file is malformed, truncated or overlong."""
+    """A snapshot file is malformed, truncated or overlong."""
 
 
-def _write_container(path, header: dict, blobs: Iterable[np.ndarray]) -> None:
-    """Sorted-key JSON header line, then each blob as little-endian float64."""
+def save_snapshot(params: ModelParams, seed: int, path) -> None:
+    """Sorted-key JSON header line, then the parameter tensors as little-endian float64."""
+    header = {
+        "format_version": SNAPSHOT_VERSION,
+        "config": asdict(params.config),
+        "seed": seed,
+        "order": list(PARAM_ORDER),
+    }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for blob in blobs:
-            fh.write(np.asarray(blob, dtype="<f8").tobytes())
+        for name in PARAM_ORDER:
+            fh.write(np.asarray(params.tensors[name].data, dtype="<f8").tobytes())
 
 
-def _read_container(
-    path, version_key: str, version: int, config_key: str, blocks: int
-) -> tuple[dict, ModelConfig, list[dict]]:
-    """Inverse of ``_write_container`` for payloads of whole parameter blocks.
+def load_snapshot(path) -> tuple[ModelParams, int]:
+    """Inverse of ``save_snapshot``: the parameters, in the active element type, and the seed.
 
-    The header must hold ``version`` under ``version_key`` and the model
-    configuration under ``config_key``; the payload must hold exactly
-    ``blocks`` blocks of the tensors named by ``header["order"]``. Returns
-    the header, the model configuration, and each block as a
-    name -> float64 array dict.
+    The header must hold the supported ``format_version``, the model
+    configuration, the seed and an ``order`` naming each parameter once; the
+    payload must hold exactly those tensors.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -237,15 +238,18 @@ def _read_container(
         header = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
         raise SnapshotError(f"{path}: unreadable header ({err})") from err
-    found = header.get(version_key) if isinstance(header, dict) else None
-    if found != version:
-        raise SnapshotError(f"{path}: unsupported {version_key} {found!r} (expected {version})")
+    found = header.get("format_version") if isinstance(header, dict) else None
+    if found != SNAPSHOT_VERSION:
+        raise SnapshotError(f"{path}: unsupported format_version {found!r} (expected {SNAPSHOT_VERSION})")
     try:
-        config = ModelConfig(**header[config_key])
+        config = ModelConfig(**header["config"])
         order = list(header["order"])
-        shapes = [_shapes(config)[name] for name in order] * blocks
+        shapes = [_shapes(config)[name] for name in order]
+        seed = header["seed"]
     except (ValueError, KeyError, TypeError) as err:
         raise SnapshotError(f"{path}: unreadable header ({type(err).__name__}: {err})") from err
+    if sorted(order) != sorted(PARAM_ORDER):
+        raise SnapshotError(f"{path}: unreadable header (order {order} does not name each parameter once)")
     sizes = [math.prod(shape) for shape in shapes]
     expected = 8 * sum(sizes)
     if len(payload) != expected:
@@ -253,22 +257,5 @@ def _read_container(
         raise SnapshotError(f"{path}: payload {problem} ({len(payload)} bytes, expected {expected})")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     offsets = np.cumsum([0] + sizes)
-    arrays = [flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)]
-    n = len(order)
-    return header, config, [dict(zip(order, arrays[i * n : (i + 1) * n])) for i in range(blocks)]
-
-
-def save_snapshot(params: ModelParams, seed: int, path) -> None:
-    """Header JSON line, then the parameter tensors as little-endian float64."""
-    header = {
-        "format_version": SNAPSHOT_VERSION,
-        "config": asdict(params.config),
-        "seed": seed,
-        "order": list(PARAM_ORDER),
-    }
-    _write_container(path, header, (params.tensors[name].data for name in PARAM_ORDER))
-
-
-def load_snapshot(path) -> tuple[ModelParams, int]:
-    header, config, (values,) = _read_container(path, "format_version", SNAPSHOT_VERSION, "config", 1)
-    return ModelParams.from_values(config, values), header["seed"]
+    values = {name: flat[a:b].reshape(shape) for name, a, b, shape in zip(order, offsets, offsets[1:], shapes)}
+    return ModelParams.from_values(config, values), seed

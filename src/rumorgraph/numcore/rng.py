@@ -1,10 +1,10 @@
-"""Named, counter-based random substreams with serializable state.
+"""Named, counter-based random substreams.
 
 Every stochastic choice in the library (initialization, shuffling, dropout
 masks, edge removal, feature masking, synthetic data) draws from its own
 substream so that consuming one source of randomness never perturbs another.
 Substreams are Philox generators keyed by (master seed, stream name), which
-makes draws reproducible across platforms and restorable for resumed runs.
+makes draws reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -43,46 +43,6 @@ class RngStreams:
         if name in streams:
             return streams[name]
         raise AttributeError(f"no substream named {name!r}; expected one of {STREAM_NAMES}")
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the master seed and every substream."""
-        out: dict = {"master_seed": self.master_seed, "streams": {}}
-        for name, gen in self._generators.items():
-            out["streams"][name] = _state_to_jsonable(gen.bit_generator.state)
-        return out
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "RngStreams":
-        streams = cls(state["master_seed"])
-        for name, gen_state in state["streams"].items():
-            streams._generators[name].bit_generator.state = _state_from_jsonable(gen_state)
-        return streams
-
-
-def _state_to_jsonable(state: dict) -> dict:
-    out = {}
-    for key, value in state.items():
-        if isinstance(value, dict):
-            out[key] = _state_to_jsonable(value)
-        elif isinstance(value, np.ndarray):
-            out[key] = {"__ndarray__": value.tolist(), "dtype": value.dtype.name}
-        elif isinstance(value, (np.integer, np.floating)):
-            out[key] = value.item()
-        else:
-            out[key] = value
-    return out
-
-
-def _state_from_jsonable(state: dict) -> dict:
-    out = {}
-    for key, value in state.items():
-        if isinstance(value, dict) and "__ndarray__" in value:
-            out[key] = np.asarray(value["__ndarray__"], dtype=value["dtype"])
-        elif isinstance(value, dict):
-            out[key] = _state_from_jsonable(value)
-        else:
-            out[key] = value
-    return out
 
 
 def child_seed(master_seed: int, label: str) -> int:

@@ -121,7 +121,7 @@ def _generate_domain(spec: SynthSpec, role: str, count: int, gen) -> Dataset:
         _generate_event(spec, role, f"{role}-{i:04d}", labels[order[i]], gen)
         for i in range(count)
     ]
-    return Dataset(events=events, role=role)
+    return Dataset(events=events)
 
 
 def generate(spec: SynthSpec) -> tuple[Dataset, Dataset]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .model import (
     GraphBatch,
     ModelConfig,
     ModelParams,
-    _read_container,
-    _write_container,
     encode_batch,
     init_params,
 )
@@ -41,8 +39,6 @@ from .objectives import Batch, LossReport, ce_from_probs, joint, scl_cross, scl_
 from .propagation import PropagationGraph, build_graph
 
 log = logging.getLogger(__name__)
-
-STATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,6 @@ class TrainState:
     params: ModelParams
     optimizer: AdamWState
     streams: RngStreams
-    epoch: int = 0
-    best_score: float = -math.inf
-    best_values: dict = field(default_factory=dict)
-    epochs_since_improvement: int = 0
-    val_ids: list[str] = field(default_factory=list)
-    monitor: str = "val_macro_f1"
-    history: list[dict] = field(default_factory=list)
 
 
 # -- single optimization step -----------------------------------------------------
@@ -163,7 +152,6 @@ def train_step(
             [p.embedding for p in target_batch],
             [p.graph for p in target_batch],
             params,
-            "train",
             streams,
         )
         aug_probs = nc.softmax_rows(nc.matmul(aug_reps, params.wc) + params.bc)
@@ -283,7 +271,7 @@ class FitResult:
     params: ModelParams
     history: list[dict]
     best_score: float
-    state: TrainState
+    monitor: str
 
 
 def fit(
@@ -291,7 +279,6 @@ def fit(
     target_fold: list[PreparedEvent],
     cfg: TrainConfig,
     log_path=None,
-    resume_state: TrainState | None = None,
 ) -> FitResult:
     """Train on a target fold; early-stop on carved-validation macro-F1.
 
@@ -300,33 +287,28 @@ def fit(
     Returns the parameters of the best-scoring epoch.
     """
     with nc.precision(cfg.precision):
-        if resume_state is not None:
-            state = resume_state
-            by_id = {p.event.event_id: p for p in target_fold}
-            val = [by_id[eid] for eid in state.val_ids]
-        else:
-            streams = RngStreams(cfg.seed)
-            params = init_params(cfg.model, streams)
-            state = TrainState(
-                params=params,
-                optimizer=AdamWState(cfg.learning_rate, weight_decay=cfg.weight_decay),
-                streams=streams,
+        streams = RngStreams(cfg.seed)
+        state = TrainState(
+            params=init_params(cfg.model, streams),
+            optimizer=AdamWState(cfg.learning_rate, weight_decay=cfg.weight_decay),
+            streams=streams,
+        )
+        val = _carve_validation(target_fold, cfg.val_fraction, streams.shuffle)
+        monitor = "val_macro_f1" if val else "neg_train_loss"
+        if not val:
+            log.warning(
+                "target fold too small for a validation carve; monitoring training loss"
             )
-            val = _carve_validation(target_fold, cfg.val_fraction, streams.shuffle)
-            state.val_ids = [p.event.event_id for p in val]
-            state.monitor = "val_macro_f1" if val else "neg_train_loss"
-            state.best_values = state.params.copy_values()
-            if not val:
-                log.warning(
-                    "target fold too small for a validation carve; monitoring training loss"
-                )
-        held_out = set(state.val_ids)
+        held_out = {p.event.event_id for p in val}
         train_events = [p for p in target_fold if p.event.event_id not in held_out]
+        best_score = -math.inf
+        best_values = state.params.copy_values()
+        epochs_since_improvement = 0
+        history: list[dict] = []
 
-        log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+        log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
         try:
-            while state.epoch < cfg.max_epochs:
-                epoch = state.epoch + 1
+            for epoch in range(1, cfg.max_epochs + 1):
 
                 def step_logger(step, report, _epoch=epoch):
                     if log_fh:
@@ -339,80 +321,25 @@ def fit(
                     score = evaluate_prepared(val, state.params).macro_f1
                 else:
                     score = -float(np.mean([r.loss for r in reports]))
-                state.epoch = epoch
-                record = {"epoch": epoch, state.monitor: score}
-                state.history.append(record)
+                record = {"epoch": epoch, monitor: score}
+                history.append(record)
                 if log_fh:
                     log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-                if score > state.best_score:
-                    state.best_score = score
-                    state.best_values = state.params.copy_values()
-                    state.epochs_since_improvement = 0
+                if score > best_score:
+                    best_score = score
+                    best_values = state.params.copy_values()
+                    epochs_since_improvement = 0
                 else:
-                    state.epochs_since_improvement += 1
-                    if state.epochs_since_improvement >= cfg.patience:
+                    epochs_since_improvement += 1
+                    if epochs_since_improvement >= cfg.patience:
                         break
         finally:
             if log_fh:
                 log_fh.close()
 
-        best = ModelParams.from_values(cfg.model, state.best_values)
-        return FitResult(params=best, history=list(state.history), best_score=state.best_score, state=state)
-
-
-# -- state serialization ---------------------------------------------------------------
-
-
-def save_state(state: TrainState, cfg: TrainConfig, path) -> None:
-    """Single-file checkpoint in the snapshot container: a JSON header line,
-    then parameters, both AdamW moments and the best values as float64 blocks."""
-    order = list(state.params.tensors)
-    values = {name: t.data for name, t in state.params.tensors.items()}
-    zeros = {name: np.zeros_like(t.data) for name, t in state.params.tensors.items()}
-    blocks = (
-        values,
-        state.optimizer.m or zeros,
-        state.optimizer.v or zeros,
-        state.best_values,
-    )
-    header = {
-        "version": STATE_VERSION,
-        "model": asdict(cfg.model),
-        "epoch": state.epoch,
-        "best_score": state.best_score,
-        "epochs_since_improvement": state.epochs_since_improvement,
-        "val_ids": state.val_ids,
-        "monitor": state.monitor,
-        "history": state.history,
-        "optimizer": {
-            "learning_rate": state.optimizer.learning_rate,
-            "beta1": state.optimizer.beta1,
-            "beta2": state.optimizer.beta2,
-            "eps": state.optimizer.eps,
-            "weight_decay": state.optimizer.weight_decay,
-            "step_count": state.optimizer.step_count,
-        },
-        "rng": state.streams.state_dict(),
-        "order": order,
-    }
-    _write_container(path, header, (block[name] for block in blocks for name in order))
-
-
-def load_state(path) -> TrainState:
-    header, config, (values, m, v, best_values) = _read_container(path, "version", STATE_VERSION, "model", 4)
-    return TrainState(
-        params=ModelParams.from_values(config, values),
-        optimizer=AdamWState(**header["optimizer"], m=m, v=v),
-        streams=RngStreams.from_state_dict(header["rng"]),
-        epoch=header["epoch"],
-        best_score=header["best_score"],
-        best_values=best_values,
-        epochs_since_improvement=header["epochs_since_improvement"],
-        val_ids=list(header["val_ids"]),
-        monitor=header["monitor"],
-        history=list(header["history"]),
-    )
+        best = ModelParams.from_values(cfg.model, best_values)
+        return FitResult(params=best, history=history, best_score=best_score, monitor=monitor)
 
 
 # -- cross-validation -------------------------------------------------------------------
@@ -457,7 +384,6 @@ def cross_validate(
             log_path = None
             if out_dir is not None:
                 log_path = f"{out_dir}/fold{fold}_train_log.jsonl"
-                open(log_path, "w").close()
             result = fit(source, train_fold, fold_cfg, log_path=log_path)
             if snapshot_writer is not None:
                 snapshot_writer(fold, result)

@@ -64,8 +64,8 @@ def random_tree_event(gen: np.random.Generator, event_id: str, label: str, max_n
     return make_event(event_id, label, parents)
 
 
-def make_dataset(events, role="target") -> Dataset:
-    return Dataset(events=list(events), role=role)
+def make_dataset(events) -> Dataset:
+    return Dataset(events=list(events))
 
 
 def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:

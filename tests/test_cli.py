@@ -448,6 +448,21 @@ def _blocked_out_argv(inner):
     return build
 
 
+def _occupied_out_argv(mode: str, name: str):
+    """``train`` in protocol ``mode`` with a directory ``name`` in ``--out``, so that artifact cannot be written."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        record["protocol"]["mode"] = mode
+        config.write_text(json.dumps(record))
+        (tmp_path / "out" / name).mkdir(parents=True)
+        return argv + ["--out", str(tmp_path / "out")]
+
+    return build
+
+
 def _single_event_argv(tmp_path, data_dir, snapshot):
     """``export-features`` on a file holding the first event only."""
     path = tmp_path / "one.jsonl"
@@ -555,6 +570,12 @@ DEEP = b"[" * 100_000 + b"\n"
         (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),
         (_blocked_out_argv(_synth_argv({})), 1, "Not a directory"),
+        (_occupied_out_argv("single", "train_log.jsonl"), 1, "Is a directory"),
+        (_occupied_out_argv("single", "model.snapshot"), 1, "Is a directory"),
+        (_occupied_out_argv("single", "metrics.json"), 1, "Is a directory"),
+        (_occupied_out_argv("cv", "fold0_train_log.jsonl"), 1, "Is a directory"),
+        (_occupied_out_argv("cv", "fold1.snapshot"), 1, "Is a directory"),
+        (_occupied_out_argv("cv", "manifest.json"), 1, "Is a directory"),
         (_single_event_argv, 4, "at least two representation rows"),
         (_inference_argv("earlydetect", "--checkpoints", "2,nan", "--mode", "time"), 1, "checkpoint value nan"),
         (_inference_argv("earlydetect", "--checkpoints", "2,nan"), 1, "checkpoint value nan"),
@@ -592,6 +613,12 @@ DEEP = b"[" * 100_000 + b"\n"
         "earlydetect-out-not-creatable",
         "export-out-not-creatable",
         "synth-out-not-creatable",
+        "train-single-log-is-a-directory",
+        "train-single-snapshot-is-a-directory",
+        "train-single-metrics-is-a-directory",
+        "train-cv-log-is-a-directory",
+        "train-cv-snapshot-is-a-directory",
+        "train-cv-manifest-is-a-directory",
         "export-single-event",
         "earlydetect-nan-time-checkpoint",
         "earlydetect-nan-count-checkpoint",

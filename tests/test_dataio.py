@@ -159,7 +159,7 @@ def test_roundtrip_random_datasets(tmp_path_factory, seed, count):
     ds = make_dataset(events)
     path = tmp_path_factory.mktemp("roundtrip") / "events.jsonl"
     write_events(ds, path)
-    parsed = parse_events(path, role=ds.role)
+    parsed = parse_events(path)
     assert parsed.events == ds.events
 
 

@@ -221,8 +221,10 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: raw + bytes(8), "trailing bytes"),
         (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "unreadable header"),
         (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), r"unsupported format_version 9 \(expected 1\)$"),
+        (lambda raw: raw.replace(b'"seed"', b'"sead"'), r"unreadable header \(KeyError: 'seed'\)"),
+        (lambda raw: raw.replace(b', "bc"]', b"]")[:-16], "does not name each parameter once"),
     ],
-    ids=["short-blob", "partial-float", "trailing-byte", "trailing-float", "bad-header", "bad-version"],
+    ids=["short-blob", "partial-float", "trailing-byte", "trailing-float", "bad-header", "bad-version", "no-seed", "short-order"],
 )
 def test_damaged_snapshot_raises_typed_error(tmp_path, damage, message):
     path = tmp_path / "model.snapshot"

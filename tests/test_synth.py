@@ -34,7 +34,8 @@ def test_counts_and_balance():
     assert len(source.events) == 30 and len(target.events) == 20
     assert sum(e.label == "rumor" for e in source.events) == 15
     assert sum(e.label == "rumor" for e in target.events) == 10
-    assert source.role == "source" and target.role == "target"
+    assert all(e.event_id.startswith("source-") for e in source.events)
+    assert all(e.event_id.startswith("target-") for e in target.events)
 
 
 def test_generated_events_are_valid_trees():

@@ -1,4 +1,4 @@
-"""Training loop: step algebra, determinism, early stopping, resume, CV protocol."""
+"""Training loop: step algebra, determinism, early stopping, best-epoch selection, CV protocol."""
 
 import json
 import math
@@ -17,7 +17,6 @@ from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
-    SnapshotError,
     encode_batch,
     init_params,
     load_snapshot,
@@ -34,9 +33,7 @@ from rumorgraph.trainer import (
     cross_validate,
     evaluate_prepared,
     fit,
-    load_state,
     prepare_events,
-    save_state,
     train_epoch,
     train_step,
 )
@@ -201,7 +198,7 @@ def test_fit_patience_stops_and_epoch_cap_zero():
     cfg = _config(max_epochs=50, patience=1, learning_rate=0.0)
     result = fit(source, target, cfg)
     assert len(result.history) == 2  # stopped right after the second epoch
-    assert result.best_score == max(h[result.state.monitor] for h in result.history)
+    assert result.best_score == max(h[result.monitor] for h in result.history)
 
 
 def test_fit_best_snapshot_is_best_observed():
@@ -213,13 +210,25 @@ def test_fit_best_snapshot_is_best_observed():
     assert scores[0] <= result.best_score
 
 
+def test_fit_returns_the_best_epochs_parameters():
+    # a fit cut at the first best epoch ends on the parameters the full fit keeps
+    source, target = _mini_events(6, "s"), _mini_events(10, "t")
+    full = fit(source, target, _config(max_epochs=8, patience=8, val_fraction=0.0))
+    best_epoch = next(h["epoch"] for h in full.history if h[full.monitor] == full.best_score)
+    assert best_epoch < len(full.history)
+    cut = fit(source, target, _config(max_epochs=best_epoch, patience=8, val_fraction=0.0))
+    assert cut.best_score == full.best_score
+    for name, param in full.params.tensors.items():
+        assert param.data.tobytes() == cut.params.tensors[name].data.tobytes(), name
+
+
 def test_fit_small_fold_falls_back_to_loss_monitor(caplog):
     source = _mini_events(6, "s")
     target = _mini_events(2, "t")  # one event per class: no carve possible
     cfg = _config(max_epochs=1)
     with caplog.at_level("WARNING"):
         result = fit(source, target, cfg)
-    assert result.state.monitor == "neg_train_loss"
+    assert result.monitor == "neg_train_loss"
     assert any("validation carve" in r.message for r in caplog.records)
 
 
@@ -238,27 +247,8 @@ def test_fit_writes_step_and_epoch_log(tmp_path):
     assert {"epoch", "step", "l_ce_s", "l_scl_t", "l_tcl_t", "alpha", "tau"} <= set(step_records[0])
 
 
-def test_resume_is_bitwise_identical(tmp_path):
-    source, target = _mini_events(6, "s"), _mini_events(8, "t")
-    straight_cfg = _config(max_epochs=4, patience=10)
-    straight = fit(source, target, straight_cfg)
-
-    first_cfg = _config(max_epochs=2, patience=10)
-    first = fit(source, target, first_cfg)
-    save_state(first.state, first_cfg, tmp_path / "state.bin")
-    resumed_state = load_state(tmp_path / "state.bin")
-    resumed = fit(source, target, straight_cfg, resume_state=resumed_state)
-
-    for name, tensor in straight.state.params.tensors.items():
-        assert np.array_equal(tensor.data, resumed.state.params.tensors[name].data), name
-    for name in straight.state.best_values:
-        assert np.array_equal(straight.state.best_values[name], resumed.state.best_values[name])
-    assert straight.best_score == resumed.best_score
-    assert straight.state.epoch == resumed.state.epoch
-
-
 def test_only_a_fresh_fit_draws_initial_weights(tmp_path, monkeypatch):
-    # the best epoch's parameters, a loaded state and a loaded snapshot are built from their shapes
+    # the best epoch's parameters and a loaded snapshot are built from their shapes
     draws = []
     glorot_init = nc.glorot_init
     monkeypatch.setattr(nc, "glorot_init", lambda *args: draws.append(args[0]) or glorot_init(*args))
@@ -266,36 +256,15 @@ def test_only_a_fresh_fit_draws_initial_weights(tmp_path, monkeypatch):
     cfg = _config(max_epochs=1)
     first = fit(source, target, cfg)
     assert len(draws) == 3  # w0, w1 and wc
-    save_state(first.state, cfg, tmp_path / "state.bin")
     save_snapshot(first.params, seed=cfg.seed, path=tmp_path / "model.snapshot")
-    fit(source, target, _config(max_epochs=2), resume_state=load_state(tmp_path / "state.bin"))
     load_snapshot(tmp_path / "model.snapshot")
     assert len(draws) == 3
 
 
-@pytest.mark.parametrize(
-    "damage, message",
-    [
-        (lambda raw: raw[:-8], "truncated"),
-        (lambda raw: raw + bytes(8), "trailing bytes"),
-        (lambda raw: raw.replace(b'"version": 1', b'"version": 9'), r"unsupported version 9 \(expected 1\)$"),
-    ],
-    ids=["truncated", "trailing-bytes", "bad-version"],
-)
-def test_damaged_state_file_raises_typed_error(tmp_path, damage, message):
-    cfg = _config(max_epochs=1)
-    state = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg).state
-    path = tmp_path / "state.bin"
-    save_state(state, cfg, path)
-    path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(SnapshotError, match=message):
-        load_state(path)
-
-
 def test_precision_is_scoped_to_the_call():
     cfg = _config(max_epochs=1, precision="f32")
-    source = Dataset(events=[p.event for p in _mini_events(6, "s")], role="source")
-    target = Dataset(events=[p.event for p in _mini_events(8, "t")], role="target")
+    source = Dataset(events=[p.event for p in _mini_events(6, "s")])
+    target = Dataset(events=[p.event for p in _mini_events(8, "t")])
     provider = HashedProvider(dim=8)
     cross_validate(source, target, cfg, provider, provider, k=2)
     assert nc.active_dtype() == np.float64
