@@ -15,13 +15,13 @@ edges; no event's rows reach another's, and per-event pooling and claim
 lookups are index-based, so the batched pass computes the same function as
 event-at-a-time encoding.
 
-Each claim residual is built inside ``numcore.layer_norm``, which writes the
-layer's rows and their claims' rows straight into its own buffer, a block of
-rows at a time, and the dropout mask stays on the tape as a boolean array:
-per node row, a training encode keeps no gathered claim rows, no
-concatenation and no float mask. An evaluation encode under ``no_grad``
-keeps one buffer per normalization, since ``layer_norm`` writes its output
-over its normalized rows when no tape records it.
+Each convolution is one ``numcore.graph_conv`` node, the second taking the
+boolean dropout mask as an operand, and each claim residual is built inside
+``numcore.layer_norm`` straight into its own buffer, a block of rows at a
+time. Per node row, a training encode keeps no conv products or
+pre-activations, no masked rows, no gathered claim rows and no concatenation.
+An evaluation encode under ``no_grad`` keeps one buffer per normalization,
+since ``layer_norm`` writes its output over its normalized rows untaped.
 
 Parameters read from a snapshot, and the best epoch's parameters that
 ``fit`` returns, are built from their shapes (``ModelParams.from_values``)
@@ -190,13 +190,13 @@ def encode_batch(
     x = Tensor(np.asarray(batch.features, dtype=nc.active_dtype()))
     eps = cfg.layer_norm_eps
 
-    h1 = nc.relu(nc.spmm(batch.mixing, nc.matmul(x, params.w0)) + params.b0)
+    h1 = nc.graph_conv(batch.mixing, x, params.w0, params.b0)
     h1_tilde = nc.layer_norm(h1, x, batch.claim_index, params.ln1_gain, params.ln1_bias, eps)
+    keep = None
     if mode == "train" and cfg.dropout > 0.0:
         # mask-and-zero: survivors are not rescaled
-        h1_tilde = nc.mask(h1_tilde, streams.dropout.random(h1_tilde.shape) >= cfg.dropout)
-
-    h2 = nc.relu(nc.spmm(batch.mixing, nc.matmul(h1_tilde, params.w1)) + params.b1)
+        keep = streams.dropout.random(h1_tilde.shape) >= cfg.dropout
+    h2 = nc.graph_conv(batch.mixing, h1_tilde, params.w1, params.b1, keep)
     h2_tilde = nc.layer_norm(h2, h1, batch.claim_index, params.ln2_gain, params.ln2_bias, eps)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     probs = nc.softmax_rows(nc.matmul(reps, params.wc) + params.bc)

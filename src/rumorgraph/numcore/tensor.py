@@ -5,8 +5,8 @@ record themselves on an implicit tape (each result keeps its parents and a
 local gradient rule); ``Tensor.backward`` replays the tape in reverse
 topological order exactly once per node. The visit order is a pure function
 of graph structure, so gradients are bitwise reproducible run to run.
-``spmm`` multiplies a tensor by a constant sparse symmetric
-``NeighborOperator``.
+``graph_conv`` is a whole graph-convolution layer over a constant sparse
+symmetric ``NeighborOperator``, taped as one node.
 
 ``Tensor.backward`` drops each interior node's gradient as soon as its rule
 has passed it on, so only leaves (nodes without a rule, such as parameters)
@@ -16,7 +16,7 @@ node by stopping its walk there.
 A backward rule skips the gradient product of an operand that needs no
 gradient. It writes in place only into buffers it has just allocated, never
 into its upstream gradient ``g``, an operand's ``.data`` or an array its
-closure keeps (``layer_norm``'s normalized rows, ``relu``'s mask, ``exp``'s
+closure keeps (``layer_norm``'s normalized rows, ``graph_conv``'s mask, ``exp``'s
 output): ``_unbroadcast`` can return ``g`` itself, so a node's ``grad`` may
 alias its parent's. A forward kernel may likewise overwrite a buffer it has
 just allocated once nothing will read it again: untaped, ``layer_norm``
@@ -345,26 +345,34 @@ class NeighborOperator:
         return out
 
 
-def spmm(op: NeighborOperator, y) -> Tensor:
-    """Product ``op @ y`` with a constant operator; ``op`` is symmetric, so the backward applies it again."""
-    y = as_tensor(y)
-    data = op.apply(y.data)
+def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
+    """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
+
+    A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead, as ``mask`` would. One
+    tape node keeps only the output and the relu mask; backward forms ``x * keep`` again. It runs
+    the numpy operations of ``mask``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so
+    values and gradients match those five ops' bit for bit.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"cannot multiply shapes {x.data.shape} and {w.data.shape}")
+    pre = op.apply((x.data if keep is None else x.data * keep) @ w.data) + b.data
+    mask = pre > 0.0
+    # np.where, not pre *= mask, which would turn negative entries into -0.0
+    data = np.where(mask, pre, 0.0)
 
     def backward(g):
-        _accumulate(y, op.apply(g))
+        g = g * mask
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad or w.requires_grad:
+            g = op.apply(g)
+            if x.requires_grad:
+                _accumulate(x, g @ w.data.T if keep is None else (g @ w.data.T) * keep)
+            if w.requires_grad:
+                _accumulate(w, (x.data if keep is None else x.data * keep).T @ g)
 
-    return _make(data, (y,), backward)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0.0
-    data = np.where(mask, x.data, 0.0)
-
-    def backward(g):
-        _accumulate(x, g * mask)
-
-    return _make(data, (x,), backward)
+    return _make(data, (x, w, b), backward)
 
 
 def mask(x, keep: np.ndarray) -> Tensor:
@@ -540,9 +548,10 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
     sums from block to block as the leading row of the next block's sum:
     numpy's axis-0 sum of a C-contiguous array at least two columns wide adds
     its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
-    carried sums equal the whole-array sums bit for bit. It finishes the input gradient only for the blocks that need one;
-    the gathered block's gradient adds row k into row ``index[k]`` of
-    ``source``, in the order ``np.add.at`` would.
+    carried sums equal the whole-array sums bit for bit. It finishes each
+    block's input gradient in a block scratch and keeps only the columns of
+    ``h`` or ``source`` that need one; the gathered block's gradient adds row k
+    into row ``index[k]`` of ``source``, in the order ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
     idx = np.asarray(index, dtype=np.intp)
@@ -575,9 +584,8 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
 
     def backward(g):
         needs_input = h.requires_grad or source.requires_grad
-        term = np.empty_like(normalized) if needs_input else None
-        # the row means need every column; the rest only the blocks that get a gradient
         cols = slice(None if h.requires_grad else split, None if source.requires_grad else split)
+        term, scratch_rows = np.empty_like(normalized[:, cols]), np.empty_like(normalized[:step])
         for k, (rows, inv_std) in enumerate(blocks):
             x, gb = normalized[rows], g[rows]
             if k == 0:
@@ -598,7 +606,7 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
                 bias_sum = lead.sum(axis=0)
             if not needs_input:
                 continue
-            t = term[rows]
+            t = scratch_rows[: len(x)]
             np.multiply(gb, gain.data, out=t)
             np.multiply(t, x, out=tmp)
             proj = tmp.mean(axis=1, keepdims=True)
@@ -606,13 +614,13 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
             t, scratch = t[:, cols], tmp[:, cols]
             np.multiply(x[:, cols], proj, out=scratch)
             t -= scratch
-            t *= inv_std
+            np.multiply(t, inv_std, out=term[rows])
         _accumulate(gain, gain_sum)
         _accumulate(bias, bias_sum)
-        if needs_input:
+        if h.requires_grad:
             _accumulate(h, term[:, :split])
         if source.requires_grad:
-            _accumulate(source, _scatter_rows(term[:, split:], idx, source.data))
+            _accumulate(source, _scatter_rows(term[:, split:] if h.requires_grad else term, idx, source.data))
 
     return _make(data, parents, backward)
 

@@ -81,6 +81,13 @@ def mixing_of(*graphs: PropagationGraph) -> np.ndarray:
     return GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], list(graphs)).mixing.apply(np.eye(total))
 
 
+def forest_operator(parents: list) -> nc.NeighborOperator:
+    """The propagation operator of one graph whose node ``i > 0`` replies to ``parents[i - 1]``, or to none if None."""
+    edges = tuple(sorted((p, i + 1) for i, p in enumerate(parents) if p is not None))
+    graph = PropagationGraph(len(parents) + 1, edges)
+    return GraphBatch.from_events([np.zeros((graph.n, 1))], [graph]).mixing
+
+
 def permute_graph(graph: PropagationGraph, perm: np.ndarray) -> PropagationGraph:
     """The same topology with node ``i`` taken from node ``perm[i]`` of ``graph``."""
     new = np.argsort(perm)

@@ -11,10 +11,12 @@ keeps, which early detection's prefixes of prepared events must match;
 ``layer_norm``, ``gather_rows`` and ``adamw_step`` are the straightforward
 kernels (``np.var``, ``np.add.at``, out-of-place moments) whose bytes the
 in-place ones in ``rumorgraph.numcore`` must reproduce; ``claim_layer_norm``
-(``layer_norm`` of ``concat_cols`` and ``gather_rows``), ``float_mask``,
-``backward`` and ``grad_wrt`` are the encoder composition and tape walk that
-the fused claim residual, the boolean dropout mask and the backward pass that
-frees interior gradients must match byte for byte.
+(``layer_norm`` of ``concat_cols`` and ``gather_rows``), ``graph_conv``
+(``relu`` of ``add`` of ``spmm`` of ``matmul``, of ``float_mask`` with a keep
+mask), ``float_mask``, ``backward`` and ``grad_wrt`` are the encoder
+composition and tape walk that the fused claim residual, the fused
+convolution with its boolean dropout mask, ``numcore.mask`` and the backward
+pass that frees interior gradients must match byte for byte.
 """
 
 import math
@@ -24,7 +26,17 @@ import numpy as np
 
 from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
-from rumorgraph.numcore import AdamWState, Tensor, TrainingStepError, active_dtype, clear_grads, fnv1a64
+from rumorgraph.numcore import (
+    AdamWState,
+    NeighborOperator,
+    Tensor,
+    TrainingStepError,
+    active_dtype,
+    add,
+    clear_grads,
+    fnv1a64,
+    matmul,
+)
 from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
@@ -262,6 +274,34 @@ def concat_cols(a, b) -> Tensor:
 def claim_layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
     """``numcore.layer_norm`` as three tape nodes: gather the claim rows, concatenate, normalize."""
     return layer_norm(concat_cols(h, gather_rows(source, index)), gain, bias, eps)
+
+
+def spmm(op: NeighborOperator, y) -> Tensor:
+    """Product ``op @ y`` with a constant operator; ``op`` is symmetric, so the backward applies it again."""
+    y = as_tensor(y)
+    data = op.apply(y.data)
+
+    def backward(g):
+        _accumulate(y, op.apply(g))
+
+    return _make(data, (y,), backward)
+
+
+def relu(x) -> Tensor:
+    x = as_tensor(x)
+    mask = x.data > 0.0
+    data = np.where(mask, x.data, 0.0)
+
+    def backward(g):
+        _accumulate(x, g * mask)
+
+    return _make(data, (x,), backward)
+
+
+def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
+    """``numcore.graph_conv`` as four tape nodes, ``relu(op @ (x @ w) + b)``, after a ``float_mask`` node given ``keep``."""
+    x = x if keep is None else float_mask(x, keep)
+    return relu(add(spmm(op, matmul(x, w)), b))
 
 
 def float_mask(x, keep: np.ndarray) -> Tensor:

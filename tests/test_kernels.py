@@ -2,9 +2,10 @@
 
 ``layer_norm`` (which gathers and joins the claim rows itself, a block of
 rows at a time), the row scatter of its backward and ``adamw_step`` reuse
-buffers and, for the scatter, reorder the work; each must still give the
-same values and gradients as the composition in ``tests.oracles`` at f64
-and at f32, whatever the block size.
+buffers and, for the scatter, reorder the work; ``graph_conv`` runs a whole
+convolution layer as one tape node. Each must still give the same values and
+gradients as the composition in ``tests.oracles`` at f64 and at f32,
+whatever the block size.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ from rumorgraph import numcore as nc
 from rumorgraph.numcore import AdamWState, Tensor, adamw_step, tensor
 from rumorgraph.numcore.tensor import _scatter_rows
 from tests import oracles
+from tests.conftest import forest_operator
 
 PRECISIONS = st.sampled_from(["f64", "f32"])
 DTYPES = {"f64": np.float64, "f32": np.float32}
@@ -137,6 +139,96 @@ def test_untaped_layer_norm_keeps_one_output_buffer():
             tracemalloc.stop()
     assert out.data.nbytes == output_bytes
     assert peak < output_bytes + 1_000_000
+
+
+def test_layer_norm_backward_keeps_only_the_columns_that_get_a_gradient():
+    # 2,000 rows of 64 + 768 columns at f64; as in the encoder's first layer,
+    # only h gets a gradient. Its 1.0 MB, the block scratch and the gain and
+    # bias sums peak at 1.9 MB; finishing every column of every row in one
+    # (n, d) buffer read 13.9 MB.
+    gen = np.random.default_rng(1)
+    h, source = nc.parameter(gen.normal(size=(2000, 64)), "h"), Tensor(gen.normal(size=(100, 768)))
+    index = np.repeat(np.arange(100), 20)
+    gain, bias = nc.parameter(np.ones(832), "gain"), nc.parameter(np.zeros(832), "bias")
+    out = nc.layer_norm(h, source, index, gain, bias, 1e-5)
+    upstream = gen.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._backward(upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.grad.shape == (2000, 64) and source.grad is None
+    assert peak < h.grad.nbytes + 1_500_000
+
+
+def _check_graph_conv(precision, op, x, w, b, upstream, keep=None):
+    runs = []
+    with nc.precision(precision):
+        for conv in (nc.graph_conv, oracles.graph_conv):
+            for x_trainable in (True, False):
+                operands = [nc.parameter(x.copy(), "x") if x_trainable else Tensor(x.copy())]
+                operands += [nc.parameter(w.copy(), "w"), nc.parameter(b.copy(), "b")]
+                out = conv(op, *operands, keep)
+                nc.sum_all(out * Tensor(upstream)).backward()
+                runs.append((out.data, [t.grad for t in operands]))
+    for (got, got_grads), (want, want_grads) in zip(runs[:2], runs[2:]):
+        assert _same_bytes(got, want)
+        for a, c in zip(got_grads, want_grads):
+            assert (a is None and c is None) or _same_bytes(a, c)
+
+
+@given(st.data(), PRECISIONS, st.integers(1, 4), st.integers(1, 4))
+def test_graph_conv_matches_the_oracle_bitwise(data, precision, width, out_width):
+    dtype = DTYPES[precision]
+    parents = []
+    for i in range(data.draw(st.integers(0, 7))):
+        parents.append(data.draw(st.one_of(st.none(), st.integers(0, i))))
+    rows = len(parents) + 1
+    x = data.draw(_values(dtype, (rows, width)))
+    w = data.draw(_values(dtype, (width, out_width), bound=4.0))
+    b = data.draw(_values(dtype, (out_width,)))
+    upstream = data.draw(_values(dtype, (rows, out_width), bound=4.0))
+    keep = data.draw(st.one_of(st.none(), hnp.arrays(np.bool_, (rows, width))))
+    _check_graph_conv(precision, forest_operator(parents), x, w, b, upstream, keep)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_graph_conv_relu_writes_positive_zeros(precision):
+    # node 2 has no edges and a zero feature row, so its pre-activations are
+    # 0.0 + b: two exact zeros and -1.5. All three come out +0.0, where
+    # pre * mask would write -0.0 for the negative one
+    dtype = DTYPES[precision]
+    x = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 0.0]], dtype=dtype)
+    w = np.array([[1.0, -1.0, 2.0], [-0.5, 0.25, 1.0]], dtype=dtype)
+    b = np.array([0.0, -0.0, -1.5], dtype=dtype)
+    upstream = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0], [2.0, 2.0, 2.0]], dtype=dtype)
+    op = forest_operator([0, None])
+    with nc.precision(precision):
+        out = nc.graph_conv(op, Tensor(x), nc.parameter(w, "w"), nc.parameter(b, "b"))
+    assert _same_bytes(out.data[2], np.zeros(3, dtype=dtype))
+    _check_graph_conv(precision, op, x, w, b, upstream)
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_taped_graph_conv_keeps_its_output_and_mask(dropout):
+    # 2,000 rows of 64 -> 256 columns at f64: the output is 4.1 MB and the
+    # relu mask 0.5 MB. The four-node composition also kept x @ w, its
+    # product with the operator and the pre-activation: 16.9 MB in all, and
+    # a dropout mask node another 1.0 MB of masked rows.
+    gen = np.random.default_rng(2)
+    op = forest_operator([i // 3 for i in range(1999)])
+    x = nc.parameter(gen.normal(size=(2000, 64)), "x")
+    w, b = nc.parameter(gen.normal(size=(64, 256)), "w"), nc.parameter(gen.normal(size=256), "b")
+    keep = gen.random(x.shape) >= 0.2 if dropout else None
+    tracemalloc.start()
+    try:
+        out = nc.graph_conv(op, x, w, b, keep)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept < out.data.nbytes + out.data.size + 100_000
 
 
 @given(st.data(), PRECISIONS, st.integers(1, 6), st.integers(0, 4))

@@ -109,37 +109,46 @@ def test_spmm_matches_dense_oracle():
     graphs, op = _mixed_operator()
     y = np.random.default_rng(4).normal(size=(sum(g.n for g in graphs), 5))
     oracle = _block_diagonal([normalized_reference(dense_adjacency(g)) for g in graphs])
-    assert np.max(np.abs(nc.spmm(op, Tensor(y)).data - oracle @ y)) <= 1e-15
+    assert np.max(np.abs(op.apply(y) - oracle @ y)) <= 1e-15
 
 
-def test_spmm_backward_matches_finite_differences():
+@pytest.mark.parametrize("dropout", [False, True])
+def test_graph_conv_backward_matches_finite_differences(dropout):
     graphs, op = _mixed_operator()
     gen = np.random.default_rng(5)
-    y = nc.parameter(gen.normal(size=(sum(g.n for g in graphs), 3)), "y")
-    weights = Tensor(gen.normal(size=y.shape))
+    x = nc.parameter(gen.normal(size=(sum(g.n for g in graphs), 3)), "x")
+    w = nc.parameter(gen.normal(size=(3, 4)), "w")
+    b = nc.parameter(gen.normal(size=4), "b")
+    weights = Tensor(gen.normal(size=(x.shape[0], 4)))
+    keep = gen.random(x.shape) >= 0.3 if dropout else None
 
     def build():
-        out = nc.spmm(op, y)
+        out = nc.graph_conv(op, x, w, b, keep)
         return nc.sum_all(out * out * weights)
 
+    pre = op.apply((x.data if keep is None else x.data * keep) @ w.data) + b.data
+    assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3  # both sides, clear of the kink
     visited = build().backward()
-    analytic = y.grad.copy()
+    analytic = [x.grad.copy(), w.grad.copy(), b.grad.copy()]
     nc.clear_grads(visited)
-    numeric = finite_diff_grad(lambda: float(build().data), [y])[0]
-    assert relative_error(analytic, numeric) < 1e-6
+    numeric = finite_diff_grad(lambda: float(build().data), [x, w, b])
+    for got, want in zip(analytic, numeric):
+        assert relative_error(got, want) < 1e-6
 
 
-def test_spmm_keeps_float32_and_checks_rows():
+def test_graph_conv_keeps_float32_and_checks_rows():
     graphs, op = _mixed_operator()
     rows = sum(g.n for g in graphs)
+    gen = np.random.default_rng(6)
     with nc.precision("f32"):
-        y = nc.parameter(np.random.default_rng(6).normal(size=(rows, 4)), "y")
-        out = nc.spmm(op, y)
+        x = nc.parameter(gen.normal(size=(rows, 4)), "x")
+        w, b = nc.parameter(gen.normal(size=(4, 2)), "w"), nc.parameter(gen.normal(size=2), "b")
+        out = nc.graph_conv(op, x, w, b)
         nc.sum_all(out * out).backward()
     assert out.data.dtype == np.float32
-    assert y.grad.dtype == np.float32
+    assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
     with pytest.raises(nc.ShapeError, match=f"{rows}-row operator"):
-        nc.spmm(op, Tensor(np.zeros((rows + 1, 4))))
+        nc.graph_conv(op, Tensor(np.zeros((rows + 1, 4))), w, b)
 
 
 def test_permutation_equivariance_exact():
