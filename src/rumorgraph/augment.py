@@ -53,10 +53,7 @@ def adversarial(rep: Tensor, grad: np.ndarray, epsilon: float) -> Tensor:
     The direction is a constant: gradients keep flowing through the original
     representation, not through the perturbation.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.ndim == 1:
-        grad = grad[None, :]
-    return rep + Tensor(epsilon * _normalized_rows(grad))
+    return rep + Tensor(epsilon * _normalized_rows(np.asarray(grad, dtype=np.float64)))
 
 
 def feature_dropout(rep: Tensor, rate: float, gen: np.random.Generator) -> Tensor:

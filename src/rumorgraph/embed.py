@@ -19,9 +19,6 @@ import numpy as np
 from .dataio import Event, Post
 from .numcore import fnv1a64
 
-ENCODER_DIM = 768  # output width of the frozen sentence encoder
-
-
 class EmbeddingError(ValueError):
     """Embedding file malformed or a post could not be resolved."""
 
@@ -55,9 +52,8 @@ class HashedProvider:
     state is kept at module level.
     """
 
-    def __init__(self, dim: int, seed: int = 0):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.seed = seed
         self._slots: dict[str, tuple[int, float]] = {}
 
     def vector_for(self, post: Post) -> np.ndarray:
@@ -66,7 +62,7 @@ class HashedProvider:
         for token in tokenize(post.text):
             slot = slots.get(token)
             if slot is None:
-                h = fnv1a64(token.encode("utf-8"), seed=self.seed)
+                h = fnv1a64(token.encode("utf-8"))
                 slot = slots[token] = (h % self.dim, -1.0 if (h >> 63) & 1 else 1.0)
             vec[slot[0]] += slot[1]
         norm = np.linalg.norm(vec)

@@ -56,8 +56,11 @@ class ModelConfig:
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("d_in", "d_hidden", "d_out", "classes"):
-            if getattr(self, name) < 1:
+        for name in ("d_in", "d_hidden", "d_out", "classes", "layers"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float size cannot slice a snapshot; bool is an int subclass
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.layers != 2:
             raise ValueError(f"layers must be 2, the only supported depth, got {self.layers}")

@@ -93,14 +93,10 @@ def parse_run_config(record: dict) -> RunConfig:
             raise ConfigError(f"field {key}: required")
 
     model = dataclass_from_json(ModelConfig, record["model"], ConfigError, "model")
-    augment = None
+    given = {key: record.get(key, getattr(TrainConfig, key)) for key in ("seed", "precision")}
     if "augment" in record:
-        augment = dataclass_from_json(AugmentStrategy, record["augment"], ConfigError, "augment")
-    training = record.get("training", {})
-    if augment is None and training.get("tcl_enabled", True):
-        augment = AugmentStrategy(kind="graph_dropedge")
-    top = {key: record.get(key, getattr(TrainConfig, key)) for key in ("seed", "precision")}
-    train = dataclass_from_json(TrainConfig, training, ConfigError, "training", model=model, augment=augment, **top)
+        given["augment"] = dataclass_from_json(AugmentStrategy, record["augment"], ConfigError, "augment")
+    train = dataclass_from_json(TrainConfig, record.get("training", {}), ConfigError, "training", model=model, **given)
 
     paths = record["paths"]
     _check_json(paths, dict.fromkeys(_PATH_KEYS, "str"), ConfigError, "paths")

@@ -2,7 +2,8 @@
 
 One optimization step pairs a source mini-batch with a target mini-batch:
 both are encoded, target events get augmented views, the four loss terms are
-blended, and one AdamW update is applied. An epoch walks every target
+blended, and one AdamW update is applied. A step returns the value of each
+term as its log record, which ``fit`` writes to the train log. An epoch walks every target
 mini-batch and, inside it, every source mini-batch. Training on a target
 fold carves a small stratified validation subset and early-stops on its
 macro-F1. Cross-validation trains on each fold in turn (the small portion)
@@ -35,7 +36,7 @@ from .model import (
     init_params,
 )
 from .numcore import AdamWState, RngStreams, Tensor, TrainingStepError, adamw_step, child_seed
-from .objectives import Batch, LossReport, ce_from_probs, joint, scl_cross, scl_source, tcl
+from .objectives import ce_from_probs, joint, scl_cross, scl_source, tcl
 from .propagation import PropagationGraph, build_graph
 
 log = logging.getLogger(__name__)
@@ -53,7 +54,7 @@ class TrainConfig:
     patience: int = 10
     val_fraction: float = 0.1
     weight_decay: float = 0.0
-    augment: AugmentStrategy | None = None
+    augment: AugmentStrategy | None = AugmentStrategy("graph_dropedge")
     tcl_enabled: bool = True
     tcl_include_positive: bool = False
     seed: int = 0
@@ -131,15 +132,20 @@ def train_step(
     target_batch: list[PreparedEvent],
     state: TrainState,
     cfg: TrainConfig,
-) -> LossReport:
-    """Encode both batches, blend the objectives, and apply one update."""
+) -> dict:
+    """Encode both batches, blend the objectives, and apply one update.
+
+    Returns the step's log record: the value of every loss term (``l_ce_s``,
+    ``l_ce_t``, ``l_scl_s``, ``l_scl_t``, ``l_tcl_t``), of the joint losses
+    (``l_s``, ``l_t``, ``l``) and the ``alpha`` and ``tau`` they used.
+    """
     if not source_batch or not target_batch:
         raise ValueError("both batches must be non-empty")
     params = state.params
     streams = state.streams
 
-    src_result = encode_batch(_batch_of(source_batch), params, mode="train", streams=streams)
-    tgt_result = encode_batch(_batch_of(target_batch), params, mode="train", streams=streams)
+    source = encode_batch(_batch_of(source_batch), params, mode="train", streams=streams)
+    target = encode_batch(_batch_of(target_batch), params, mode="train", streams=streams)
     src_labels = _labels_of(source_batch)
     tgt_labels = _labels_of(target_batch)
 
@@ -147,7 +153,7 @@ def train_step(
     if cfg.tcl_enabled:
         aug_reps = augment_batch(
             cfg.augment,
-            tgt_result,
+            target,
             tgt_labels,
             [p.embedding for p in target_batch],
             [p.graph for p in target_batch],
@@ -156,24 +162,19 @@ def train_step(
         )
         aug_probs = nc.softmax_rows(nc.matmul(aug_reps, params.wc) + params.bc)
 
-    source = Batch(reps=src_result.reps, labels=src_labels, probs=src_result.probs)
-    target = Batch(reps=tgt_result.reps, labels=tgt_labels, probs=tgt_result.probs, aug_reps=aug_reps)
-
-    ce_s = ce_from_probs(source.probs, source.labels)
+    ce_s = ce_from_probs(source.probs, src_labels)
     if aug_probs is not None:
         # augmented views also feed the target classification term
-        ce_t = ce_from_probs(
-            nc.concat_rows(target.probs, aug_probs), np.concatenate([tgt_labels, tgt_labels])
-        )
+        ce_t = ce_from_probs(nc.concat_rows(target.probs, aug_probs), np.concatenate([tgt_labels, tgt_labels]))
     else:
-        ce_t = ce_from_probs(target.probs, target.labels)
+        ce_t = ce_from_probs(target.probs, tgt_labels)
 
     # terms with an exactly-zero blend weight are left out of the graph
     if cfg.alpha > 0.0:
-        scl_s = scl_source(source, cfg.tau)
-        scl_t = scl_cross(target, source, cfg.tau)
+        scl_s = scl_source(source.reps, src_labels, cfg.tau)
+        scl_t = scl_cross(target.reps, tgt_labels, source.reps, src_labels, cfg.tau)
         tcl_t = (
-            tcl(target, cfg.tau, include_positive=cfg.tcl_include_positive)
+            tcl(target.reps, aug_reps, cfg.tau, include_positive=cfg.tcl_include_positive)
             if cfg.tcl_enabled
             else Tensor(0.0)
         )
@@ -182,21 +183,12 @@ def train_step(
 
     loss_s, loss_t, total = joint(ce_s, scl_s, ce_t, scl_t, tcl_t, cfg.alpha)
 
-    report = LossReport(
-        ce_source=ce_s.item(),
-        ce_target=ce_t.item(),
-        scl_source=scl_s.item(),
-        scl_target=scl_t.item(),
-        tcl_target=tcl_t.item(),
-        loss_source=loss_s.item(),
-        loss_target=loss_t.item(),
-        loss=total.item(),
-        alpha=cfg.alpha,
-        tau=cfg.tau,
-    )
-    for name, value in report.to_dict().items():
-        if isinstance(value, float) and not math.isfinite(value):
+    terms = dict(l_ce_s=ce_s, l_ce_t=ce_t, l_scl_s=scl_s, l_scl_t=scl_t, l_tcl_t=tcl_t, l_s=loss_s, l_t=loss_t, l=total)
+    record = {name: t.item() for name, t in terms.items()}
+    for name, value in record.items():
+        if not math.isfinite(value):
             raise TrainingStepError(f"non-finite loss term {name} = {value}")
+    record.update(alpha=cfg.alpha, tau=cfg.tau)
 
     visited = total.backward()
     grads = {
@@ -205,7 +197,7 @@ def train_step(
     }
     adamw_step(state.optimizer, params.tensors, grads)
     nc.clear_grads(visited)
-    return report
+    return record
 
 
 # -- epochs and fitting --------------------------------------------------------------
@@ -222,23 +214,23 @@ def train_epoch(
     state: TrainState,
     cfg: TrainConfig,
     step_logger=None,
-) -> list[LossReport]:
-    """All (target batch, source batch) pairs: ceil(Nt/bt) * ceil(M/bs) steps."""
+) -> list[dict]:
+    """All (target batch, source batch) pairs: ceil(Nt/bt) * ceil(M/bs) steps; one log record each."""
     if not source or not target:
         raise ValueError("datasets must be non-empty")
     gen = state.streams.shuffle
     target_batches = _batches(target, gen.permutation(len(target)), cfg.target_batch_size)
     source_batches = _batches(source, gen.permutation(len(source)), cfg.source_batch_size)
-    reports = []
+    records = []
     step = 0
     for target_batch in target_batches:
         for source_batch in source_batches:
-            report = train_step(source_batch, target_batch, state, cfg)
+            record = train_step(source_batch, target_batch, state, cfg)
             if step_logger is not None:
-                step_logger(step, report)
-            reports.append(report)
+                step_logger(step, record)
+            records.append(record)
             step += 1
-    return reports
+    return records
 
 
 def _carve_validation(
@@ -310,17 +302,15 @@ def fit(
         try:
             for epoch in range(1, cfg.max_epochs + 1):
 
-                def step_logger(step, report, _epoch=epoch):
+                def step_logger(step, record, _epoch=epoch):
                     if log_fh:
-                        record = {"epoch": _epoch, "step": step}
-                        record.update(report.to_dict())
-                        log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                        log_fh.write(json.dumps({"epoch": _epoch, "step": step, **record}, sort_keys=True) + "\n")
 
-                reports = train_epoch(source, train_events, state, cfg, step_logger)
+                records = train_epoch(source, train_events, state, cfg, step_logger)
                 if val:
                     score = evaluate_prepared(val, state.params).macro_f1
                 else:
-                    score = -float(np.mean([r.loss for r in reports]))
+                    score = -float(np.mean([r["l"] for r in records]))
                 record = {"epoch": epoch, monitor: score}
                 history.append(record)
                 if log_fh:

@@ -1,8 +1,11 @@
 """Direct-evaluation oracles the tests hold the vectorized code to.
 
 The loss-term oracles for ``rumorgraph.objectives`` are plain Python over
-scalar cosine similarities; the propagation oracles build a graph's dense
-adjacency and its normalization entry by entry; ``param_count`` is the
+scalar cosine similarities; ``scl_source`` and ``scl_cross`` are the two
+supervised contrastive terms as separate tape compositions, whose values
+and gradients the shared kernel must reproduce byte for byte; the
+propagation oracles build a graph's dense adjacency and its normalization
+entry by entry; ``param_count`` is the
 model's closed-form parameter count; ``tokenize_reference`` and
 ``hashed_embed_reference`` are the character-loop tokenizer and the uncached
 signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
@@ -24,6 +27,7 @@ import re
 
 import numpy as np
 
+from rumorgraph import numcore as nc
 from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
 from rumorgraph.numcore import (
@@ -38,7 +42,7 @@ from rumorgraph.numcore import (
     matmul,
 )
 from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
-from rumorgraph.objectives import PROB_FLOOR, SimilarityError
+from rumorgraph.objectives import PROB_FLOOR, SimilarityError, similarity_matrix
 from rumorgraph.propagation import PropagationGraph
 
 
@@ -93,6 +97,40 @@ def scl_cross_reference(
             inner += -math.log(math.exp(sim(reps_t[i], reps_s[j], tau)) / denom)
         total += inner / len(positives)
     return total / n_t
+
+
+def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
+    """``objectives.scl_source`` spelled out on its own, as before the shared kernel."""
+    n = len(labels)
+    if n < 2:
+        return Tensor(0.0)
+    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+    off_diag = 1.0 - np.eye(n)
+    positives = same * off_diag
+    pos_counts = positives.sum(axis=1)
+    weights = np.where(pos_counts > 0, 1.0 / (n * np.maximum(pos_counts, 1.0)), 0.0)
+
+    s = similarity_matrix(reps, reps, tau)
+    denom = nc.sum_rows(nc.exp(s) * Tensor(off_diag))
+    log_prob = s - nc.log(denom)
+    weighted = log_prob * Tensor(positives) * Tensor(weights[:, None])
+    return nc.sum_all(weighted) * -1.0
+
+
+def scl_cross(
+    target_reps: Tensor, target_labels: np.ndarray, source_reps: Tensor, source_labels: np.ndarray, tau: float
+) -> Tensor:
+    """``objectives.scl_cross`` spelled out on its own, as before the shared kernel."""
+    n_t = len(target_labels)
+    matches = (target_labels[:, None] == source_labels[None, :]).astype(np.float64)
+    pos_counts = matches.sum(axis=1)
+    weights = np.where(pos_counts > 0, 1.0 / (n_t * np.maximum(pos_counts, 1.0)), 0.0)
+
+    s = similarity_matrix(target_reps, source_reps, tau)
+    denom = nc.sum_rows(nc.exp(s))
+    log_prob = s - nc.log(denom)
+    weighted = log_prob * Tensor(matches) * Tensor(weights[:, None])
+    return nc.sum_all(weighted) * -1.0
 
 
 def tcl_reference(
@@ -185,11 +223,11 @@ def tokenize_reference(text: str) -> list[str]:
     return tokens
 
 
-def hashed_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndarray:
+def hashed_embed_reference(text: str, dim: int) -> np.ndarray:
     """Each token adds its sign (hash bit 63) to bucket fnv1a(token) mod dim; then L2-normalize."""
     vec = np.zeros(dim, dtype=np.float64)
     for token in tokenize_reference(text):
-        h = fnv1a64(token.encode("utf-8"), seed=seed)
+        h = fnv1a64(token.encode("utf-8"))
         sign = -1.0 if (h >> 63) & 1 else 1.0
         vec[h % dim] += sign
     norm = np.linalg.norm(vec)

@@ -47,20 +47,20 @@ def test_strategy_validation():
 
 def test_adversarial_zero_gradient_is_identity():
     rep = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    shifted = adversarial(rep, np.zeros(3), 0.5)
+    shifted = adversarial(rep, np.zeros((1, 3)), 0.5)
     assert np.array_equal(shifted.data, rep.data)
 
 
 def test_adversarial_shift_has_magnitude_epsilon():
     rep = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    shifted = adversarial(rep, np.array([0.3, -0.4, 0.0]), 0.7)
+    shifted = adversarial(rep, np.array([[0.3, -0.4, 0.0]]), 0.7)
     assert np.linalg.norm(shifted.data - rep.data) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_adversarial_quadratic_example():
     # L(o) = |o|^2 / 2 at o=(3,4): gradient (3,4), normalized (0.6, 0.8)
     rep = Tensor(np.array([[3.0, 4.0]]))
-    shifted = adversarial(rep, np.array([3.0, 4.0]), 1.0)
+    shifted = adversarial(rep, np.array([[3.0, 4.0]]), 1.0)
     assert np.allclose(shifted.data, [[3.6, 4.8]])
     assert 0.5 * np.sum(shifted.data**2) > 0.5 * np.sum(rep.data**2)
 

@@ -25,8 +25,8 @@ from tests.oracles import dense_adjacency, normalized_reference, param_count
 TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
 
-def _prepared(event, dim=6, seed=0):
-    return embed_event(event, HashedProvider(dim=dim, seed=seed)).rows, build_graph(event)
+def _prepared(event, dim=6):
+    return embed_event(event, HashedProvider(dim=dim)).rows, build_graph(event)
 
 
 def _encode_one(x, graph, params, mode="eval", streams=None):
@@ -223,8 +223,23 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), r"unsupported format_version 9 \(expected 1\)$"),
         (lambda raw: raw.replace(b'"seed"', b'"sead"'), r"unreadable header \(KeyError: 'seed'\)"),
         (lambda raw: raw.replace(b', "bc"]', b"]")[:-16], "does not name each parameter once"),
+        (lambda raw: raw.replace(b'"d_in": 6', b'"d_in": 6.0'), r"d_in must be an integer, got 6\.0"),
+        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 2.0'), r"classes must be an integer, got 2\.0"),
+        (lambda raw: raw.replace(b'"d_out": 4', b'"d_out": true'), "d_out must be an integer, got True"),
     ],
-    ids=["short-blob", "partial-float", "trailing-byte", "trailing-float", "bad-header", "bad-version", "no-seed", "short-order"],
+    ids=[
+        "short-blob",
+        "partial-float",
+        "trailing-byte",
+        "trailing-float",
+        "bad-header",
+        "bad-version",
+        "no-seed",
+        "short-order",
+        "float-d_in",
+        "float-classes",
+        "bool-d_out",
+    ],
 )
 def test_damaged_snapshot_raises_typed_error(tmp_path, damage, message):
     path = tmp_path / "model.snapshot"

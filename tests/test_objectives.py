@@ -1,14 +1,20 @@
 """Loss terms: vectorized implementations vs direct-summation references,
-hand-computed anchors, bounds, and gradient checks."""
+the shared supervised kernel vs the separate tape compositions byte for
+byte, hand-computed anchors, bounds, and gradient checks."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rumorgraph import numcore as nc
+from rumorgraph import objectives
 from rumorgraph.numcore import Tensor
-from rumorgraph.objectives import Batch, SimilarityError, ce_from_probs, joint, scl_cross, scl_source, tcl
+from rumorgraph.objectives import SimilarityError, ce_from_probs, joint, scl_cross, scl_source, tcl
+from tests import oracles
 from tests.gradcheck import finite_diff_grad, relative_error
 from tests.oracles import (
     ce_reference,
@@ -23,16 +29,8 @@ U = np.array([1.0, 0.0])
 V = np.array([0.0, 1.0])
 
 
-def _batch(reps, labels, aug=None):
-    reps = np.asarray(reps, dtype=np.float64)
-    n = reps.shape[0]
-    probs = np.full((n, 2), 0.5)
-    return Batch(
-        reps=nc.parameter(reps, "reps"),
-        labels=np.asarray(labels),
-        probs=Tensor(probs),
-        aug_reps=nc.parameter(np.asarray(aug, dtype=np.float64), "aug") if aug is not None else None,
-    )
+def _reps(rows, name="reps"):
+    return nc.parameter(np.asarray(rows, dtype=np.float64), name)
 
 
 # -- sim ---------------------------------------------------------------------------
@@ -93,68 +91,60 @@ def test_ce_floor_guards_zero_probability():
 def test_scl_source_anchor_value():
     # o1 = o2 = u, o3 orthogonal, labels (A, A, B), tau=1:
     # two anchors contribute -log(e/(e+1)) each, the loner contributes 0
-    batch = _batch([U, U, V], [0, 0, 1])
     expected = (2.0 / 3.0) * math.log(1.0 + math.exp(-1.0))
     assert expected == pytest.approx(0.2088411250121486, abs=1e-12)
-    assert scl_source(batch, 1.0).item() == pytest.approx(expected, abs=1e-5)
+    assert scl_source(_reps([U, U, V]), np.array([0, 0, 1]), 1.0).item() == pytest.approx(expected, abs=1e-5)
 
 
 def test_scl_source_no_positives_zero():
-    batch = _batch([U, V], [0, 1])
-    assert scl_source(batch, 1.0).item() == 0.0
+    assert scl_source(_reps([U, V]), np.array([0, 1]), 1.0).item() == 0.0
 
 
 def test_scl_source_two_twins_zero():
-    batch = _batch([U, U], [1, 1])
-    assert scl_source(batch, 1.0).item() == pytest.approx(0.0, abs=1e-12)
+    assert scl_source(_reps([U, U]), np.array([1, 1]), 1.0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scl_source_small_batch_warns(caplog):
     with caplog.at_level("WARNING"):
-        value = scl_source(_batch([U], [0]), 1.0).item()
+        value = scl_source(_reps([U]), np.array([0]), 1.0).item()
     assert value == 0.0
     assert any("size 1" in r.message for r in caplog.records)
 
 
 def test_scl_cross_anchor_value():
-    target = _batch([U], [0])
-    source = _batch([U, V], [0, 1])
     expected = -math.log(math.e / (math.e + 1.0))
     assert expected == pytest.approx(0.31326, abs=1e-5)
-    assert scl_cross(target, source, 1.0).item() == pytest.approx(expected, abs=1e-5)
+    value = scl_cross(_reps([U]), np.array([0]), _reps([U, V]), np.array([0, 1]), 1.0).item()
+    assert value == pytest.approx(expected, abs=1e-5)
 
 
 def test_scl_cross_label_absent_and_exact_duplicate():
-    target = _batch([U], [1])
-    source = _batch([U, V], [0, 0])
-    assert scl_cross(target, source, 1.0).item() == 0.0
-    single = _batch([U], [0])
-    assert scl_cross(_batch([U], [0]), single, 1.0).item() == pytest.approx(0.0, abs=1e-12)
+    assert scl_cross(_reps([U]), np.array([1]), _reps([U, V]), np.array([0, 0]), 1.0).item() == 0.0
+    assert scl_cross(_reps([U]), np.array([0]), _reps([U]), np.array([0]), 1.0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tcl_anchor_value():
-    batch = _batch([U, V], [0, 1], aug=[U, V])
     expected = math.log(2.0) - 1.0
     assert expected == pytest.approx(-0.30685, abs=1e-5)
-    assert tcl(batch, 1.0).item() == pytest.approx(expected, abs=1e-5)
+    assert tcl(_reps([U, V]), _reps([U, V], "aug"), 1.0).item() == pytest.approx(expected, abs=1e-5)
 
 
 def test_tcl_all_orthogonal_closed_form():
     eye = np.eye(8)
-    batch = _batch(eye[:3], [0, 1, 0], aug=eye[3:6])
-    assert tcl(batch, 1.0).item() == pytest.approx(math.log(2 * (3 - 1)), abs=1e-10)
+    value = tcl(_reps(eye[:3]), _reps(eye[3:6], "aug"), 1.0).item()
+    assert value == pytest.approx(math.log(2 * (3 - 1)), abs=1e-10)
 
 
 def test_tcl_single_sample_skipped(caplog):
     with caplog.at_level("WARNING"):
-        value = tcl(_batch([U], [0], aug=[U]), 1.0).item()
+        value = tcl(_reps([U]), _reps([U], "aug"), 1.0).item()
     assert value == 0.0
 
 
 def test_tcl_include_positive_flag():
-    batch = _batch([U, V], [0, 1], aug=[U, V])
-    as_printed = tcl(batch, 1.0).item()
-    standard = tcl(batch, 1.0, include_positive=True).item()
+    reps, aug = _reps([U, V]), _reps([U, V], "aug")
+    as_printed = tcl(reps, aug, 1.0).item()
+    standard = tcl(reps, aug, 1.0, include_positive=True).item()
     # adding the positive back makes the denominator larger: e + 2 instead of 2
     assert standard == pytest.approx(-math.log(math.e / (math.e + 2.0)), abs=1e-10)
     assert standard > as_printed
@@ -199,8 +189,7 @@ def test_losses_match_references_on_100_random_batches():
     gen = np.random.default_rng(2024)
     for _ in range(100):
         reps_s, labels_s, reps_t, labels_t, aug_t, tau = _random_case(gen)
-        source = _batch(reps_s, labels_s)
-        target = _batch(reps_t, labels_t, aug=aug_t)
+        source, target, aug = _reps(reps_s), _reps(reps_t), _reps(aug_t, "aug")
 
         probs = np.abs(gen.normal(size=(len(labels_s), 2))) + 1e-3
         probs /= probs.sum(axis=1, keepdims=True)
@@ -209,46 +198,85 @@ def test_losses_match_references_on_100_random_batches():
         ) < 1e-10
 
         assert abs(
-            scl_source(source, tau).item() - scl_source_reference(reps_s, labels_s, tau)
+            scl_source(source, labels_s, tau).item() - scl_source_reference(reps_s, labels_s, tau)
         ) < 1e-10
         assert abs(
-            scl_cross(target, source, tau).item()
+            scl_cross(target, labels_t, source, labels_s, tau).item()
             - scl_cross_reference(reps_t, labels_t, reps_s, labels_s, tau)
         ) < 1e-10
         for include in (False, True):
             assert abs(
-                tcl(target, tau, include_positive=include).item()
+                tcl(target, aug, tau, include_positive=include).item()
                 - tcl_reference(reps_t, aug_t, tau, include_positive=include)
             ) < 1e-10
+
+
+# -- the shared supervised kernel vs the separate compositions, byte for byte ------------
+
+
+def _signed_away_from_zero(dtype):
+    width = 32 if dtype is np.float32 else 64
+    magnitude = st.floats(0.125, 8.0, width=width)
+    return st.one_of(magnitude, magnitude.map(lambda v: -v))
+
+
+def _value_and_grads(term, arrays):
+    """``term``'s loss bytes and the bytes of each representation's gradient."""
+    reps = [nc.parameter(a.copy(), f"reps{i}") for i, a in enumerate(arrays)]
+    loss = term(*reps)
+    loss.backward()
+    return loss.data.tobytes(), [None if r.grad is None else r.grad.tobytes() for r in reps]
+
+
+@given(st.data(), st.sampled_from(["f64", "f32"]))
+def test_supervised_terms_match_the_separate_oracles_bitwise(data, precision):
+    dtype = {"f64": np.float64, "f32": np.float32}[precision]
+    # up to 16 anchors: pairs such as n = 13, count = 3 arise, where 1 / (n * count)
+    # and (1 / n) / count round differently
+    n_s, n_t = (data.draw(st.integers(2, 16)) for _ in range(2))
+    d = data.draw(st.integers(2, 6))
+    reps_s = data.draw(hnp.arrays(dtype, (n_s, d), elements=_signed_away_from_zero(dtype)))
+    reps_t = data.draw(hnp.arrays(dtype, (n_t, d), elements=_signed_away_from_zero(dtype)))
+    labels_s = data.draw(hnp.arrays(np.intp, n_s, elements=st.integers(0, 2)))
+    labels_t = data.draw(hnp.arrays(np.intp, n_t, elements=st.integers(0, 2)))
+    tau = data.draw(st.floats(0.1, 2.0))
+
+    def source_term(impl):
+        return _value_and_grads(lambda r: impl.scl_source(r, labels_s, tau), [reps_s])
+
+    def cross_term(impl):
+        return _value_and_grads(lambda t, s: impl.scl_cross(t, labels_t, s, labels_s, tau), [reps_t, reps_s])
+
+    with nc.precision(precision):
+        assert source_term(objectives) == source_term(oracles)
+        assert cross_term(objectives) == cross_term(oracles)
 
 
 def test_loss_bounds_on_random_batches():
     gen = np.random.default_rng(7)
     for _ in range(50):
         reps_s, labels_s, reps_t, labels_t, aug_t, tau = _random_case(gen)
-        source = _batch(reps_s, labels_s)
-        target = _batch(reps_t, labels_t, aug=aug_t)
-        assert scl_source(source, tau).item() >= 0.0
-        assert scl_cross(target, source, tau).item() >= 0.0
+        source, target, aug = _reps(reps_s), _reps(reps_t), _reps(aug_t, "aug")
+        assert scl_source(source, labels_s, tau).item() >= 0.0
+        assert scl_cross(target, labels_t, source, labels_s, tau).item() >= 0.0
         probs = np.full((len(labels_s), 2), 0.5)
         assert ce_from_probs(Tensor(probs), labels_s).item() >= 0.0
         bound = 2.0 / tau + math.log(2 * (len(labels_t) - 1))
-        assert abs(tcl(target, tau).item()) <= bound + 1e-9
+        assert abs(tcl(target, aug, tau).item()) <= bound + 1e-9
 
 
 def test_loss_gradients_match_finite_differences():
     gen = np.random.default_rng(99)
     reps_s, labels_s, reps_t, labels_t, aug_t, _ = _random_case(gen, n_max=5, d_max=4)
     tau = 0.5
-    source = _batch(reps_s, labels_s)
-    target = _batch(reps_t, labels_t, aug=aug_t)
-    tensors = [source.reps, target.reps, target.aug_reps]
+    source, target, aug = _reps(reps_s), _reps(reps_t), _reps(aug_t, "aug")
+    tensors = [source, target, aug]
 
     builders = {
-        "scl_source": lambda: scl_source(source, tau),
-        "scl_cross": lambda: scl_cross(target, source, tau),
-        "tcl": lambda: tcl(target, tau),
-        "tcl_incl": lambda: tcl(target, tau, include_positive=True),
+        "scl_source": lambda: scl_source(source, labels_s, tau),
+        "scl_cross": lambda: scl_cross(target, labels_t, source, labels_s, tau),
+        "tcl": lambda: tcl(target, aug, tau),
+        "tcl_incl": lambda: tcl(target, aug, tau, include_positive=True),
     }
     for name, build in builders.items():
         loss = build()
@@ -279,6 +307,5 @@ def test_ce_gradient_matches_finite_differences():
 
 
 def test_zero_vector_representation_raises():
-    batch = _batch([[0.0, 0.0], [1.0, 0.0]], [0, 0])
     with pytest.raises(SimilarityError):
-        scl_source(batch, 1.0)
+        scl_source(_reps([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), 1.0)

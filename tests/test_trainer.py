@@ -25,6 +25,7 @@ from rumorgraph.model import (
 from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step, tensor
 from rumorgraph.objectives import ce_from_probs
 from rumorgraph.propagation import build_graph
+from rumorgraph.runconfig import _PATH_KEYS, parse_run_config
 from rumorgraph.synth import SynthSpec, generate
 from rumorgraph.trainer import (
     PreparedEvent,
@@ -87,18 +88,16 @@ def test_train_step_zero_lr_keeps_params_and_reports():
     cfg = _config(learning_rate=0.0)
     state = _fresh_state(cfg)
     before = state.params.copy_values()
-    report = train_step(_mini_events(3, "s"), _mini_events(2, "t"), state, cfg)
+    record = train_step(_mini_events(3, "s"), _mini_events(2, "t"), state, cfg)
     for name, param in state.params.tensors.items():
         assert np.array_equal(param.data, before[name])
-    assert math.isfinite(report.loss)
-    assert report.alpha == cfg.alpha
+    assert math.isfinite(record["l"])
+    assert record["alpha"] == cfg.alpha
     # reported blend obeys the stated relation
-    assert report.loss == pytest.approx((report.loss_source + report.loss_target) / 2, abs=1e-12)
-    assert report.loss_source == pytest.approx(
-        0.5 * report.ce_source + 0.5 * report.scl_source, abs=1e-12
-    )
-    assert report.loss_target == pytest.approx(
-        0.5 * report.ce_target + 0.5 * (report.scl_target + report.tcl_target), abs=1e-12
+    assert record["l"] == pytest.approx((record["l_s"] + record["l_t"]) / 2, abs=1e-12)
+    assert record["l_s"] == pytest.approx(0.5 * record["l_ce_s"] + 0.5 * record["l_scl_s"], abs=1e-12)
+    assert record["l_t"] == pytest.approx(
+        0.5 * record["l_ce_t"] + 0.5 * (record["l_scl_t"] + record["l_tcl_t"]), abs=1e-12
     )
 
 
@@ -285,8 +284,7 @@ def test_f32_step_agrees_with_f64():
     for name in ("f64", "f32"):
         with nc.precision(name):
             state = _fresh_state(cfg)
-            report = train_step(source, target, state, cfg)
-            runs[name] = report.to_dict(), state.params.copy_values()
+            runs[name] = train_step(source, target, state, cfg), state.params.copy_values()
     (report64, params64), (report32, params32) = runs["f64"], runs["f32"]
     assert params32["w0"].dtype == np.float32
     for term, value in report64.items():
@@ -373,7 +371,7 @@ def test_training_reduces_loss_on_separable_batches():
     state = _fresh_state(cfg)
     losses = []
     for _ in range(50):
-        losses.append(train_step(source, target, state, cfg).loss)
+        losses.append(train_step(source, target, state, cfg)["l"])
     assert np.mean(losses) < losses[0]
     assert losses[-1] < losses[0]
 
@@ -418,6 +416,14 @@ def test_config_validation():
         _config(tcl_enabled=True, augment=None)
     cfg = _config(tcl_enabled=False, augment=None, alpha=0.3)
     assert cfg.augment is None
+
+
+def test_default_augmentation_is_dropedge_in_code_and_config():
+    assert TrainConfig(TINY).augment == AugmentStrategy("graph_dropedge")
+    record = {"paths": dict.fromkeys(_PATH_KEYS, "unused"), "model": {"d_in": 8}}
+    assert parse_run_config(record).train.augment == AugmentStrategy("graph_dropedge")
+    record["augment"] = {"kind": "adversarial"}
+    assert parse_run_config(record).train.augment == AugmentStrategy("adversarial")
 
 
 def test_evaluate_prepared_accuracy():
