@@ -7,6 +7,9 @@ representations), and synth (generate the two-domain synthetic benchmark).
 
 Commands that produce artifacts write them under ``--out`` together with a
 ``manifest.json`` listing the files and a hash of the effective config.
+
+Exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training
+failed, 4 degenerate projection. Every failure prints an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .evalkit import (
 )
 from .model import load_snapshot, save_snapshot
 from .numcore import TrainingStepError
+from .objectives import SimilarityError
 from .runconfig import ConfigError, config_hash, load_run_config
 from .synth import SynthSpec, SynthSpecError, generate
 from .trainer import cross_validate, early_detection, fit, prepare_events
@@ -126,15 +130,16 @@ def cmd_train(args) -> int:
             result = fit(source, target, run.train, log_path=out_dir / log_name)
             save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
             files.extend(["model.snapshot", log_name])
-            metrics = {"best_score": result.best_score, "history": result.history}
+            # with no epoch run there is no best score, and -inf is not JSON
+            metrics = {"best_score": result.best_score if result.history else None, "history": result.history}
         with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
+            json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         files.append("metrics.json")
         _write_manifest(out_dir, files, run.raw)
     except (DatasetError, EmbeddingError, OSError) as err:
         return _fail(str(err), 1)
-    except TrainingStepError as err:
+    except (TrainingStepError, SimilarityError) as err:
         return _fail(str(err), 3)
     print(f"artifacts written to {out_dir}")
     return 0
@@ -261,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumorgraph",
         description="Contrastive transfer training over rumor propagation graphs",
+        epilog="exit codes: 0 ok, 1 input or IO error, 2 config or spec error, "
+        "3 training failed, 4 degenerate projection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -71,14 +71,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    assignment: dict[str, int]  # event_id -> fold index
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [eid for eid, f in self.assignment.items() if f == fold]
-
-
-@dataclass(frozen=True)
 class CheckpointSpec:
     mode: str  # elapsed_time | post_count
     values: tuple[float, ...]  # strictly ascending; math.inf means unbounded
@@ -231,8 +223,8 @@ def write_events(dataset: Dataset, path) -> None:
 # -- fold splitting ------------------------------------------------------------
 
 
-def split_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
-    """Assign every event to one of k folds, stratified by label."""
+def split_folds(dataset: Dataset, k: int, seed: int) -> dict[str, int]:
+    """Assign every event to one of k folds, stratified by label: event_id -> fold."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     gen = RngStreams(seed).shuffle
@@ -248,7 +240,7 @@ def split_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
         order = gen.permutation(len(ids))
         for slot, idx in enumerate(order):
             assignment[ids[idx]] = slot % k
-    return FoldPlan(assignment=assignment)
+    return assignment
 
 
 # -- detection checkpoints ------------------------------------------------------

@@ -7,13 +7,14 @@ layer-normalizes the result. The event representation is the column-wise
 mean of the final node states, and a single affine head plus softmax
 produces class probabilities.
 
-Several events are encoded in one pass by stacking their node features.
-``GraphBatch.from_events`` builds the operator once per batch, straight from
-the graphs' reply edges, as a sparse neighbor-list operator
-(``numcore.NeighborOperator``) whose time and memory grow with nodes plus
-edges; no event's rows reach another's, and per-event pooling and claim
-lookups are index-based, so the batched pass computes the same function as
-event-at-a-time encoding.
+Several events are encoded in one pass by stacking their node features, so
+each event is a segment of consecutive rows whose first row is its claim;
+``GraphBatch.sizes`` lists the segment lengths, and it is all that the
+claim lookups and the per-event pooling read. ``GraphBatch.from_events``
+builds the operator once per batch, straight from the graphs' reply edges,
+as a sparse neighbor-list operator (``numcore.NeighborOperator``) whose time
+and memory grow with nodes plus edges; no event's rows reach another's, so
+the batched pass computes the same function as event-at-a-time encoding.
 
 Each convolution is one ``numcore.graph_conv`` node, the second taking the
 boolean dropout mask as an operand, and each claim residual is built inside
@@ -143,7 +144,6 @@ class GraphBatch:
     sizes: list[int]
     features: np.ndarray  # (sum(sizes), d_in)
     mixing: nc.NeighborOperator  # D^{-1/2} (A + I) D^{-1/2} of every graph, built from the edges
-    claim_index: np.ndarray  # per node, the global row of its event's claim
 
     @classmethod
     def from_events(cls, embeddings: list[np.ndarray], graphs: list[PropagationGraph]) -> "GraphBatch":
@@ -164,8 +164,7 @@ class GraphBatch:
         cols = np.concatenate([loops, pairs[:, 1], pairs[:, 0]])
         inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=total))
         mixing = nc.NeighborOperator(inv_sqrt, rows, cols)
-        claim_index = np.repeat(offsets, sizes)
-        return cls(sizes=sizes, features=features, mixing=mixing, claim_index=claim_index)
+        return cls(sizes=sizes, features=features, mixing=mixing)
 
 
 @dataclass
@@ -194,13 +193,13 @@ def encode_batch(
     eps = cfg.layer_norm_eps
 
     h1 = nc.graph_conv(batch.mixing, x, params.w0, params.b0)
-    h1_tilde = nc.layer_norm(h1, x, batch.claim_index, params.ln1_gain, params.ln1_bias, eps)
+    h1_tilde = nc.layer_norm(h1, x, batch.sizes, params.ln1_gain, params.ln1_bias, eps)
     keep = None
     if mode == "train" and cfg.dropout > 0.0:
         # mask-and-zero: survivors are not rescaled
         keep = streams.dropout.random(h1_tilde.shape) >= cfg.dropout
     h2 = nc.graph_conv(batch.mixing, h1_tilde, params.w1, params.b1, keep)
-    h2_tilde = nc.layer_norm(h2, h1, batch.claim_index, params.ln2_gain, params.ln2_bias, eps)
+    h2_tilde = nc.layer_norm(h2, h1, batch.sizes, params.ln2_gain, params.ln2_bias, eps)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     probs = nc.softmax_rows(nc.matmul(reps, params.wc) + params.bc)
     return EncodeResult(node_states=h2_tilde, reps=reps, probs=probs)

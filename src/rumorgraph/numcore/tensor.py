@@ -6,7 +6,11 @@ local gradient rule); ``Tensor.backward`` replays the tape in reverse
 topological order exactly once per node. The visit order is a pure function
 of graph structure, so gradients are bitwise reproducible run to run.
 ``graph_conv`` is a whole graph-convolution layer over a constant sparse
-symmetric ``NeighborOperator``, taped as one node.
+symmetric ``NeighborOperator``, taped as one node. ``layer_norm`` and
+``segment_mean`` see their rows as consecutive segments given by the
+segment sizes alone (a segment's first row is its claim), and both sum
+segments with one kernel, ``_segment_sums``, which adds each segment's rows
+in order.
 
 ``Tensor.backward`` drops each interior node's gradient as soon as its rule
 has passed it on, so only leaves (nodes without a rule, such as parameters)
@@ -439,47 +443,37 @@ def concat_rows(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The gradient of ``like[idx]`` under ``g``: row k of ``g`` added into row ``idx[k]``.
+def _segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row sums of consecutive segments: (sum(sizes), ...) -> (len(sizes), ...).
 
-    np.add.at(full, idx, g) adds g's rows one at a time in index order. The
-    same sums in the same order: stable-sort the indices into runs of equal
-    rows, longest run first, then add the k-th row of every run still live in
-    one slab, starting from zeros as np.add.at does.
+    Each segment's rows are added in order starting from +0.0, as np.add.at
+    and numpy's axis-0 sum of a C-contiguous array at least two columns wide
+    do. Segments are taken longest first, so the k-th row of every segment
+    still live is added in one slab.
     """
-    full = np.zeros_like(like)
-    if idx.size:
-        rows = np.where(idx < 0, idx + len(full), idx)
-        order = np.argsort(rows, kind="stable")
-        ordered = rows[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        lengths = np.diff(np.append(starts, len(ordered)))
-        longest_first = np.argsort(-lengths, kind="stable")
-        starts, lengths = starts[longest_first], lengths[longest_first]
-        live = np.searchsorted(-lengths, -np.arange(lengths[0]))
-        acc = np.zeros((len(starts),) + full.shape[1:], dtype=full.dtype)
-        for k, n in enumerate(live):
-            acc[:n] += g[order[starts[:n] + k]]
-        full[ordered[starts]] = acc
-    return full
+    order = np.argsort(-sizes, kind="stable")
+    first = (np.cumsum(sizes) - sizes)[order]
+    live = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
+    acc = np.zeros((len(sizes),) + x.shape[1:], dtype=x.dtype)
+    for k, n in enumerate(live):
+        acc[:n] += x[first[:n] + k]
+    sums = np.empty_like(acc)
+    sums[order] = acc
+    return sums
 
 
 def segment_mean(x, sizes: Sequence[int]) -> Tensor:
     """Mean over consecutive row segments: (sum(sizes), d) -> (len(sizes), d)."""
     x = as_tensor(x)
-    sizes = list(sizes)
-    if sum(sizes) != x.data.shape[0]:
-        raise ShapeError(f"segment sizes {sizes} do not cover {x.data.shape[0]} rows")
-    offsets = np.cumsum([0] + sizes)
-    data = np.empty((len(sizes), x.data.shape[1]), dtype=x.data.dtype)
-    for i, n in enumerate(sizes):
-        data[i] = x.data[offsets[i] : offsets[i + 1]].mean(axis=0)
+    counts = np.asarray(sizes, dtype=np.intp)
+    if counts.sum() != x.data.shape[0]:
+        raise ShapeError(f"segment sizes {counts.tolist()} do not cover {x.data.shape[0]} rows")
+    data = _segment_sums(x.data, counts)
+    # np.mean's division: by an intp count, cast back to the sums' dtype
+    np.true_divide(data, counts[:, None], out=data, casting="unsafe")
 
     def backward(g):
-        full = np.empty_like(x.data)
-        for i, n in enumerate(sizes):
-            full[offsets[i] : offsets[i + 1]] = g[i] / n
-        _accumulate(x, full)
+        _accumulate(x, np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0))
 
     return _make(data, (x,), backward)
 
@@ -518,10 +512,12 @@ def softmax_rows(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
-    """Row-wise standardization of ``[h | source[index]]`` (population
-    variance, eps under the root), then an affine map by ``gain`` and ``bias``
-    shared across rows.
+def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tensor:
+    """Row-wise standardization of each row of ``h`` joined with its segment's
+    claim, the segment's first row of ``source`` (population variance, eps
+    under the root), then an affine map by ``gain`` and ``bias`` shared across
+    rows. ``h`` and ``source`` hold the same consecutive row segments, segment
+    i ``sizes[i]`` rows long.
 
     Both blocks are written straight into the buffer that becomes the
     normalized rows, so neither the gathered rows nor their concatenation
@@ -535,25 +531,30 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
     its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
     carried sums equal the whole-array sums bit for bit. It finishes each
     block's input gradient in a block scratch and keeps only the columns of
-    ``h`` or ``source`` that need one; the gathered block's gradient adds row k
-    into row ``index[k]`` of ``source``, in the order ``np.add.at`` would.
+    ``h`` or ``source`` that need one; each claim's gradient is the sum of its
+    segment's rows of the joined block's gradient, added in row order as
+    ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
-    idx = np.asarray(index, dtype=np.intp)
-    if h.data.ndim != 2 or source.data.ndim != 2 or idx.shape != (h.data.shape[0],):
-        raise ShapeError(f"cannot join rows of {h.data.shape} to {idx.shape} rows of {source.data.shape}")
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    n = sizes.sum()
+    rows_match = h.data.ndim == source.data.ndim == 2 and h.data.shape[0] == source.data.shape[0] == n
+    if not rows_match or (sizes < 1).any():
+        raise ShapeError(f"cannot join rows of {h.data.shape} and {source.data.shape} in segments {sizes}")
+    idx = np.repeat(starts, sizes)
     split = h.data.shape[1]
     d = split + source.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
     parents = (h, source, gain, bias)
     taped = _taped(parents)
-    normalized = np.empty((len(idx), d), dtype=np.result_type(h.data, source.data))
+    normalized = np.empty((n, d), dtype=np.result_type(h.data, source.data))
     # untaped, no backward reads the normalized rows, so the output overwrites them
     data = np.empty_like(normalized) if taped else normalized
     step = max(1, _BLOCK_BYTES // (d * normalized.itemsize))
     blocks = []  # (rows, their inverse standard deviations)
-    for start in range(0, max(len(idx), 1), step):
+    for start in range(0, max(n, 1), step):
         rows = slice(start, start + step)
         x, y = normalized[rows], data[rows]
         x[:, :split] = h.data[rows]
@@ -605,7 +606,9 @@ def layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
         if h.requires_grad:
             _accumulate(h, term[:, :split])
         if source.requires_grad:
-            _accumulate(source, _scatter_rows(term[:, split:] if h.requires_grad else term, idx, source.data))
+            full = np.zeros_like(source.data)
+            full[starts] = _segment_sums(term[:, split:] if h.requires_grad else term, sizes)
+            _accumulate(source, full)
 
     return _make(data, parents, backward)
 

@@ -191,11 +191,7 @@ def train_step(
     record.update(alpha=cfg.alpha, tau=cfg.tau)
 
     visited = total.backward()
-    grads = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.tensors.items()
-    }
-    adamw_step(state.optimizer, params.tensors, grads)
+    adamw_step(state.optimizer, params.tensors, {name: t.grad for name, t in params.tensors.items()})
     nc.clear_grads(visited)
     return record
 
@@ -360,16 +356,15 @@ def cross_validate(
 ) -> CVResult:
     """Few-shot protocol: train on each fold (the small slice), test on the rest."""
     with nc.precision(cfg.precision):
-        plan = split_folds(target_ds, k, cfg.seed)
+        assignment = split_folds(target_ds, k, cfg.seed)
         source = prepare_events(source_ds.events, source_provider)
         target = prepare_events(target_ds.events, target_provider)
         by_id = {p.event.event_id: p for p in target}
 
         fold_metrics = []
         for fold in range(k):
-            train_ids = set(plan.fold_ids(fold))
-            train_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id in train_ids]
-            test_fold = [by_id[e.event_id] for e in target_ds.events if e.event_id not in train_ids]
+            train_fold = [by_id[e.event_id] for e in target_ds.events if assignment[e.event_id] == fold]
+            test_fold = [by_id[e.event_id] for e in target_ds.events if assignment[e.event_id] != fold]
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
             log_path = None
             if out_dir is not None:
@@ -385,7 +380,7 @@ def cross_validate(
             "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
             "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
         }
-        return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=dict(plan.assignment))
+        return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=assignment)
 
 
 def early_detection(events: list[Event], params: ModelParams, spec: CheckpointSpec, provider) -> EarlyDetectionCurve:

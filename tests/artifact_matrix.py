@@ -1,0 +1,107 @@
+"""Write the artifacts of every CLI command over a fixed matrix of runs into one directory.
+
+Two checkouts write the same bytes exactly when their trees compare equal::
+
+    PYTHONPATH=<checkout A>/src python tests/artifact_matrix.py out_a
+    PYTHONPATH=<checkout B>/src python tests/artifact_matrix.py out_b
+    diff -r out_a out_b
+
+Each command runs as ``python -m rumorgraph.cli`` in its own process, using
+the ``rumorgraph`` package this interpreter imports. Commands run inside the
+output directory with relative paths, so manifests and config hashes do not
+depend on where the tree lives. The matrix:
+
+- ``synth`` of a small two-domain corpus;
+- ``train`` in cv mode (3 folds) and in single mode, for each ``augment``
+  section (adversarial, feature_dropout, graph_dropedge, or none, which
+  selects the default), each training variant (``alpha`` 0.5, ``alpha`` 0,
+  TCL off, TCL with the positive in its denominator, ``val_fraction`` 0) and
+  each precision (f64, f32): 80 runs;
+- ``earlydetect`` in count and in time mode, and ``export-features``, on the
+  single-mode f64 snapshot without an ``augment`` section.
+
+pytest does not collect this file. It needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SYNTH = {"source_events": 24, "target_events": 30, "mean_replies": 6.0, "seed": 7}
+MODEL = {"d_in": 16, "d_hidden": 12, "d_out": 8}
+TRAINING = {"learning_rate": 0.01, "max_epochs": 3, "patience": 2, "source_batch_size": 8, "target_batch_size": 8}
+AUGMENTS = {
+    "adversarial": {"kind": "adversarial"},
+    "feature_dropout": {"kind": "feature_dropout"},
+    "graph_dropedge": {"kind": "graph_dropedge"},
+    "none": None,
+}
+VARIANTS = {
+    "alpha0.5": {"alpha": 0.5},
+    "alpha0": {"alpha": 0.0},
+    "tcl_off": {"tcl_enabled": False},
+    "tcl_positive": {"tcl_include_positive": True},
+    "val0": {"val_fraction": 0.0},
+}
+MODES = ("cv", "single")
+PRECISIONS = ("f64", "f32")
+EVENTS = ["--events", "data/target_events.jsonl", "--embeddings", "hashed:16"]
+
+
+def _run_config(mode: str, augment: str, variant: str, precision: str) -> dict:
+    name = f"{mode}-{augment}-{variant}-{precision}"
+    record = {
+        "seed": 5,
+        "precision": precision,
+        "paths": {
+            "source_events": "data/source_events.jsonl",
+            "target_events": "data/target_events.jsonl",
+            "source_embeddings": "hashed:16",
+            "target_embeddings": "hashed:16",
+            "output_dir": f"runs/{name}",
+        },
+        "model": MODEL,
+        "training": {**TRAINING, **VARIANTS[variant]},
+        "protocol": {"mode": mode, "folds": 3},
+    }
+    if AUGMENTS[augment] is not None:
+        record["augment"] = AUGMENTS[augment]
+    return record
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="directory to write into; created if missing")
+    out = Path(parser.parse_args().out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "configs").mkdir(exist_ok=True)
+
+    import rumorgraph  # the package the commands below must run
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rumorgraph.__file__).resolve().parents[1])}
+
+    def cli(*argv: str) -> None:
+        subprocess.run([sys.executable, "-m", "rumorgraph.cli", *argv], cwd=out, env=env, check=True)
+
+    (out / "spec.json").write_text(json.dumps(SYNTH, sort_keys=True) + "\n")
+    cli("synth", "--spec", "spec.json", "--out", "data")
+    for mode, augment, variant, precision in itertools.product(MODES, AUGMENTS, VARIANTS, PRECISIONS):
+        record = _run_config(mode, augment, variant, precision)
+        config = f"configs/{Path(record['paths']['output_dir']).name}.json"
+        (out / config).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        cli("train", "--config", config)
+
+    snapshot = ["--snapshot", "runs/single-none-alpha0.5-f64/model.snapshot"]
+    cli("earlydetect", *snapshot, *EVENTS, "--checkpoints", "1,2,4,inf", "--mode", "count", "--out", "detect-count")
+    cli("earlydetect", *snapshot, *EVENTS, "--checkpoints", "60,300,900,inf", "--mode", "time", "--out", "detect-time")
+    cli("export-features", *snapshot, *EVENTS, "--out", "features")
+
+
+if __name__ == "__main__":
+    main()

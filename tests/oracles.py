@@ -11,15 +11,17 @@ model's closed-form parameter count; ``tokenize_reference`` and
 signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
 ``truncate_event`` rebuilds an event from the posts a detection checkpoint
 keeps, which early detection's prefixes of prepared events must match;
-``layer_norm``, ``gather_rows`` and ``adamw_step`` are the straightforward
-kernels (``np.var``, ``np.add.at``, out-of-place moments) whose bytes the
-in-place ones in ``rumorgraph.numcore`` must reproduce; ``claim_layer_norm``
-(``layer_norm`` of ``concat_cols`` and ``gather_rows``), ``graph_conv``
-(``relu`` of ``add`` of ``spmm`` of ``matmul``, of ``float_mask`` with a keep
-mask), ``float_mask``, ``backward`` and ``grad_wrt`` are the encoder
-composition and tape walk that the fused claim residual, the fused
-convolution with its boolean dropout mask, ``numcore.mask`` and the backward
-pass that frees interior gradients must match byte for byte.
+``layer_norm``, ``gather_rows``, ``segment_mean`` and ``adamw_step`` are the
+straightforward kernels (``np.var``, ``np.add.at``, a mean per event,
+out-of-place moments) whose bytes the in-place and segment-summing ones in
+``rumorgraph.numcore`` must reproduce; ``claim_layer_norm`` (``layer_norm``
+of ``concat_cols`` and ``gather_rows`` of each segment's first row),
+``graph_conv`` (``relu`` of ``add`` of ``spmm`` of ``matmul``, of
+``float_mask`` with a keep mask), ``float_mask``, ``backward`` and
+``grad_wrt`` are the encoder composition and tape walk that the fused claim
+residual, the fused convolution with its boolean dropout mask,
+``numcore.mask`` and the backward pass that frees interior gradients must
+match byte for byte.
 """
 
 import math
@@ -309,9 +311,29 @@ def concat_cols(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def claim_layer_norm(h, source, index: np.ndarray, gain, bias, eps: float) -> Tensor:
-    """``numcore.layer_norm`` as three tape nodes: gather the claim rows, concatenate, normalize."""
-    return layer_norm(concat_cols(h, gather_rows(source, index)), gain, bias, eps)
+def claim_layer_norm(h, source, sizes, gain, bias, eps: float) -> Tensor:
+    """``numcore.layer_norm`` as three tape nodes: gather each segment's first row, concatenate, normalize."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    claims = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return layer_norm(concat_cols(h, gather_rows(source, claims)), gain, bias, eps)
+
+
+def segment_mean(x, sizes) -> Tensor:
+    """Mean over consecutive row segments, one ``np.mean`` per segment forward and one slice each backward."""
+    x = as_tensor(x)
+    sizes = list(sizes)
+    offsets = np.cumsum([0] + sizes)
+    data = np.empty((len(sizes), x.data.shape[1]), dtype=x.data.dtype)
+    for i, n in enumerate(sizes):
+        data[i] = x.data[offsets[i] : offsets[i + 1]].mean(axis=0)
+
+    def backward(g):
+        full = np.empty_like(x.data)
+        for i, n in enumerate(sizes):
+            full[offsets[i] : offsets[i + 1]] = g[i] / n
+        _accumulate(x, full)
+
+    return _make(data, (x,), backward)
 
 
 def spmm(op: NeighborOperator, y) -> Tensor:

@@ -364,6 +364,32 @@ def test_single_fit_protocol(tmp_path, synth_dirs):
     assert "best_score" in metrics and "history" in metrics
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_zero_epoch_single_fit_writes_strict_json(tmp_path, synth_dirs):
+    # no epoch runs, so there is no best score: null, not -Infinity
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir, max_epochs=0)
+    record = json.loads(config_path.read_text())
+    record["protocol"] = {"mode": "single"}
+    config_path.write_text(json.dumps(record))
+    out_dir = tmp_path / "zero"
+    assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert _strict_json((out_dir / "metrics.json").read_text()) == {"best_score": None, "history": []}
+
+
+def test_help_lists_the_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training failed, 4 degenerate projection" in out
+
+
 def test_layer_norm_blocks_change_no_artifact(tmp_path, synth_dirs, monkeypatch):
     # layer_norm blocks of one row against the default, where every batch here fits one block
     tmp_path, data_dir = synth_dirs
@@ -431,6 +457,20 @@ def _folds_argv(folds: int):
         config = Path(argv[-1])
         record = json.loads(config.read_text())
         record["protocol"]["folds"] = folds
+        config.write_text(json.dumps(record))
+        return argv
+
+    return build
+
+
+def _model_argv(**model):
+    """``train`` with the test config's model sizes overridden by ``model``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        record["model"].update(model)
         config.write_text(json.dumps(record))
         return argv
 
@@ -566,6 +606,8 @@ DEEP = b"[" * 100_000 + b"\n"
         (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
         (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
         (_folds_argv(7), 1, "cannot stratify"),
+        # one hidden and one output unit: a pooled representation comes out all zeros
+        (_model_argv(d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
         (_blocked_out_argv(_train_argv("hashed:8")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),
@@ -609,6 +651,7 @@ DEEP = b"[" * 100_000 + b"\n"
         "synth-float-vocab-size",
         "synth-boolean-mean-replies",
         "train-folds-exceed-smallest-class",
+        "train-zero-representation",
         "train-out-not-creatable",
         "earlydetect-out-not-creatable",
         "export-out-not-creatable",

@@ -167,9 +167,9 @@ def test_split_folds_balanced_counts():
     gen = np.random.default_rng(0)
     events = [random_tree_event(gen, f"r{i}", "rumor") for i in range(5)]
     events += [random_tree_event(gen, f"n{i}", "non-rumor") for i in range(5)]
-    plan = split_folds(make_dataset(events), k=5, seed=3)
+    assignment = split_folds(make_dataset(events), k=5, seed=3)
     for fold in range(5):
-        ids = plan.fold_ids(fold)
+        ids = [eid for eid, f in assignment.items() if f == fold]
         assert len(ids) == 2
         labels = {e.event_id: e.label for e in events}
         assert sorted(labels[i] for i in ids) == ["non-rumor", "rumor"]
@@ -181,14 +181,13 @@ def test_split_folds_deterministic_and_partitioning():
         random_tree_event(gen, f"e{i}", "rumor" if i % 2 else "non-rumor") for i in range(23)
     ]
     ds = make_dataset(events)
-    plan_a = split_folds(ds, k=4, seed=11)
-    plan_b = split_folds(ds, k=4, seed=11)
-    assert plan_a == plan_b
+    assignment = split_folds(ds, k=4, seed=11)
+    assert assignment == split_folds(ds, k=4, seed=11)
     # folds partition the dataset
-    assert sorted(plan_a.assignment) == sorted(e.event_id for e in events)
+    assert sorted(assignment) == sorted(e.event_id for e in events)
     for label in ("rumor", "non-rumor"):
         sizes = [
-            sum(1 for e in events if e.label == label and plan_a.assignment[e.event_id] == f)
+            sum(1 for e in events if e.label == label and assignment[e.event_id] == f)
             for f in range(4)
         ]
         assert max(sizes) - min(sizes) <= 1

@@ -1,11 +1,11 @@
 """The in-place kernels against their straightforward oracles, byte for byte.
 
-``layer_norm`` (which gathers and joins the claim rows itself, a block of
-rows at a time), the row scatter of its backward and ``adamw_step`` reuse
-buffers and, for the scatter, reorder the work; ``graph_conv`` runs a whole
-convolution layer as one tape node. Each must still give the same values and
-gradients as the composition in ``tests.oracles`` at f64 and at f32,
-whatever the block size.
+``layer_norm`` (which gathers and joins each segment's claim row itself, a
+block of rows at a time) and ``adamw_step`` reuse buffers; the segment sums
+behind ``layer_norm``'s claim gradient and ``segment_mean`` add the k-th row
+of every segment in one slab; ``graph_conv`` runs a whole convolution layer
+as one tape node. Each must still give the same values and gradients as the
+composition in ``tests.oracles`` at f64 and at f32, whatever the block size.
 """
 
 import tracemalloc
@@ -19,13 +19,14 @@ from hypothesis.extra import numpy as hnp
 
 from rumorgraph import numcore as nc
 from rumorgraph.numcore import AdamWState, Tensor, adamw_step, tensor
-from rumorgraph.numcore.tensor import _scatter_rows
+from rumorgraph.numcore.tensor import _segment_sums
 from tests import oracles
 from tests.conftest import forest_operator
 
 PRECISIONS = st.sampled_from(["f64", "f32"])
 DTYPES = {"f64": np.float64, "f32": np.float32}
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+SEGMENTS = st.lists(st.integers(1, 12), max_size=5)
 
 
 def _values(dtype, shape, bound=1e3):
@@ -46,23 +47,23 @@ def _forward_backward(op, operands, upstream, *args):
     return out.data, [t.grad for t in tensors]
 
 
-def _claim_layer_norm(op, arrays, index, upstream, eps, trainable):
+def _claim_layer_norm(op, arrays, sizes, upstream, eps, trainable):
     """``op``'s output and gradients for ``h, source, gain, bias``; only ``trainable`` ones of ``h, source`` get one."""
     operands = [
         nc.parameter(a.copy(), "p") if grad else Tensor(a.copy()) for a, grad in zip(arrays, trainable + (True, True))
     ]
-    out = op(*operands[:2], index, *operands[2:], eps)
+    out = op(*operands[:2], sizes, *operands[2:], eps)
     oracles.backward(nc.sum_all(out * Tensor(upstream)))
     return out.data, [t.grad for t in operands]
 
 
-def _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, eps, trainable):
+def _check_claim_layer_norm(precision, h, source, sizes, gain, bias, upstream, eps, trainable):
     arrays = [h, source, gain, bias]
     with nc.precision(precision):
-        got, got_grads = _claim_layer_norm(nc.layer_norm, arrays, index, upstream, eps, trainable)
-        want, want_grads = _claim_layer_norm(oracles.claim_layer_norm, arrays, index, upstream, eps, trainable)
+        got, got_grads = _claim_layer_norm(nc.layer_norm, arrays, sizes, upstream, eps, trainable)
+        want, want_grads = _claim_layer_norm(oracles.claim_layer_norm, arrays, sizes, upstream, eps, trainable)
         with nc.no_grad():
-            untaped = nc.layer_norm(*[nc.parameter(a.copy(), "p") for a in arrays[:2]], index, gain, bias, eps)
+            untaped = nc.layer_norm(*[nc.parameter(a.copy(), "p") for a in arrays[:2]], sizes, gain, bias, eps)
     assert _same_bytes(got, want)
     assert _same_bytes(untaped.data, want)
     for a, b in zip(got_grads, want_grads):
@@ -78,29 +79,24 @@ def _block_rows(rows, width, dtype):
 @given(
     st.data(),
     PRECISIONS,
-    st.integers(0, 9),
+    st.lists(st.integers(1, 5), max_size=4),
     st.integers(1, 20),
-    st.integers(1, 5),
     st.integers(1, 20),
     st.sampled_from([1e-5, 1e-2]),
     st.sampled_from([None, 1, 2, 3]),
 )
-def test_layer_norm_matches_the_oracle_bitwise(
-    data, precision, rows, width, source_rows, source_width, eps, block_rows
-):
+def test_layer_norm_matches_the_oracle_bitwise(data, precision, sizes, width, source_width, eps, block_rows):
     # a few rows a block spans several blocks with a ragged last one; None is one block
     dtype = DTYPES[precision]
-    d = width + source_width
+    rows, d = sum(sizes), width + source_width
     h = data.draw(_values(dtype, (rows, width)))
-    source = data.draw(_values(dtype, (source_rows, source_width)))
-    # unsorted, repeated and negative rows of source
-    index = np.asarray(data.draw(st.lists(st.integers(-source_rows, source_rows - 1), min_size=rows, max_size=rows)))
+    source = data.draw(_values(dtype, (rows, source_width)))
     gain = data.draw(_values(dtype, (d,), bound=4.0))
     bias = data.draw(_values(dtype, (d,), bound=4.0))
     upstream = data.draw(_values(dtype, (rows, d), bound=4.0))
     trainable = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
     with _block_rows(block_rows, d, dtype):
-        _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, eps, trainable)
+        _check_claim_layer_norm(precision, h, source, sizes, gain, bias, upstream, eps, trainable)
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -110,13 +106,12 @@ def test_layer_norm_of_zero_and_one_rows_matches_the_oracle_bitwise(precision, r
     # zero rows give zero gain and bias gradients
     dtype = DTYPES[precision]
     gen = np.random.default_rng(rows)
-    h, source = gen.normal(size=(rows, 3)).astype(dtype), gen.normal(size=(2, 4)).astype(dtype)
+    h, source = gen.normal(size=(rows, 3)).astype(dtype), gen.normal(size=(rows, 4)).astype(dtype)
     gain, bias = gen.normal(size=7).astype(dtype), gen.normal(size=7).astype(dtype)
     upstream = gen.normal(size=(rows, 7)).astype(dtype)
-    index = np.arange(rows, dtype=np.intp)
     with _block_rows(block_rows, 7, dtype):
         for trainable in [(True, True), (True, False), (False, True)]:
-            _check_claim_layer_norm(precision, h, source, index, gain, bias, upstream, 1e-5, trainable)
+            _check_claim_layer_norm(precision, h, source, [1] * rows, gain, bias, upstream, 1e-5, trainable)
 
 
 def test_untaped_layer_norm_keeps_one_output_buffer():
@@ -126,14 +121,13 @@ def test_untaped_layer_norm_keeps_one_output_buffer():
     # normalized rows and the output, after a whole (n, 768) copy of the
     # gathered claim rows read 26.7 MB.
     gen = np.random.default_rng(0)
-    h, source = Tensor(gen.normal(size=(2000, 64))), Tensor(gen.normal(size=(100, 768)))
-    index = np.repeat(np.arange(100), 20)
+    h, source = Tensor(gen.normal(size=(2000, 64))), Tensor(gen.normal(size=(2000, 768)))
     gain, bias = nc.parameter(np.ones(832), "gain"), nc.parameter(np.zeros(832), "bias")
     output_bytes = 2000 * 832 * 8
     with nc.no_grad():
         tracemalloc.start()
         try:
-            out = nc.layer_norm(h, source, index, gain, bias, 1e-5)
+            out = nc.layer_norm(h, source, [20] * 100, gain, bias, 1e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,10 +141,9 @@ def test_layer_norm_backward_keeps_only_the_columns_that_get_a_gradient():
     # bias sums peak at 1.9 MB; finishing every column of every row in one
     # (n, d) buffer read 13.9 MB.
     gen = np.random.default_rng(1)
-    h, source = nc.parameter(gen.normal(size=(2000, 64)), "h"), Tensor(gen.normal(size=(100, 768)))
-    index = np.repeat(np.arange(100), 20)
+    h, source = nc.parameter(gen.normal(size=(2000, 64)), "h"), Tensor(gen.normal(size=(2000, 768)))
     gain, bias = nc.parameter(np.ones(832), "gain"), nc.parameter(np.zeros(832), "bias")
-    out = nc.layer_norm(h, source, index, gain, bias, 1e-5)
+    out = nc.layer_norm(h, source, [20] * 100, gain, bias, 1e-5)
     upstream = gen.normal(size=out.shape)
     tracemalloc.start()
     try:
@@ -231,23 +224,50 @@ def test_taped_graph_conv_keeps_its_output_and_mask(dropout):
     assert kept < out.data.nbytes + out.data.size + 100_000
 
 
-@given(st.data(), PRECISIONS, st.integers(1, 6), st.integers(0, 4))
-def test_gather_rows_matches_the_oracle_bitwise(data, precision, rows, cols):
-    # the scatter behind layer_norm's claim-block gradient against np.add.at
+@given(st.data(), PRECISIONS, SEGMENTS, st.integers(0, 4))
+def test_gather_rows_matches_the_oracle_bitwise(data, precision, sizes, cols):
+    # layer_norm's claim-block gradient: the oracle gathers each segment's first row, np.add.at scatters back
     dtype = DTYPES[precision]
-    x = data.draw(_values(dtype, (rows, cols)))
-    indices = np.asarray(data.draw(st.lists(st.integers(-rows, rows - 1), max_size=12)), dtype=np.intp)
-    upstream = data.draw(_values(dtype, (len(indices), cols)))
+    counts = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    x = data.draw(_values(dtype, (sum(sizes), cols)))
+    upstream = data.draw(_values(dtype, (sum(sizes), cols)))
     with nc.precision(precision):
-        _, [want_grad] = _forward_backward(oracles.gather_rows, [x], upstream, indices)
-    assert _same_bytes(_scatter_rows(upstream, indices, x), want_grad)
+        _, [want_grad] = _forward_backward(oracles.gather_rows, [x], upstream, np.repeat(starts, counts))
+    full = np.zeros_like(x)
+    full[starts] = _segment_sums(upstream, counts)
+    assert _same_bytes(full, want_grad)
 
 
 def test_gather_rows_backward_keeps_the_zeros_np_add_at_makes():
-    # np.add.at starts from +0.0, so a row gathered once with gradient -0.0 reads +0.0
+    # np.add.at starts from +0.0, so -0.0 + -0.0 in a segment reads +0.0, where summing from the first row reads -0.0
     upstream = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
-    full = _scatter_rows(upstream, np.array([2, 0, 2]), np.ones((3, 2)))
-    assert _same_bytes(full, np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 1.0]]))
+    sums = _segment_sums(upstream, np.array([2, 1]))
+    assert _same_bytes(sums, np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@given(st.data(), PRECISIONS, SEGMENTS, st.integers(0, 4))
+def test_segment_sums_match_np_add_at_over_sorted_segment_ids(data, precision, sizes, cols):
+    dtype = DTYPES[precision]
+    counts = np.asarray(sizes, dtype=np.intp)
+    x = data.draw(_values(dtype, (sum(sizes), cols)))
+    want = np.zeros((len(sizes), cols), dtype=dtype)
+    np.add.at(want, np.repeat(np.arange(len(sizes)), counts), x)
+    assert _same_bytes(_segment_sums(x, counts), want)
+
+
+@given(st.data(), PRECISIONS, SEGMENTS, st.integers(2, 5))
+def test_segment_mean_matches_the_oracle_bitwise(data, precision, sizes, cols):
+    # at two or more columns numpy's axis-0 sum adds rows in order, as the segment sums do;
+    # at f32 the mean divides by an intp count in float64, then rounds
+    dtype = DTYPES[precision]
+    x = data.draw(_values(dtype, (sum(sizes), cols)))
+    upstream = data.draw(_values(dtype, (len(sizes), cols)))
+    with nc.precision(precision):
+        got, [got_grad] = _forward_backward(nc.segment_mean, [x], upstream, sizes)
+        want, [want_grad] = _forward_backward(oracles.segment_mean, [x], upstream, sizes)
+    assert _same_bytes(got, want)
+    assert _same_bytes(got_grad, want_grad)
 
 
 @given(

@@ -34,9 +34,9 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def _layer_norm(x, gain, bias, eps):
-    """``nc.layer_norm`` of the rows of ``x``, its last column joined on as a one-column claim block."""
+    """``nc.layer_norm`` of the rows of ``x``, each its own segment, its last column joined on as the claim block."""
     x = np.asarray(x, dtype=np.float64)
-    return nc.layer_norm(Tensor(x[:, :-1]), Tensor(x[:, -1:]), np.arange(len(x)), Tensor(gain), Tensor(bias), eps)
+    return nc.layer_norm(Tensor(x[:, :-1]), Tensor(x[:, -1:]), [1] * len(x), Tensor(gain), Tensor(bias), eps)
 
 
 def test_layer_norm_constant_row_is_bias():
@@ -55,10 +55,12 @@ def test_layer_norm_zero_gain_gives_bias():
     assert np.allclose(out.data, np.tile(bias, (4, 1)))
 
 
-def test_layer_norm_rejects_an_index_that_misses_rows():
-    h, source = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1)))
-    with pytest.raises(nc.ShapeError, match="cannot join"):
-        nc.layer_norm(h, source, np.array([1, 0]), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
+def test_layer_norm_rejects_sizes_that_miss_rows():
+    gain, bias = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for rows, source_rows, sizes in [(3, 3, [1, 1]), (3, 2, [3]), (3, 3, [0, 3]), (3, 3, [4, -1])]:
+        h, source = Tensor(np.ones((rows, 2))), Tensor(np.ones((source_rows, 1)))
+        with pytest.raises(nc.ShapeError, match="cannot join"):
+            nc.layer_norm(h, source, sizes, gain, bias, 1e-5)
 
 
 def test_layer_norm_row_statistics():
@@ -140,7 +142,10 @@ def test_backward_matches_finite_differences_over_random_shapes():
         wide_bias = nc.parameter(gen.normal(size=cols + inner), "wide_bias")
         twice_gain = nc.parameter(gen.normal(size=2 * cols) + 1.5, "twice_gain")
         twice_bias = nc.parameter(gen.normal(size=2 * cols), "twice_bias")
-        idx = gen.integers(-rows, rows, size=rows)
+        # a segment starts at row 0 and at every later row whose draw is non-negative
+        draws = gen.integers(-rows, rows, size=rows)
+        starts = np.flatnonzero(np.r_[True, draws[1:] >= 0])
+        segments = np.diff(np.r_[starts, rows]).tolist()
         keep = gen.random((rows, cols)) >= 0.3
         op = forest_operator(list(range(rows - 1)))  # a path
         sizes = [1, 2 * rows - 1]
@@ -165,11 +170,11 @@ def test_backward_matches_finite_differences_over_random_shapes():
             "segment_mean": (lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, c), sizes), [c]),
             "softmax_rows": (lambda c=c: nc.softmax_rows(c), [c]),
             "layer_norm": (
-                lambda c=c, a=a, idx=idx, g=wide_gain, b=wide_bias: nc.layer_norm(c, a, idx, g, b, 1e-5),
+                lambda c=c, a=a, s=segments, g=wide_gain, b=wide_bias: nc.layer_norm(c, a, s, g, b, 1e-5),
                 [c, a, wide_gain, wide_bias],
             ),
             "layer_norm_own_rows": (
-                lambda c=c, idx=idx, g=twice_gain, b=twice_bias: nc.layer_norm(c, c, idx, g, b, 1e-5),
+                lambda c=c, s=segments, g=twice_gain, b=twice_bias: nc.layer_norm(c, c, s, g, b, 1e-5),
                 [c, twice_gain, twice_bias],
             ),
         }

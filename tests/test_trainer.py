@@ -300,8 +300,8 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     # steps also catch a buffer reused while a neighbouring rule still reads it.
     # The oracle side runs the unfused encoder (four tape nodes per
     # convolution, gathered claim rows, their concatenation, a float dropout
-    # mask) and a backward pass that keeps every gradient, so the tape's visit
-    # and accumulation order is checked too.
+    # mask, a mean per event) and a backward pass that keeps every gradient,
+    # so the tape's visit and accumulation order is checked too.
     source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=3))
     provider = HashedProvider(dim=8)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
@@ -320,6 +320,7 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     blocked = two_steps()
     monkeypatch.setattr(nc, "graph_conv", oracles.graph_conv)
     monkeypatch.setattr(nc, "layer_norm", oracles.claim_layer_norm)
+    monkeypatch.setattr(nc, "segment_mean", oracles.segment_mean)
     monkeypatch.setattr(nc, "mask", oracles.float_mask)
     monkeypatch.setattr(nc, "grad_wrt", oracles.grad_wrt)
     monkeypatch.setattr(nc.Tensor, "backward", oracles.backward)
