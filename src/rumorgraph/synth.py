@@ -34,7 +34,7 @@ class SynthSpec:
     target_events: int = 100
     class_balance: float = 0.5  # fraction of events labeled rumor
     vocab_size: int = 120  # shared filler vocabulary
-    shift_strength: float = 0.6  # fraction of indicative/stance tokens that are domain-specific
+    shift_strength: float = 0.6  # fraction of cue tokens that are domain-specific; stance tokens are shared
     mean_replies: float = 6.0
     branching: float = 0.5  # chance a reply attaches below another reply
     structural_signal: float = 0.8  # chance a reply's stance follows the event class

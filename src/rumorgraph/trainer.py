@@ -270,9 +270,10 @@ def fit(
 ) -> FitResult:
     """Train on a target fold; early-stop on carved-validation macro-F1.
 
-    When a class is too small to spare validation events, progress is
-    monitored on the mean training loss instead (logged as a warning).
-    Returns the parameters of the best-scoring epoch.
+    Without a carve, progress is monitored on the mean training loss instead:
+    when ``val_fraction`` is 0, or when a carve was asked for but a class has
+    fewer than two events to spare one (logged as a warning). Returns the
+    parameters of the best-scoring epoch.
     """
     with nc.precision(cfg.precision):
         streams = RngStreams(cfg.seed)
@@ -283,10 +284,8 @@ def fit(
         )
         val = _carve_validation(target_fold, cfg.val_fraction, streams.shuffle)
         monitor = "val_macro_f1" if val else "neg_train_loss"
-        if not val:
-            log.warning(
-                "target fold too small for a validation carve; monitoring training loss"
-            )
+        if not val and cfg.val_fraction > 0.0:
+            log.warning("target fold too small for a validation carve; monitoring training loss")
         held_out = {p.event.event_id for p in val}
         train_events = [p for p in target_fold if p.event.event_id not in held_out]
         best_score = -math.inf

@@ -1,12 +1,20 @@
 """Direct-evaluation oracles the tests hold the vectorized code to.
 
 The loss-term oracles for ``rumorgraph.objectives`` are plain Python over
-scalar cosine similarities; ``scl_source`` and ``scl_cross`` are the two
-supervised contrastive terms as separate tape compositions, whose values
-and gradients the shared kernel must reproduce byte for byte; the
-propagation oracles build a graph's dense adjacency and its normalization
-entry by entry; ``param_count`` is the
-model's closed-form parameter count; ``tokenize_reference`` and
+scalar cosine similarities. ``ce_from_probs``, ``scl_source``,
+``scl_cross``, ``tcl`` and ``joint`` are the same terms composed of
+primitive tape ops, over ``similarity_matrix``, which normalizes each
+operand on its own; each objective is one tape node and must reproduce
+their values and gradients byte for byte. A composed term tapes every
+intermediate: ``scl_source`` normalizes its input twice and ``tcl`` its
+target input three times, and each normalization keeps its squares, row
+sums, norms and unit rows, beside the similarity matrices, their
+exponentials, masked copies and row sums, and one constant leaf per mask,
+weight and scale.
+
+The propagation oracles build a graph's dense adjacency and its
+normalization entry by entry; ``param_count`` is the model's closed-form
+parameter count; ``tokenize_reference`` and
 ``hashed_embed_reference`` are the character-loop tokenizer and the uncached
 signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
 ``truncate_event`` rebuilds an event from the posts a detection checkpoint
@@ -44,7 +52,7 @@ from rumorgraph.numcore import (
     matmul,
 )
 from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
-from rumorgraph.objectives import PROB_FLOOR, SimilarityError, similarity_matrix
+from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
 
 
@@ -101,8 +109,31 @@ def scl_cross_reference(
     return total / n_t
 
 
+def _normalize_rows(reps: Tensor) -> Tensor:
+    norms_sq = nc.sum_rows(reps * reps)
+    if np.any(norms_sq.data <= 0.0):
+        raise SimilarityError("similarity of a zero vector is undefined")
+    return reps / nc.sqrt(norms_sq)
+
+
+def similarity_matrix(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """Pairwise temperature-scaled cosine similarities, rows of a vs rows of b, as tape ops."""
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    return nc.matmul(_normalize_rows(a), nc.transpose(_normalize_rows(b))) * (1.0 / tau)
+
+
+def ce_from_probs(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """``objectives.ce_from_probs`` as six tape nodes."""
+    n, classes = probs.shape
+    onehot = np.zeros((n, classes))
+    onehot[np.arange(n), labels] = 1.0
+    p_true = nc.sum_rows(probs * Tensor(onehot))
+    return nc.sum_all(nc.log(nc.clamp_min(p_true, PROB_FLOOR))) * (-1.0 / n)
+
+
 def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
-    """``objectives.scl_source`` spelled out on its own, as before the shared kernel."""
+    """``objectives.scl_source`` as tape ops, normalizing ``reps`` once per operand of the similarity."""
     n = len(labels)
     if n < 2:
         return Tensor(0.0)
@@ -122,7 +153,7 @@ def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
 def scl_cross(
     target_reps: Tensor, target_labels: np.ndarray, source_reps: Tensor, source_labels: np.ndarray, tau: float
 ) -> Tensor:
-    """``objectives.scl_cross`` spelled out on its own, as before the shared kernel."""
+    """``objectives.scl_cross`` as tape ops."""
     n_t = len(target_labels)
     matches = (target_labels[:, None] == source_labels[None, :]).astype(np.float64)
     pos_counts = matches.sum(axis=1)
@@ -133,6 +164,35 @@ def scl_cross(
     log_prob = s - nc.log(denom)
     weighted = log_prob * Tensor(matches) * Tensor(weights[:, None])
     return nc.sum_all(weighted) * -1.0
+
+
+def tcl(reps: Tensor, aug_reps: Tensor, tau: float, include_positive: bool = False) -> Tensor:
+    """``objectives.tcl`` as tape ops, normalizing ``reps`` three times and ``aug_reps`` once."""
+    n = reps.shape[0]
+    if n < 2:
+        return Tensor(0.0)
+    eye = np.eye(n)
+    off_diag = 1.0 - eye
+
+    s_orig = similarity_matrix(reps, reps, tau)
+    s_aug = similarity_matrix(reps, aug_reps, tau)
+    pos = nc.sum_rows(s_aug * Tensor(eye))
+    denom = nc.sum_rows(nc.exp(s_orig) * Tensor(off_diag)) + nc.sum_rows(
+        nc.exp(s_aug) * Tensor(off_diag)
+    )
+    if include_positive:
+        denom = denom + nc.exp(pos)
+    per_anchor = pos - nc.log(denom)
+    return nc.sum_all(per_anchor) * (-1.0 / n)
+
+
+def joint(
+    ce_s: Tensor, scl_s: Tensor, ce_t: Tensor, scl_t: Tensor, tcl_t: Tensor, alpha: float
+) -> tuple[Tensor, Tensor, Tensor]:
+    """``objectives.joint`` as tape ops, every returned loss taped."""
+    loss_s = ce_s * (1.0 - alpha) + scl_s * alpha
+    loss_t = ce_t * (1.0 - alpha) + (scl_t + tcl_t) * alpha
+    return loss_s, loss_t, (loss_s + loss_t) * 0.5
 
 
 def tcl_reference(

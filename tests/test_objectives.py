@@ -1,6 +1,6 @@
 """Loss terms: vectorized implementations vs direct-summation references,
-the shared supervised kernel vs the separate tape compositions byte for
-byte, hand-computed anchors, bounds, and gradient checks."""
+each one-node term vs its tape composition byte for byte, hand-computed
+anchors, bounds, and gradient checks."""
 
 import math
 
@@ -211,7 +211,9 @@ def test_losses_match_references_on_100_random_batches():
             ) < 1e-10
 
 
-# -- the shared supervised kernel vs the separate compositions, byte for byte ------------
+# -- each one-node term vs its tape composition, byte for byte ----------------------------
+
+DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
 def _signed_away_from_zero(dtype):
@@ -220,36 +222,104 @@ def _signed_away_from_zero(dtype):
     return st.one_of(magnitude, magnitude.map(lambda v: -v))
 
 
-def _value_and_grads(term, arrays):
-    """``term``'s loss bytes and the bytes of each representation's gradient."""
-    reps = [nc.parameter(a.copy(), f"reps{i}") for i, a in enumerate(arrays)]
-    loss = term(*reps)
-    loss.backward()
-    return loss.data.tobytes(), [None if r.grad is None else r.grad.tobytes() for r in reps]
+def _draw_reps(data, dtype, n):
+    d = data.draw(st.integers(1, 6), label="width")
+    return data.draw(hnp.arrays(dtype, (n, d), elements=_signed_away_from_zero(dtype)))
+
+
+def _draw_labels(data, n):
+    classes = data.draw(st.integers(1, 3), label="classes")
+    return data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, classes - 1)))
+
+
+def _value_and_grads(term, arrays, needs_grad, upstream):
+    """The bytes of ``term``'s loss and of each input's gradient, from an upstream gradient ``upstream``.
+
+    An input whose ``needs_grad`` entry is false enters as a constant.
+    """
+    inputs = [nc.parameter(a.copy(), f"in{i}") if needs else Tensor(a) for i, (a, needs) in enumerate(zip(arrays, needs_grad))]
+    loss = term(*inputs)
+    if loss.requires_grad:
+        (loss * upstream).backward()
+    return loss.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in inputs]
+
+
+def _assert_term_matches_oracle(data, precision, name, term_of, arrays):
+    needs_grad = data.draw(st.lists(st.booleans(), min_size=len(arrays), max_size=len(arrays)), label="needs_grad")
+    upstream = data.draw(st.floats(-4.0, 4.0), label="upstream")
+    with nc.precision(precision):
+        fused = _value_and_grads(term_of(objectives), arrays, needs_grad, upstream)
+        composed = _value_and_grads(term_of(oracles), arrays, needs_grad, upstream)
+    assert fused == composed, name
 
 
 @given(st.data(), st.sampled_from(["f64", "f32"]))
 def test_supervised_terms_match_the_separate_oracles_bitwise(data, precision):
-    dtype = {"f64": np.float64, "f32": np.float32}[precision]
+    dtype = DTYPES[precision]
     # up to 16 anchors: pairs such as n = 13, count = 3 arise, where 1 / (n * count)
     # and (1 / n) / count round differently
-    n_s, n_t = (data.draw(st.integers(2, 16)) for _ in range(2))
-    d = data.draw(st.integers(2, 6))
-    reps_s = data.draw(hnp.arrays(dtype, (n_s, d), elements=_signed_away_from_zero(dtype)))
-    reps_t = data.draw(hnp.arrays(dtype, (n_t, d), elements=_signed_away_from_zero(dtype)))
-    labels_s = data.draw(hnp.arrays(np.intp, n_s, elements=st.integers(0, 2)))
-    labels_t = data.draw(hnp.arrays(np.intp, n_t, elements=st.integers(0, 2)))
+    n_s, n_t = (data.draw(st.integers(1, 16)) for _ in range(2))
+    reps_s = _draw_reps(data, dtype, n_s)
+    reps_t = data.draw(hnp.arrays(dtype, (n_t, reps_s.shape[1]), elements=_signed_away_from_zero(dtype)))
+    labels_s, labels_t = _draw_labels(data, n_s), _draw_labels(data, n_t)
     tau = data.draw(st.floats(0.1, 2.0))
 
     def source_term(impl):
-        return _value_and_grads(lambda r: impl.scl_source(r, labels_s, tau), [reps_s])
+        return lambda r: impl.scl_source(r, labels_s, tau)
 
     def cross_term(impl):
-        return _value_and_grads(lambda t, s: impl.scl_cross(t, labels_t, s, labels_s, tau), [reps_t, reps_s])
+        return lambda t, s: impl.scl_cross(t, labels_t, s, labels_s, tau)
 
+    _assert_term_matches_oracle(data, precision, "scl_source", source_term, [reps_s])
+    _assert_term_matches_oracle(data, precision, "scl_cross", cross_term, [reps_t, reps_s])
+
+
+@given(st.data(), st.sampled_from(["f64", "f32"]), st.booleans())
+def test_tcl_matches_its_composed_oracle_bitwise(data, precision, include_positive):
+    dtype = DTYPES[precision]
+    n = data.draw(st.integers(1, 16))
+    reps = _draw_reps(data, dtype, n)
+    aug = data.draw(hnp.arrays(dtype, reps.shape, elements=_signed_away_from_zero(dtype)))
+    tau = data.draw(st.floats(0.1, 2.0))
+
+    def term(impl):
+        return lambda r, a: impl.tcl(r, a, tau, include_positive=include_positive)
+
+    _assert_term_matches_oracle(data, precision, "tcl", term, [reps, aug])
+
+
+@given(st.data(), st.sampled_from(["f64", "f32"]))
+def test_ce_matches_its_composed_oracle_bitwise(data, precision):
+    dtype = DTYPES[precision]
+    width = 32 if dtype is np.float32 else 64
+    n = data.draw(st.integers(1, 16))
+    labels = _draw_labels(data, n)
+    classes = int(labels.max()) + 1 + data.draw(st.integers(0, 1))
+    # exact zeros and values below PROB_FLOOR exercise the floor
+    elements = st.one_of(st.just(0.0), st.floats(2.0**-44, 1.0, width=width))
+    probs = data.draw(hnp.arrays(dtype, (n, classes), elements=elements))
+
+    def term(impl):
+        return lambda p: impl.ce_from_probs(p, labels)
+
+    _assert_term_matches_oracle(data, precision, "ce_from_probs", term, [probs])
+
+
+@given(st.data(), st.sampled_from(["f64", "f32"]))
+def test_joint_matches_its_composed_oracle_bitwise(data, precision):
+    dtype = DTYPES[precision]
+    width = 32 if dtype is np.float32 else 64
+    terms = [np.asarray(v, dtype=dtype) for v in data.draw(st.lists(st.floats(-8.0, 8.0, width=width), min_size=5, max_size=5))]
+    alpha = data.draw(st.floats(0.0, 1.0))
+
+    def term(impl):
+        return lambda *t: impl.joint(*t, alpha)[2]
+
+    _assert_term_matches_oracle(data, precision, "joint", term, terms)
     with nc.precision(precision):
-        assert source_term(objectives) == source_term(oracles)
-        assert cross_term(objectives) == cross_term(oracles)
+        blended = [t.data.tobytes() for t in joint(*(Tensor(t) for t in terms), alpha)]
+        composed = [t.data.tobytes() for t in oracles.joint(*(Tensor(t) for t in terms), alpha)]
+    assert blended == composed
 
 
 def test_loss_bounds_on_random_batches():
@@ -257,8 +327,11 @@ def test_loss_bounds_on_random_batches():
     for _ in range(50):
         reps_s, labels_s, reps_t, labels_t, aug_t, tau = _random_case(gen)
         source, target, aug = _reps(reps_s), _reps(reps_t), _reps(aug_t, "aug")
-        assert scl_source(source, labels_s, tau).item() >= 0.0
-        assert scl_cross(target, labels_t, source, labels_s, tau).item() >= 0.0
+        # both supervised terms are >= 0 in exact arithmetic; a row whose only
+        # candidate is its positive gives s - log(exp(s)), which rounds to about
+        # -5.6e-17 under some BLAS kernels (OpenBLAS's SandyBridge one)
+        assert scl_source(source, labels_s, tau).item() >= -1e-9
+        assert scl_cross(target, labels_t, source, labels_s, tau).item() >= -1e-9
         probs = np.full((len(labels_s), 2), 0.5)
         assert ce_from_probs(Tensor(probs), labels_s).item() >= 0.0
         bound = 2.0 / tau + math.log(2 * (len(labels_t) - 1))
@@ -307,5 +380,27 @@ def test_ce_gradient_matches_finite_differences():
 
 
 def test_zero_vector_representation_raises():
+    zero, unit = _reps([[0.0, 0.0], [1.0, 0.0]]), _reps([[1.0, 0.0], [0.0, 1.0]], "unit")
+    labels = np.array([0, 0])
     with pytest.raises(SimilarityError):
-        scl_source(_reps([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), 1.0)
+        scl_source(zero, labels, 1.0)
+    with pytest.raises(SimilarityError):
+        scl_cross(zero, labels, unit, labels, 1.0)
+    with pytest.raises(SimilarityError):
+        scl_cross(unit, labels, zero, labels, 1.0)
+    with pytest.raises(SimilarityError):
+        tcl(zero, unit, 1.0)
+    with pytest.raises(SimilarityError):
+        tcl(unit, zero, 1.0)
+
+
+def test_single_event_batches_skip_without_a_tape_node(caplog):
+    one, aug = _reps([U]), _reps([V], "aug")
+    with caplog.at_level("WARNING"):
+        terms = [scl_source(one, np.array([0]), 1.0), tcl(one, aug, 1.0, include_positive=True)]
+    for term in terms:
+        assert term.item() == 0.0
+        assert not term.requires_grad
+    messages = [r.message for r in caplog.records]
+    assert any(m.startswith("source contrastive term skipped") for m in messages)
+    assert any(m.startswith("target-instance contrastive term skipped") for m in messages)

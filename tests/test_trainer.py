@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
-from rumorgraph import trainer
+from rumorgraph import augment, trainer
 from rumorgraph.augment import AugmentStrategy
 from rumorgraph.dataio import Dataset, visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
@@ -231,6 +231,15 @@ def test_fit_small_fold_falls_back_to_loss_monitor(caplog):
     assert any("validation carve" in r.message for r in caplog.records)
 
 
+def test_fit_without_a_carve_asked_for_does_not_warn(caplog):
+    source = _mini_events(6, "s")
+    cfg = _config(max_epochs=1, val_fraction=0.0)
+    with caplog.at_level("WARNING"):
+        results = [fit(source, _mini_events(count, "t"), cfg) for count in (2, 8)]
+    assert [r.monitor for r in results] == ["neg_train_loss", "neg_train_loss"]
+    assert not any("validation carve" in r.message for r in caplog.records)
+
+
 def test_fit_writes_step_and_epoch_log(tmp_path):
     source, target = _mini_events(6, "s"), _mini_events(8, "t")
     cfg = _config(max_epochs=2)
@@ -300,8 +309,9 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     # steps also catch a buffer reused while a neighbouring rule still reads it.
     # The oracle side runs the unfused encoder (four tape nodes per
     # convolution, gathered claim rows, their concatenation, a float dropout
-    # mask, a mean per event) and a backward pass that keeps every gradient,
-    # so the tape's visit and accumulation order is checked too.
+    # mask, a mean per event), the loss terms and their blend composed of
+    # primitive ops, and a backward pass that keeps every gradient, so the
+    # tape's visit and accumulation order is checked too.
     source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=3))
     provider = HashedProvider(dim=8)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
@@ -325,6 +335,9 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     monkeypatch.setattr(nc, "grad_wrt", oracles.grad_wrt)
     monkeypatch.setattr(nc.Tensor, "backward", oracles.backward)
     monkeypatch.setattr(trainer, "adamw_step", oracles.adamw_step)
+    for name in ("ce_from_probs", "scl_source", "scl_cross", "tcl", "joint"):
+        monkeypatch.setattr(trainer, name, getattr(oracles, name))
+    monkeypatch.setattr(augment, "ce_from_probs", oracles.ce_from_probs)
     reference = two_steps()
     for state in (lean, blocked):
         assert state.params.w0.data.dtype == {"f64": np.float64, "f32": np.float32}[precision]
@@ -332,6 +345,28 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
             assert param.data.tobytes() == reference.params.tensors[name].data.tobytes(), name
             assert state.optimizer.m[name].tobytes() == reference.optimizer.m[name].tobytes(), name
             assert state.optimizer.v[name].tobytes() == reference.optimizer.v[name].tobytes(), name
+
+
+def test_desk_shaped_step_tapes_one_node_per_loss_term(monkeypatch):
+    # 32 + 32 events, d 16/16/8 and a DropEdge view, as perfbench's desk workload:
+    # 44 nodes, 31 with a rule. With the loss terms and their blend composed of
+    # primitive ops (tests/oracles.py), the same step tapes 163 (123).
+    source_ds, target_ds = generate(SynthSpec(source_events=32, target_events=32, mean_replies=6.0, seed=5))
+    provider = HashedProvider(dim=16)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = _config(model=ModelConfig(d_in=16, d_hidden=16, d_out=8), source_batch_size=32, target_batch_size=32)
+    tapes = []
+    backward = nc.Tensor.backward
+
+    def recording_backward(self):
+        tapes.append(backward(self))
+        return tapes[-1]
+
+    monkeypatch.setattr(nc.Tensor, "backward", recording_backward)
+    train_step(source, target, _fresh_state(cfg), cfg)
+    (tape,) = tapes
+    assert len(tape) <= 44
+    assert sum(node._backward is not None for node in tape) <= 31
 
 
 def test_train_step_memory_peak_stays_lean():
