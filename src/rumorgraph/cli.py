@@ -8,6 +8,12 @@ representations), and synth (generate the two-domain synthetic benchmark).
 Commands that produce artifacts write them under ``--out`` together with a
 ``manifest.json`` listing the files and a hash of the effective config.
 
+The same seed and config give byte-identical artifacts only on the same
+numpy build and the same BLAS kernel. Kernels round some products
+differently: on an AVX-512 Xeon, whose own OpenBLAS kernel is SkylakeX,
+selecting the SandyBridge kernel with ``OPENBLAS_CORETYPE=SandyBridge``
+changes 328 of the 571 files that ``tests/artifact_matrix.py`` writes.
+
 Exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training
 failed, 4 degenerate projection. Every failure prints an ``error:`` line.
 """

@@ -1,4 +1,9 @@
-"""AdamW: bias-corrected Adam moments followed by decoupled weight decay."""
+"""AdamW: bias-corrected Adam moments followed by decoupled weight decay.
+
+The moment decay rates and the denominator's epsilon are fixed at
+beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; a run sets only the learning rate
+and the weight decay.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class TrainingStepError(RuntimeError):
     """A parameter update could not be applied (e.g. non-finite gradient)."""
@@ -16,9 +25,6 @@ class TrainingStepError(RuntimeError):
 @dataclass
 class AdamWState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     m: dict = field(default_factory=dict)
@@ -38,8 +44,8 @@ def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np
 
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for name, param in params.items():
         grad = grads[name]
         if name not in state.m:
@@ -50,16 +56,16 @@ def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np
         # in place, with the operations and order of m = beta1 m + (1 - beta1) g,
         # v = beta2 v + ((1 - beta2) g) g, p -= (lr m_hat) / (sqrt(v_hat) + eps)
         # and p -= (lr wd) p; the decay runs even at wd = 0, where it turns -0.0 into +0.0
-        step = (1.0 - state.beta1) * grad
-        m *= state.beta1
+        step = (1.0 - BETA1) * grad
+        m *= BETA1
         m += step
-        np.multiply(1.0 - state.beta2, grad, out=step)
+        np.multiply(1.0 - BETA2, grad, out=step)
         step *= grad
-        v *= state.beta2
+        v *= BETA2
         v += step
         denom = v / bias2
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         np.divide(m, bias1, out=step)
         step *= state.learning_rate
         step /= denom

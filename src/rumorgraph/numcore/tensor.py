@@ -20,13 +20,14 @@ node by stopping its walk there.
 A backward rule skips the gradient product of an operand that needs no
 gradient. It writes in place only into buffers it has just allocated, never
 into its upstream gradient ``g``, an operand's ``.data`` or an array its
-closure keeps (``layer_norm``'s normalized rows, ``graph_conv``'s mask, ``exp``'s
-output): ``_unbroadcast`` can return ``g`` itself, so a node's ``grad`` may
-alias its parent's. A forward kernel may likewise overwrite a buffer it has
-just allocated once nothing will read it again: untaped, ``layer_norm``
-writes its output over its normalized rows. Whether a call is taped is
-decided by ``_taped``, the one test ``_make`` also applies, so the in-place
-path never runs where a recorded backward would read those rows.
+closure keeps (``layer_norm``'s normalized rows, ``graph_conv``'s mask,
+``softmax_rows``'s output): ``_unbroadcast`` can return ``g`` itself, so a
+node's ``grad`` may alias its parent's. A forward kernel may likewise
+overwrite a buffer it has just allocated once nothing will read it again:
+untaped, ``layer_norm`` writes its output over its normalized rows. Whether
+a call is taped is decided by ``_taped``, the one test ``_make`` also
+applies, so the in-place path never runs where a recorded backward would
+read those rows.
 
 Float64 is the default element type; float32 can be selected for faster
 experiment runs, inside a ``precision`` block or process-wide with
@@ -153,14 +154,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
 
 def as_tensor(value) -> Tensor:
@@ -259,19 +254,6 @@ def mul(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -375,58 +357,7 @@ def mask(x, keep: np.ndarray) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.exp(x.data)
-
-    def backward(g):
-        _accumulate(x, g * data)
-
-    return _make(data, (x,), backward)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.log(x.data)
-
-    def backward(g):
-        _accumulate(x, g / x.data)
-
-    return _make(data, (x,), backward)
-
-
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.sqrt(x.data)
-
-    def backward(g):
-        _accumulate(x, g / (2.0 * data))
-
-    return _make(data, (x,), backward)
-
-
-def clamp_min(x, floor: float) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data >= floor
-    data = np.where(mask, x.data, floor)
-
-    def backward(g):
-        _accumulate(x, g * mask)
-
-    return _make(data, (x,), backward)
-
-
 # -- structural ops ----------------------------------------------------------
-
-
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.T
-
-    def backward(g):
-        _accumulate(x, g.T)
-
-    return _make(data, (x,), backward)
 
 
 def concat_rows(a, b) -> Tensor:
@@ -474,27 +405,6 @@ def segment_mean(x, sizes: Sequence[int]) -> Tensor:
 
     def backward(g):
         _accumulate(x, np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0))
-
-    return _make(data, (x,), backward)
-
-
-def sum_all(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.asarray(x.data.sum())
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-
-    return _make(data, (x,), backward)
-
-
-def sum_rows(x) -> Tensor:
-    """Row sums with keepdims: (n, d) -> (n, 1)."""
-    x = as_tensor(x)
-    data = x.data.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
 
     return _make(data, (x,), backward)
 

@@ -12,16 +12,17 @@ arrays. The two supervised terms are one form (``_supervised``) over
 different similarity matrices: source anchors against the other source
 events, and target anchors against every source event.
 
-Each term is one tape node, and so is the average that ``joint`` returns.
-A forward normalizes each input once. A backward does, element by element
-and in the order a backward pass visits them, the arithmetic of the rules
-of the same term composed of primitive tape ops (``tests/oracles.py``),
-broadcasting where those rules copied a broadcast gradient, and it hands
-each input one ``_accumulate`` per contribution those rules make, so values
-and gradients match the composition byte for byte. Products stay in the
-layout the rules gave them, since a row sum's rounding depends on it.
-Constants enter in the active element type, as ``Tensor`` casts them. A
-node keeps only what its backward reads:
+Each term is one tape node, and so is the average that ``joint`` returns. A
+forward normalizes each input once. A backward does, element by element and
+in the order a backward pass visits them, the arithmetic of the rules of the
+same term composed of primitive tape ops (``tests/oracles.py``, which holds
+those compositions and the primitives only they use), broadcasting where
+those rules copied a broadcast gradient, and it hands each input one
+``_accumulate`` per contribution those rules make, so values and gradients
+match the composition byte for byte. Products stay in the layout the rules
+gave them, since a row sum's rounding depends on it. Constants enter in the
+active element type, as ``Tensor`` casts them. A node keeps only what its
+backward reads:
 
 - ``ce_from_probs``: the one-hot labels and the floored true-class
   probabilities with their floor mask;

@@ -12,24 +12,30 @@ sums, norms and unit rows, beside the similarity matrices, their
 exponentials, masked copies and row sums, and one constant leaf per mask,
 weight and scale.
 
+The tape primitives that only these compositions and the gradient checks
+use live here, each one node with its own backward rule: ``div``, ``exp``,
+``log``, ``sqrt``, ``clamp_min``, ``transpose``, ``sum_all`` and
+``sum_rows``, beside the encoder's ``relu``, ``spmm``, ``concat_cols`` and
+``gather_rows``. A difference ``a - b`` is written ``add(a, mul(b, -1.0))``.
+
 The propagation oracles build a graph's dense adjacency and its
 normalization entry by entry; ``param_count`` is the model's closed-form
-parameter count; ``tokenize_reference`` and
-``hashed_embed_reference`` are the character-loop tokenizer and the uncached
-signed-hashing embedding that ``rumorgraph.embed`` must match bit for bit;
-``truncate_event`` rebuilds an event from the posts a detection checkpoint
-keeps, which early detection's prefixes of prepared events must match;
-``layer_norm``, ``gather_rows``, ``segment_mean`` and ``adamw_step`` are the
-straightforward kernels (``np.var``, ``np.add.at``, a mean per event,
-out-of-place moments) whose bytes the in-place and segment-summing ones in
-``rumorgraph.numcore`` must reproduce; ``claim_layer_norm`` (``layer_norm``
-of ``concat_cols`` and ``gather_rows`` of each segment's first row),
-``graph_conv`` (``relu`` of ``add`` of ``spmm`` of ``matmul``, of
-``float_mask`` with a keep mask), ``float_mask``, ``backward`` and
-``grad_wrt`` are the encoder composition and tape walk that the fused claim
-residual, the fused convolution with its boolean dropout mask,
-``numcore.mask`` and the backward pass that frees interior gradients must
-match byte for byte.
+parameter count; ``tokenize_reference`` and ``hashed_embed_reference`` are
+the character-loop tokenizer and the uncached signed-hashing embedding that
+``rumorgraph.embed`` must match bit for bit; ``truncate_event`` rebuilds an
+event from the posts a detection checkpoint keeps, which early detection's
+prefixes of prepared events must match; ``layer_norm``, ``gather_rows``,
+``segment_mean`` and ``adamw_step`` are the straightforward kernels
+(``np.var``, ``np.add.at``, a mean per event, out-of-place moments at
+``numcore.optim``'s fixed rates) whose bytes the in-place and
+segment-summing ones in ``rumorgraph.numcore`` must reproduce;
+``claim_layer_norm`` (``layer_norm`` of ``concat_cols`` and ``gather_rows``
+of each segment's first row), ``graph_conv`` (``relu`` of ``add`` of
+``spmm`` of ``matmul``, of ``float_mask`` with a keep mask), ``float_mask``,
+``backward`` and ``grad_wrt`` are the encoder composition and tape walk that
+the fused claim residual, the fused convolution with its boolean dropout
+mask, ``numcore.mask`` and the backward pass that frees interior gradients
+must match byte for byte.
 """
 
 import math
@@ -37,7 +43,6 @@ import re
 
 import numpy as np
 
-from rumorgraph import numcore as nc
 from rumorgraph.dataio import DatasetError, Event
 from rumorgraph.model import ModelConfig
 from rumorgraph.numcore import (
@@ -50,8 +55,10 @@ from rumorgraph.numcore import (
     clear_grads,
     fnv1a64,
     matmul,
+    mul,
 )
-from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, as_tensor
+from rumorgraph.numcore.optim import BETA1, BETA2, EPS
+from rumorgraph.numcore.tensor import ShapeError, _accumulate, _make, _unbroadcast, as_tensor
 from rumorgraph.objectives import PROB_FLOOR, SimilarityError
 from rumorgraph.propagation import PropagationGraph
 
@@ -110,17 +117,17 @@ def scl_cross_reference(
 
 
 def _normalize_rows(reps: Tensor) -> Tensor:
-    norms_sq = nc.sum_rows(reps * reps)
+    norms_sq = sum_rows(reps * reps)
     if np.any(norms_sq.data <= 0.0):
         raise SimilarityError("similarity of a zero vector is undefined")
-    return reps / nc.sqrt(norms_sq)
+    return div(reps, sqrt(norms_sq))
 
 
 def similarity_matrix(a: Tensor, b: Tensor, tau: float) -> Tensor:
     """Pairwise temperature-scaled cosine similarities, rows of a vs rows of b, as tape ops."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    return nc.matmul(_normalize_rows(a), nc.transpose(_normalize_rows(b))) * (1.0 / tau)
+    return matmul(_normalize_rows(a), transpose(_normalize_rows(b))) * (1.0 / tau)
 
 
 def ce_from_probs(probs: Tensor, labels: np.ndarray) -> Tensor:
@@ -128,8 +135,8 @@ def ce_from_probs(probs: Tensor, labels: np.ndarray) -> Tensor:
     n, classes = probs.shape
     onehot = np.zeros((n, classes))
     onehot[np.arange(n), labels] = 1.0
-    p_true = nc.sum_rows(probs * Tensor(onehot))
-    return nc.sum_all(nc.log(nc.clamp_min(p_true, PROB_FLOOR))) * (-1.0 / n)
+    p_true = sum_rows(probs * Tensor(onehot))
+    return sum_all(log(clamp_min(p_true, PROB_FLOOR))) * (-1.0 / n)
 
 
 def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
@@ -144,10 +151,10 @@ def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     weights = np.where(pos_counts > 0, 1.0 / (n * np.maximum(pos_counts, 1.0)), 0.0)
 
     s = similarity_matrix(reps, reps, tau)
-    denom = nc.sum_rows(nc.exp(s) * Tensor(off_diag))
-    log_prob = s - nc.log(denom)
+    denom = sum_rows(exp(s) * Tensor(off_diag))
+    log_prob = add(s, mul(log(denom), -1.0))
     weighted = log_prob * Tensor(positives) * Tensor(weights[:, None])
-    return nc.sum_all(weighted) * -1.0
+    return sum_all(weighted) * -1.0
 
 
 def scl_cross(
@@ -160,10 +167,10 @@ def scl_cross(
     weights = np.where(pos_counts > 0, 1.0 / (n_t * np.maximum(pos_counts, 1.0)), 0.0)
 
     s = similarity_matrix(target_reps, source_reps, tau)
-    denom = nc.sum_rows(nc.exp(s))
-    log_prob = s - nc.log(denom)
+    denom = sum_rows(exp(s))
+    log_prob = add(s, mul(log(denom), -1.0))
     weighted = log_prob * Tensor(matches) * Tensor(weights[:, None])
-    return nc.sum_all(weighted) * -1.0
+    return sum_all(weighted) * -1.0
 
 
 def tcl(reps: Tensor, aug_reps: Tensor, tau: float, include_positive: bool = False) -> Tensor:
@@ -176,14 +183,12 @@ def tcl(reps: Tensor, aug_reps: Tensor, tau: float, include_positive: bool = Fal
 
     s_orig = similarity_matrix(reps, reps, tau)
     s_aug = similarity_matrix(reps, aug_reps, tau)
-    pos = nc.sum_rows(s_aug * Tensor(eye))
-    denom = nc.sum_rows(nc.exp(s_orig) * Tensor(off_diag)) + nc.sum_rows(
-        nc.exp(s_aug) * Tensor(off_diag)
-    )
+    pos = sum_rows(s_aug * Tensor(eye))
+    denom = sum_rows(exp(s_orig) * Tensor(off_diag)) + sum_rows(exp(s_aug) * Tensor(off_diag))
     if include_positive:
-        denom = denom + nc.exp(pos)
-    per_anchor = pos - nc.log(denom)
-    return nc.sum_all(per_anchor) * (-1.0 / n)
+        denom = denom + exp(pos)
+    per_anchor = add(pos, mul(log(denom), -1.0))
+    return sum_all(per_anchor) * (-1.0 / n)
 
 
 def joint(
@@ -418,6 +423,91 @@ def relu(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def div(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data / b.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def exp(x) -> Tensor:
+    x = as_tensor(x)
+    data = np.exp(x.data)
+
+    def backward(g):
+        _accumulate(x, g * data)
+
+    return _make(data, (x,), backward)
+
+
+def log(x) -> Tensor:
+    x = as_tensor(x)
+    data = np.log(x.data)
+
+    def backward(g):
+        _accumulate(x, g / x.data)
+
+    return _make(data, (x,), backward)
+
+
+def sqrt(x) -> Tensor:
+    x = as_tensor(x)
+    data = np.sqrt(x.data)
+
+    def backward(g):
+        _accumulate(x, g / (2.0 * data))
+
+    return _make(data, (x,), backward)
+
+
+def clamp_min(x, floor: float) -> Tensor:
+    x = as_tensor(x)
+    mask = x.data >= floor
+    data = np.where(mask, x.data, floor)
+
+    def backward(g):
+        _accumulate(x, g * mask)
+
+    return _make(data, (x,), backward)
+
+
+def transpose(x) -> Tensor:
+    x = as_tensor(x)
+    data = x.data.T
+
+    def backward(g):
+        _accumulate(x, g.T)
+
+    return _make(data, (x,), backward)
+
+
+def sum_all(x) -> Tensor:
+    x = as_tensor(x)
+    data = np.asarray(x.data.sum())
+
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+
+    return _make(data, (x,), backward)
+
+
+def sum_rows(x) -> Tensor:
+    """Row sums with keepdims: (n, d) -> (n, 1)."""
+    x = as_tensor(x)
+    data = x.data.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+
+    return _make(data, (x,), backward)
+
+
 def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
     """``numcore.graph_conv`` as four tape nodes, ``relu(op @ (x @ w) + b)``, after a ``float_mask`` node given ``keep``."""
     x = x if keep is None else float_mask(x, keep)
@@ -460,8 +550,8 @@ def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np
 
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for name, param in params.items():
         grad = grads[name]
         if name not in state.m:
@@ -469,12 +559,12 @@ def adamw_step(state: AdamWState, params: dict[str, Tensor], grads: dict[str, np
             state.v[name] = np.zeros_like(param.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         param.data -= state.learning_rate * state.weight_decay * param.data
     return state

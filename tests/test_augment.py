@@ -204,7 +204,7 @@ def test_augment_batch_dimensions_and_gradient_flow():
         )
         assert aug.shape == result.reps.shape
         assert np.all(np.isfinite(aug.data))
-        loss = nc.sum_all(aug * aug)
+        loss = oracles.sum_all(aug * aug)
         visited = loss.backward()
         assert params.w0.grad is not None and np.any(params.w0.grad != 0.0)
         nc.clear_grads(visited)

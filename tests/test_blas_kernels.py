@@ -1,11 +1,13 @@
-"""The loss-term tests rerun under a second OpenBLAS kernel.
+"""The loss-term, tape and kernel tests rerun under a second OpenBLAS kernel.
 
 A DYNAMIC_ARCH OpenBLAS picks its kernel for the CPU at load time, and
 ``OPENBLAS_CORETYPE`` overrides the pick. Kernels round some products
 differently, so a bound or a bitwise oracle check that holds under one
-kernel can fail under another. Rerunning ``test_objectives.py`` in a child
-process under the SandyBridge kernel keeps the bounds, gradient checks and
-oracle checks of the one-node loss terms honest on other hosts.
+kernel can fail under another. Rerunning ``test_objectives.py``, and
+``test_tensor.py`` with ``test_kernels.py``, in a child process under the
+SandyBridge kernel keeps the bounds, gradient checks and oracle checks of the
+one-node loss terms, the tape primitives and the fused kernels honest on
+other hosts.
 """
 
 import os
@@ -27,12 +29,24 @@ def _dynamic_openblas() -> bool:
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-@pytest.mark.skipif(
+SANDYBRIDGE_ONLY = pytest.mark.skipif(
     not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE selects nothing"
 )
-def test_objectives_pass_under_the_sandybridge_kernel():
+
+
+def _assert_pass_under_sandybridge(*test_files: str) -> None:
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_objectives.py"]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *test_files]
     result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+
+
+@SANDYBRIDGE_ONLY
+def test_objectives_pass_under_the_sandybridge_kernel():
+    _assert_pass_under_sandybridge("tests/test_objectives.py")
+
+
+@SANDYBRIDGE_ONLY
+def test_tensor_and_kernels_pass_under_the_sandybridge_kernel():
+    _assert_pass_under_sandybridge("tests/test_tensor.py", "tests/test_kernels.py")

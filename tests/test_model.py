@@ -170,7 +170,7 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_bytes():
     for walk in (nc.Tensor.backward, oracles.backward):
         params = init_params(TINY, RngStreams(4))
         result = encode_batch(batch, params, mode="train", streams=RngStreams(5))
-        loss = nc.sum_all(result.probs * result.probs) + nc.sum_all(result.reps * result.reps)
+        loss = oracles.sum_all(result.probs * result.probs) + oracles.sum_all(result.reps * result.reps)
         visited = walk(loss)
         runs.append((params, visited))
     (params, visited), (reference, _) = runs

@@ -11,7 +11,7 @@ from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
 from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
 from tests.gradcheck import finite_diff_grad, relative_error
-from tests.oracles import dense_adjacency, normalized_reference
+from tests.oracles import dense_adjacency, normalized_reference, sum_all
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -124,7 +124,7 @@ def test_graph_conv_backward_matches_finite_differences(dropout):
 
     def build():
         out = nc.graph_conv(op, x, w, b, keep)
-        return nc.sum_all(out * out * weights)
+        return sum_all(out * out * weights)
 
     pre = op.apply((x.data if keep is None else x.data * keep) @ w.data) + b.data
     assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3  # both sides, clear of the kink
@@ -144,7 +144,7 @@ def test_graph_conv_keeps_float32_and_checks_rows():
         x = nc.parameter(gen.normal(size=(rows, 4)), "x")
         w, b = nc.parameter(gen.normal(size=(4, 2)), "w"), nc.parameter(gen.normal(size=2), "b")
         out = nc.graph_conv(op, x, w, b)
-        nc.sum_all(out * out).backward()
+        sum_all(out * out).backward()
     assert out.data.dtype == np.float32
     assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
     with pytest.raises(nc.ShapeError, match=f"{rows}-row operator"):

