@@ -12,7 +12,9 @@ The same seed and config give byte-identical artifacts only on the same
 numpy build and the same BLAS kernel. Kernels round some products
 differently: on an AVX-512 Xeon, whose own OpenBLAS kernel is SkylakeX,
 selecting the SandyBridge kernel with ``OPENBLAS_CORETYPE=SandyBridge``
-changes 328 of the 571 files that ``tests/artifact_matrix.py`` writes.
+changes 328 of the 571 files that ``tests/artifact_matrix.py`` writes. That
+tool first writes ``blas_fingerprint.txt``, a digest of fixed matrix products
+that tells such kernels apart.
 
 Exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training
 failed, 4 degenerate projection. Every failure prints an ``error:`` line.
@@ -24,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import numcore as nc
@@ -94,59 +96,40 @@ def cmd_train(args) -> int:
         return _fail(str(err), 2)
 
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
-    # process-wide, unlike fit and cross_validate: code run after the command
-    # in the same process reads its results at the trained precision
-    nc.set_precision(run.train.precision)
-
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         source_ds = parse_events(run.source_events)
         target_ds = parse_events(run.target_events)
         source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
         target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
+        source = prepare_events(source_ds.events, source_provider)
+        target = prepare_events(target_ds.events, target_provider)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (DatasetError, EmbeddingError, OSError) as err:
         return _fail(str(err), 1)
 
-    files: list[str] = []
     try:
         if run.protocol_mode == "cv":
-
-            def snapshot_writer(fold: int, result) -> None:
-                name = f"fold{fold}.snapshot"
-                save_snapshot(result.params, run.train.seed, out_dir / name)
-                files.append(name)
-                files.append(f"fold{fold}_train_log.jsonl")
-
-            cv = cross_validate(
-                source_ds,
-                target_ds,
-                run.train,
-                source_provider,
-                target_provider,
-                k=run.folds,
-                out_dir=str(out_dir),
-                snapshot_writer=snapshot_writer,
-            )
-            metrics = cv.to_dict()
-            metrics["fold_assignment"] = cv.plan_assignment
+            metrics = asdict(cross_validate(source, target, run.train, k=run.folds, out_dir=out_dir))
+            files = metrics.pop("files")
         else:
-            source = prepare_events(source_ds.events, source_provider)
-            target = prepare_events(target_ds.events, target_provider)
             log_name = "train_log.jsonl"
             result = fit(source, target, run.train, log_path=out_dir / log_name)
             save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
-            files.extend(["model.snapshot", log_name])
+            files = ["model.snapshot", log_name]
             # with no epoch run there is no best score, and -inf is not JSON
             metrics = {"best_score": result.best_score if result.history else None, "history": result.history}
         with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
-        files.append("metrics.json")
-        _write_manifest(out_dir, files, run.raw)
-    except (DatasetError, EmbeddingError, OSError) as err:
+        _write_manifest(out_dir, [*files, "metrics.json"], run.raw)
+    except (DatasetError, OSError) as err:
         return _fail(str(err), 1)
     except (TrainingStepError, SimilarityError) as err:
         return _fail(str(err), 3)
+    # process-wide, unlike fit and cross_validate, and only once the run has
+    # succeeded: code run after the command in the same process reads its
+    # results at the trained precision
+    nc.set_precision(run.train.precision)
     print(f"artifacts written to {out_dir}")
     return 0
 
@@ -178,14 +161,11 @@ def cmd_earlydetect(args) -> int:
         events = parse_events(args.events).events
         provider = _provider_for(args, params.config)
         spec = _parse_checkpoints(args.checkpoints, args.mode)
+        prepared = prepare_events(events, provider)
     except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
-    try:
-        curve = early_detection(events, params, spec, provider)
-    except EmbeddingError as err:
-        return _fail(str(err), 1)
-
+    curve = early_detection(prepared, params, spec)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,9 +194,7 @@ def cmd_export_features(args) -> int:
 
     try:
         _preds, reps = predict_events(events, params, provider)
-        features = pca_project(
-            reps, event_ids=[e.event_id for e in events], labels=[e.label for e in events]
-        )
+        coords, explained = pca_project(reps)
     except EmbeddingError as err:
         return _fail(str(err), 1)
     except DegenerateDataError as err:
@@ -225,7 +203,7 @@ def cmd_export_features(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_features_csv(features, out_dir / "features.csv", out_dir / "explained_variance.json")
+        write_features_csv(events, coords, explained, out_dir / "features.csv", out_dir / "explained_variance.json")
         _write_manifest(
             out_dir,
             ["features.csv", "explained_variance.json"],

@@ -223,14 +223,14 @@ def write_events(dataset: Dataset, path) -> None:
 # -- fold splitting ------------------------------------------------------------
 
 
-def split_folds(dataset: Dataset, k: int, seed: int) -> dict[str, int]:
+def split_folds(events: list[Event], k: int, seed: int) -> dict[str, int]:
     """Assign every event to one of k folds, stratified by label: event_id -> fold."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     gen = RngStreams(seed).shuffle
     assignment: dict[str, int] = {}
     for label in LABELS:
-        ids = sorted(e.event_id for e in dataset.events if e.label == label)
+        ids = sorted(e.event_id for e in events if e.label == label)
         if not ids:
             continue
         if len(ids) < k:

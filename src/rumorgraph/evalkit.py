@@ -2,7 +2,7 @@
 and 2-D feature projection for inspecting the learned representation space.
 
 ``predict_events`` embeds and encodes raw events, for the export. The
-protocols that score prepared events, early detection among them, are in
+protocols, early detection among them, take prepared events and live in
 ``trainer``.
 """
 
@@ -37,32 +37,19 @@ class Metrics:
     f1_nonrumor: float
     confusion: dict  # per class name: {"tp", "fp", "fn", "tn"}
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "f1_rumor": self.f1_rumor,
-            "f1_nonrumor": self.f1_nonrumor,
-            "confusion": self.confusion,
-        }
-
 
 def _f1(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
 
 
-def compute_metrics(predictions, labels) -> Metrics:
-    """Accuracy, per-class F1 (0/0 counts as 0), and their unweighted mean.
-
-    Predictions and labels may be class indices or label strings.
-    """
-    if len(predictions) != len(labels):
-        raise ValueError(f"{len(predictions)} predictions for {len(labels)} labels")
-    if not labels:
+def compute_metrics(preds, truth) -> Metrics:
+    """Accuracy, per-class F1 (0/0 counts as 0), and their unweighted mean,
+    from predicted and true class indices (``LABEL_INDEX``)."""
+    if len(preds) != len(truth):
+        raise ValueError(f"{len(preds)} predictions for {len(truth)} labels")
+    if not truth:
         raise ValueError("nothing to evaluate")
-    preds = [LABEL_INDEX.get(p, p) for p in predictions]
-    truth = [LABEL_INDEX.get(y, y) for y in labels]
 
     confusion = {}
     f1 = {}
@@ -131,20 +118,14 @@ def write_curve_csv(curve: EarlyDetectionCurve, path) -> None:
 # -- principal component projection ------------------------------------------------
 
 
-@dataclass
-class ProjectedFeatures:
-    event_ids: list[str]
-    labels: list[str]
-    coords: np.ndarray  # (n, 2), mean-centered
-    explained: tuple[float, float]  # fractions of total variance, descending
-
-
-def pca_project(representations: np.ndarray, event_ids=None, labels=None) -> ProjectedFeatures:
+def pca_project(representations: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """Project representations onto their top-2 principal axes.
 
-    Eigenvectors come from a symmetric eigendecomposition (LAPACK) of the
-    sample covariance; each axis is sign-fixed so its largest-magnitude
-    component is positive, making exports reproducible.
+    Returns the mean-centered ``(n, 2)`` coordinates and the fraction of the
+    total variance on each axis, in descending order. Eigenvectors come from a
+    symmetric eigendecomposition (LAPACK) of the sample covariance; each axis
+    is sign-fixed so its largest-magnitude component is positive, making
+    exports reproducible.
     """
     x = np.asarray(representations, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -164,24 +145,16 @@ def pca_project(representations: np.ndarray, event_ids=None, labels=None) -> Pro
         anchor = int(np.argmax(np.abs(axes[:, col])))
         if axes[anchor, col] < 0:
             axes[:, col] = -axes[:, col]
-    coords = centered @ axes
     explained = (float(eigvals[order[0]] / total), float(eigvals[order[1]] / total))
-
-    n = x.shape[0]
-    return ProjectedFeatures(
-        event_ids=list(event_ids) if event_ids is not None else [str(i) for i in range(n)],
-        labels=list(labels) if labels is not None else [""] * n,
-        coords=coords,
-        explained=explained,
-    )
+    return centered @ axes, explained
 
 
-def write_features_csv(features: ProjectedFeatures, csv_path, sidecar_path) -> None:
+def write_features_csv(events: list[Event], coords: np.ndarray, explained, csv_path, sidecar_path) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_id", "label", "x", "y"])
-        for eid, label, (x, y) in zip(features.event_ids, features.labels, features.coords):
-            writer.writerow([eid, label, repr(float(x)), repr(float(y))])
+        for event, (x, y) in zip(events, coords):
+            writer.writerow([event.event_id, event.label, repr(float(x)), repr(float(y))])
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump({"explained_variance_fractions": list(features.explained)}, fh, sort_keys=True)
+        json.dump({"explained_variance_fractions": list(explained)}, fh, sort_keys=True)
         fh.write("\n")

@@ -10,8 +10,8 @@ macro-F1. Cross-validation trains on each fold in turn (the small portion)
 and tests on everything else. Early detection scores, at each checkpoint,
 the posts visible so far: a prefix of each event's rows and edges.
 
-Every protocol embeds each event and builds its graph once
-(``prepare_events``) and scores through ``evaluate_prepared``.
+Every protocol takes events its caller prepared once (``prepare_events``:
+embedded, with their graphs built) and scores through ``evaluate_prepared``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import numcore as nc
 from .augment import AugmentStrategy, augment_batch
-from .dataio import CheckpointSpec, Dataset, Event, split_folds, visible_posts
+from .dataio import CheckpointSpec, Event, split_folds, visible_posts
 from .embed import embed_event
 from .evalkit import LABEL_INDEX, EarlyDetectionCurve, Metrics, compute_metrics
 from .model import (
@@ -34,6 +35,7 @@ from .model import (
     ModelParams,
     encode_batch,
     init_params,
+    save_snapshot,
 )
 from .numcore import AdamWState, RngStreams, Tensor, TrainingStepError, adamw_step, child_seed
 from .objectives import ce_from_probs, joint, scl_cross, scl_source, tcl
@@ -54,7 +56,7 @@ class TrainConfig:
     patience: int = 10
     val_fraction: float = 0.1
     weight_decay: float = 0.0
-    augment: AugmentStrategy | None = AugmentStrategy("graph_dropedge")
+    augment: AugmentStrategy = AugmentStrategy("graph_dropedge")
     tcl_enabled: bool = True
     tcl_include_positive: bool = False
     seed: int = 0
@@ -75,8 +77,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.tcl_enabled and self.augment is None:
-            raise ValueError("target-instance contrastive training requires an augmentation strategy")
 
 
 @dataclass
@@ -332,45 +332,38 @@ def fit(
 
 @dataclass
 class CVResult:
-    fold_metrics: list[Metrics]
+    folds: list[Metrics]
     mean: dict
-    plan_assignment: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "folds": [m.to_dict() for m in self.fold_metrics],
-            "mean": self.mean,
-        }
+    fold_assignment: dict[str, int]
+    files: list[str]  # the names written under out_dir
 
 
 def cross_validate(
-    source_ds: Dataset,
-    target_ds: Dataset,
+    source: list[PreparedEvent],
+    target: list[PreparedEvent],
     cfg: TrainConfig,
-    source_provider,
-    target_provider,
     k: int = 5,
-    out_dir=None,
-    snapshot_writer=None,
+    out_dir: Path | None = None,
 ) -> CVResult:
-    """Few-shot protocol: train on each fold (the small slice), test on the rest."""
-    with nc.precision(cfg.precision):
-        assignment = split_folds(target_ds, k, cfg.seed)
-        source = prepare_events(source_ds.events, source_provider)
-        target = prepare_events(target_ds.events, target_provider)
-        by_id = {p.event.event_id: p for p in target}
+    """Few-shot protocol: train on each fold (the small slice), test on the rest.
 
+    With ``out_dir``, each fold writes ``fold{i}_train_log.jsonl`` and its best
+    parameters as ``fold{i}.snapshot`` (tagged with ``cfg.seed``) there, and
+    ``files`` names them.
+    """
+    with nc.precision(cfg.precision):
+        assignment = split_folds([p.event for p in target], k, cfg.seed)
         fold_metrics = []
+        files = []
         for fold in range(k):
-            train_fold = [by_id[e.event_id] for e in target_ds.events if assignment[e.event_id] == fold]
-            test_fold = [by_id[e.event_id] for e in target_ds.events if assignment[e.event_id] != fold]
+            train_fold = [p for p in target if assignment[p.event.event_id] == fold]
+            test_fold = [p for p in target if assignment[p.event.event_id] != fold]
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
-            log_path = None
-            if out_dir is not None:
-                log_path = f"{out_dir}/fold{fold}_train_log.jsonl"
+            log_path = None if out_dir is None else out_dir / f"fold{fold}_train_log.jsonl"
             result = fit(source, train_fold, fold_cfg, log_path=log_path)
-            if snapshot_writer is not None:
-                snapshot_writer(fold, result)
+            if out_dir is not None:
+                save_snapshot(result.params, cfg.seed, out_dir / f"fold{fold}.snapshot")
+                files += [f"fold{fold}.snapshot", log_path.name]
             fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
         mean = {
@@ -379,12 +372,12 @@ def cross_validate(
             "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
             "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
         }
-        return CVResult(fold_metrics=fold_metrics, mean=mean, plan_assignment=assignment)
+        return CVResult(folds=fold_metrics, mean=mean, fold_assignment=assignment, files=files)
 
 
-def early_detection(events: list[Event], params: ModelParams, spec: CheckpointSpec, provider) -> EarlyDetectionCurve:
-    """Score the events with only the posts visible at each checkpoint."""
-    prepared = prepare_events(events, provider)
+def early_detection(prepared: list[PreparedEvent], params: ModelParams, spec: CheckpointSpec) -> EarlyDetectionCurve:
+    """Score prepared events with only the posts visible at each checkpoint: a
+    prefix of each event's rows and edges, so no post is embedded again."""
     metrics = [
         evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
         for value in spec.values

@@ -20,6 +20,15 @@ depend on where the tree lives. The matrix:
 - ``earlydetect`` in count and in time mode, and ``export-features``, on the
   single-mode f64 snapshot without an ``augment`` section.
 
+Before any command runs, it writes ``blas_fingerprint.txt``: the SHA-256 of
+f64 and f32 products of four fixed matrix pairs, computed by a child
+``python -c`` with the commands' environment. Artifacts are byte-identical
+only under the same BLAS kernel, so when two trees differ, compare this file
+first. On an AVX-512 Xeon with OpenBLAS 0.3.31, the fingerprint of the default
+kernel (SkylakeX) differs from that under ``OPENBLAS_CORETYPE=SandyBridge``.
+Under ``Haswell`` and ``Prescott`` it also differs between
+``OPENBLAS_NUM_THREADS`` 1 and 2, so there the thread count is part of the kernel.
+
 pytest does not collect this file. It needs only the standard library.
 """
 
@@ -52,6 +61,18 @@ VARIANTS = {
 MODES = ("cv", "single")
 PRECISIONS = ("f64", "f32")
 EVENTS = ["--events", "data/target_events.jsonl", "--embeddings", "hashed:16"]
+# the inputs come from correctly rounded arithmetic alone, so only the products can differ
+FINGERPRINT = """
+import hashlib
+import numpy as np
+digest = hashlib.sha256()
+for dtype in (np.float64, np.float32):
+    for m, k, n in ((16, 16, 12), (199, 28, 8), (300, 768, 512), (1585, 640, 128)):
+        a = (np.arange(m * k) * 0.6180339887498949 % 1.0 - 0.5).reshape(m, k).astype(dtype)
+        b = (np.arange(k * n) * 0.7548776662466927 % 1.0 - 0.5).reshape(k, n).astype(dtype)
+        digest.update((a @ b).tobytes())
+print(digest.hexdigest())
+"""
 
 
 def _run_config(mode: str, augment: str, variant: str, precision: str) -> dict:
@@ -89,6 +110,8 @@ def main() -> None:
     def cli(*argv: str) -> None:
         subprocess.run([sys.executable, "-m", "rumorgraph.cli", *argv], cwd=out, env=env, check=True)
 
+    fingerprint = subprocess.run([sys.executable, "-c", FINGERPRINT], env=env, check=True, capture_output=True, text=True)
+    (out / "blas_fingerprint.txt").write_text(fingerprint.stdout)
     (out / "spec.json").write_text(json.dumps(SYNTH, sort_keys=True) + "\n")
     cli("synth", "--spec", "spec.json", "--out", "data")
     for mode, augment, variant, precision in itertools.product(MODES, AUGMENTS, VARIANTS, PRECISIONS):

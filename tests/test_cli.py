@@ -15,8 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rumorgraph
+from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
+from rumorgraph.embed import HashedProvider
 from rumorgraph.model import ModelConfig, init_params, save_snapshot
 from rumorgraph.numcore import RngStreams, tensor
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
@@ -65,6 +67,11 @@ def _run_config(tmp_path, data_dir, **training):
     return path
 
 
+def _written_files(run_dir):
+    """Every file in ``run_dir`` but the manifest, as the manifest lists them."""
+    return sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+
+
 def test_synth_validate_train_earlydetect_export_flow(synth_dirs, capsys):
     tmp_path, data_dir = synth_dirs
     manifest = json.loads((data_dir / "manifest.json").read_text())
@@ -84,6 +91,7 @@ def test_synth_validate_train_earlydetect_export_flow(synth_dirs, capsys):
     assert len(metrics["folds"]) == 3
     assert 0.0 <= metrics["mean"]["macro_f1"] <= 1.0
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["files"] == _written_files(run_dir)
     assert "metrics.json" in manifest["files"]
     assert "fold0.snapshot" in manifest["files"]
     assert len(manifest["config_hash"]) == 64
@@ -308,6 +316,19 @@ def test_earlydetect_missing_snapshot_exit_1(tmp_path, synth_dirs):
     assert code == 1
 
 
+def test_earlydetect_embeds_each_post_once(tmp_path, synth_dirs, monkeypatch):
+    tmp_path, data_dir = synth_dirs
+    snapshot = tmp_path / "model.snapshot"
+    save_snapshot(init_params(ModelConfig(d_in=8, d_hidden=6, d_out=4), RngStreams(3)), seed=3, path=snapshot)
+    embedded = []
+    vector_for = HashedProvider.vector_for
+    monkeypatch.setattr(HashedProvider, "vector_for", lambda self, post: embedded.append(post) or vector_for(self, post))
+    events = data_dir / "target_events.jsonl"
+    argv = ["earlydetect", "--snapshot", str(snapshot), "--events", str(events), "--checkpoints", "1,2,4,inf"]
+    assert main([*argv, "--mode", "count", "--out", str(tmp_path / "curve")]) == 0
+    assert embedded == [post for e in parse_events(events).events for post in e.posts]
+
+
 def test_cli_imports_numpy_only():
     # importing scipy.sparse alone costs about 0.2-0.3 s, which every command would pay
     src = Path(rumorgraph.__file__).resolve().parents[1]
@@ -362,6 +383,24 @@ def test_single_fit_protocol(tmp_path, synth_dirs):
     assert (out_dir / "model.snapshot").exists()
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert "best_score" in metrics and "history" in metrics
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["files"] == _written_files(out_dir) == ["metrics.json", "model.snapshot", "train_log.jsonl"]
+
+
+def test_failed_train_leaves_precision_and_out_dir_alone(tmp_path, synth_dirs):
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir)
+    record = {**json.loads(config_path.read_text()), "precision": "f32"}
+    missing = {**record["paths"], "target_events": str(tmp_path / "missing.jsonl")}
+    config_path.write_text(json.dumps({**record, "paths": missing}))
+    out_dir = tmp_path / "f32"
+    assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert nc.active_dtype() == np.float64
+    assert not out_dir.exists()
+    # a run that succeeds leaves its precision set, for code that reads its results
+    config_path.write_text(json.dumps(record))
+    assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert nc.active_dtype() == np.float32
 
 
 def _strict_json(text: str):

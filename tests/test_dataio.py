@@ -167,7 +167,7 @@ def test_split_folds_balanced_counts():
     gen = np.random.default_rng(0)
     events = [random_tree_event(gen, f"r{i}", "rumor") for i in range(5)]
     events += [random_tree_event(gen, f"n{i}", "non-rumor") for i in range(5)]
-    assignment = split_folds(make_dataset(events), k=5, seed=3)
+    assignment = split_folds(events, k=5, seed=3)
     for fold in range(5):
         ids = [eid for eid, f in assignment.items() if f == fold]
         assert len(ids) == 2
@@ -180,9 +180,8 @@ def test_split_folds_deterministic_and_partitioning():
     events = [
         random_tree_event(gen, f"e{i}", "rumor" if i % 2 else "non-rumor") for i in range(23)
     ]
-    ds = make_dataset(events)
-    assignment = split_folds(ds, k=4, seed=11)
-    assert assignment == split_folds(ds, k=4, seed=11)
+    assignment = split_folds(events, k=4, seed=11)
+    assert assignment == split_folds(events, k=4, seed=11)
     # folds partition the dataset
     assert sorted(assignment) == sorted(e.event_id for e in events)
     for label in ("rumor", "non-rumor"):
@@ -196,7 +195,7 @@ def test_split_folds_deterministic_and_partitioning():
 def test_split_folds_small_class_error():
     events = [make_event("a", "rumor", []), make_event("b", "non-rumor", []), make_event("c", "non-rumor", [])]
     with pytest.raises(DatasetError, match="stratify"):
-        split_folds(make_dataset(events), k=2, seed=0)
+        split_folds(events, k=2, seed=0)
 
 
 def test_visible_posts_post_count_claim_only():

@@ -1,7 +1,9 @@
 """Metrics arithmetic, early-detection curves, and the 2-D projection."""
 
 import csv
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from rumorgraph.dataio import CheckpointSpec
 from rumorgraph.embed import HashedProvider
 from rumorgraph.evalkit import (
+    LABEL_INDEX,
     DegenerateDataError,
     compute_metrics,
     pca_project,
@@ -20,7 +23,7 @@ from rumorgraph.evalkit import (
 )
 from rumorgraph.model import ModelConfig, init_params
 from rumorgraph.numcore import RngStreams
-from rumorgraph.trainer import early_detection
+from rumorgraph.trainer import early_detection, prepare_events
 from tests.conftest import make_event
 from tests.oracles import truncate_event
 
@@ -45,9 +48,9 @@ def test_metrics_all_rumor_on_balanced_set():
     assert m.confusion["non-rumor"] == {"tp": 0, "fp": 0, "fn": 2, "tn": 2}
 
 
-def test_metrics_accept_label_strings_and_report_layout():
-    m = compute_metrics(["rumor", "non-rumor"], ["rumor", "rumor"])
-    record = m.to_dict()
+def test_metrics_report_layout():
+    m = compute_metrics([LABEL_INDEX["rumor"], LABEL_INDEX["non-rumor"]], [LABEL_INDEX["rumor"]] * 2)
+    record = asdict(m)
     assert set(record) == {"accuracy", "macro_f1", "f1_rumor", "f1_nonrumor", "confusion"}
     assert m.macro_f1 == (m.f1_rumor + m.f1_nonrumor) / 2
 
@@ -86,7 +89,7 @@ def _reference_metrics(events, params, provider, spec, value):
     """Metrics of re-embedding every event truncated at one checkpoint."""
     truncated = [truncate_event(e, spec.mode, value) for e in events]
     preds, _reps = predict_events(truncated, params, provider)
-    return compute_metrics(preds, [e.label for e in truncated])
+    return compute_metrics(preds, [LABEL_INDEX[e.label] for e in truncated])
 
 
 def test_early_detection_final_checkpoint_is_full_data_bitwise():
@@ -94,7 +97,7 @@ def test_early_detection_final_checkpoint_is_full_data_bitwise():
     params = init_params(TINY, RngStreams(0))
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("elapsed_time", (60.0, 150.0, math.inf))
-    curve = early_detection(events, params, spec, provider)
+    curve = early_detection(prepare_events(events, provider), params, spec)
     assert len(curve.metrics) == 3
     for value, metrics in zip(spec.values, curve.metrics):
         assert metrics == _reference_metrics(events, params, provider, spec, value)
@@ -105,34 +108,16 @@ def test_early_detection_first_post_count_is_claim_only():
     params = init_params(TINY, RngStreams(1))
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("post_count", (1, 3, math.inf))
-    curve = early_detection(events, params, spec, provider)
+    curve = early_detection(prepare_events(events, provider), params, spec)
     for value, metrics in zip(spec.values, curve.metrics):
         assert metrics == _reference_metrics(events, params, provider, spec, value)
-
-
-class _CountingProvider(HashedProvider):
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.calls = 0
-
-    def vector_for(self, post):
-        self.calls += 1
-        return super().vector_for(post)
-
-
-def test_early_detection_embeds_each_post_once():
-    events = _test_events()
-    provider = _CountingProvider(dim=8)
-    spec = CheckpointSpec("post_count", (1, 2, 4, math.inf))
-    early_detection(events, init_params(TINY, RngStreams(3)), spec, provider)
-    assert provider.calls == sum(e.node_count for e in events)
 
 
 def test_early_detection_csv_format(tmp_path):
     events = _test_events()
     params = init_params(TINY, RngStreams(2))
     spec = CheckpointSpec("post_count", (1, 2, 4, math.inf))
-    curve = early_detection(events, params, spec, HashedProvider(dim=8))
+    curve = early_detection(prepare_events(events, HashedProvider(dim=8)), params, spec)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     with open(path) as fh:
@@ -152,7 +137,7 @@ def test_pca_matches_dense_eigendecomposition_oracle():
     gen = np.random.default_rng(0)
     for trial in range(5):
         data = gen.normal(size=(50, 16)) * gen.uniform(0.5, 3.0, size=16)
-        got = pca_project(data)
+        coords, explained = pca_project(data)
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (data.shape[0] - 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -161,10 +146,10 @@ def test_pca_matches_dense_eigendecomposition_oracle():
             anchor = np.argmax(np.abs(top[:, col]))
             if top[anchor, col] < 0:
                 top[:, col] = -top[:, col]
-        assert np.allclose(got.coords, centered @ top, atol=1e-8)
+        assert np.allclose(coords, centered @ top, atol=1e-8)
         ordered = np.sort(eigvals)[::-1]
-        assert got.explained[0] == pytest.approx(ordered[0] / eigvals.sum(), abs=1e-10)
-        assert got.explained[1] == pytest.approx(ordered[1] / eigvals.sum(), abs=1e-10)
+        assert explained[0] == pytest.approx(ordered[0] / eigvals.sum(), abs=1e-10)
+        assert explained[1] == pytest.approx(ordered[1] / eigvals.sum(), abs=1e-10)
 
 
 def test_pca_axis_aligned_gaussian_recovers_axes():
@@ -172,21 +157,21 @@ def test_pca_axis_aligned_gaussian_recovers_axes():
     data = np.zeros((400, 2))
     data[:, 0] = gen.normal(size=400) * 5.0
     data[:, 1] = gen.normal(size=400) * 0.5
-    got = pca_project(data)
+    coords, explained = pca_project(data)
     centered = data - data.mean(axis=0)
     # first axis ~ x: projection correlates with the x coordinate
-    corr = np.corrcoef(got.coords[:, 0], centered[:, 0])[0, 1]
+    corr = np.corrcoef(coords[:, 0], centered[:, 0])[0, 1]
     assert abs(corr) > 0.99
-    assert got.explained[0] > got.explained[1]
+    assert explained[0] > explained[1]
 
 
 def test_pca_properties_and_centering():
     gen = np.random.default_rng(9)
     data = gen.normal(size=(30, 7)) + 100.0
-    got = pca_project(data)
-    assert np.all(np.abs(got.coords.mean(axis=0)) < 1e-9)
-    assert got.explained[0] >= got.explained[1] >= 0.0
-    assert got.explained[0] + got.explained[1] <= 1.0 + 1e-12
+    coords, explained = pca_project(data)
+    assert np.all(np.abs(coords.mean(axis=0)) < 1e-9)
+    assert explained[0] >= explained[1] >= 0.0
+    assert explained[0] + explained[1] <= 1.0 + 1e-12
 
 
 def test_pca_degenerate_and_precondition_errors():
@@ -201,13 +186,14 @@ def test_pca_degenerate_and_precondition_errors():
 def test_pca_csv_export(tmp_path):
     gen = np.random.default_rng(4)
     data = gen.normal(size=(6, 5))
-    got = pca_project(data, event_ids=[f"e{i}" for i in range(6)], labels=["rumor"] * 6)
-    write_features_csv(got, tmp_path / "f.csv", tmp_path / "ev.json")
+    events = [make_event(f"e{i}", "rumor", []) for i in range(6)]
+    coords, explained = pca_project(data)
+    write_features_csv(events, coords, explained, tmp_path / "f.csv", tmp_path / "ev.json")
     with open(tmp_path / "f.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["event_id", "label", "x", "y"]
-    assert len(rows) == 7
-    import json
+    assert [row[:2] for row in rows[1:]] == [[f"e{i}", "rumor"] for i in range(6)]
+    assert [[float(v) for v in row[2:]] for row in rows[1:]] == coords.tolist()
 
     sidecar = json.loads((tmp_path / "ev.json").read_text())
     assert len(sidecar["explained_variance_fractions"]) == 2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rumorgraph import numcore as nc
 from rumorgraph import augment, trainer
 from rumorgraph.augment import AugmentStrategy
-from rumorgraph.dataio import Dataset, visible_posts
+from rumorgraph.dataio import visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import (
     GraphBatch,
@@ -128,7 +128,7 @@ def test_same_seed_same_params_bitwise():
 
 
 def test_alpha_zero_matches_manual_ce_only_route_bitwise():
-    cfg = _config(alpha=0.0, tcl_enabled=False, augment=None, max_epochs=2)
+    cfg = _config(alpha=0.0, tcl_enabled=False, max_epochs=2)
     source, target = _mini_events(6, "s"), _mini_events(4, "t")
 
     state = _fresh_state(cfg)
@@ -271,10 +271,7 @@ def test_only_a_fresh_fit_draws_initial_weights(tmp_path, monkeypatch):
 
 def test_precision_is_scoped_to_the_call():
     cfg = _config(max_epochs=1, precision="f32")
-    source = Dataset(events=[p.event for p in _mini_events(6, "s")])
-    target = Dataset(events=[p.event for p in _mini_events(8, "t")])
-    provider = HashedProvider(dim=8)
-    cross_validate(source, target, cfg, provider, provider, k=2)
+    cross_validate(_mini_events(6, "s"), _mini_events(8, "t"), cfg, k=2)
     assert nc.active_dtype() == np.float64
     result = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg)
     assert result.params.w0.data.dtype == np.float32
@@ -416,6 +413,7 @@ def test_cross_validate_counts_and_determinism():
     spec = SynthSpec(source_events=12, target_events=10, mean_replies=3.0, seed=5)
     source_ds, target_ds = generate(spec)
     provider = HashedProvider(dim=8)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
     cfg = _config(max_epochs=1, val_fraction=0.0, source_batch_size=6, target_batch_size=4)
 
     seen_sizes = []
@@ -430,17 +428,18 @@ def test_cross_validate_counts_and_determinism():
     trainer_mod_fit = trainer_mod.fit
     trainer_mod.fit = spy_fit
     try:
-        result = cross_validate(source_ds, target_ds, cfg, provider, provider, k=5)
+        result = cross_validate(source, target, cfg, k=5)
     finally:
         trainer_mod.fit = trainer_mod_fit
 
     assert seen_sizes == [2, 2, 2, 2, 2]  # each run trains on one fold of 10/5 events
-    assert len(result.fold_metrics) == 5
+    assert len(result.folds) == 5
     assert set(result.mean) == {"accuracy", "macro_f1", "f1_rumor", "f1_nonrumor"}
+    assert result.files == []  # no out_dir, nothing written
 
-    repeat = cross_validate(source_ds, target_ds, cfg, provider, provider, k=5)
+    repeat = cross_validate(source, target, cfg, k=5)
     assert repeat.mean == result.mean
-    assert repeat.plan_assignment == result.plan_assignment
+    assert repeat.fold_assignment == result.fold_assignment
 
 
 def test_config_validation():
@@ -448,10 +447,6 @@ def test_config_validation():
         _config(alpha=1.2)
     with pytest.raises(ValueError):
         _config(patience=0)
-    with pytest.raises(ValueError):
-        _config(tcl_enabled=True, augment=None)
-    cfg = _config(tcl_enabled=False, augment=None, alpha=0.3)
-    assert cfg.augment is None
 
 
 def test_default_augmentation_is_dropedge_in_code_and_config():
