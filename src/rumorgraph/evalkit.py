@@ -1,7 +1,8 @@
 """Evaluation: classification metrics, the early-detection curve and its CSV,
 and 2-D feature projection for inspecting the learned representation space.
 
-``predict_events`` embeds and encodes raw events, for the export. The
+``predict_events`` embeds raw events and encodes them a bounded chunk at a
+time (``model.encode_events``), for the export. The
 protocols, early detection among them, take prepared events and live in
 ``trainer``.
 """
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
 from .dataio import LABELS, CheckpointSpec, Event
 from .embed import embed_event
-from .model import GraphBatch, ModelParams, encode_batch
+from .model import ModelParams, encode_events
 from .propagation import build_graph
 
 
@@ -77,11 +77,8 @@ def compute_metrics(preds, truth) -> Metrics:
 def predict_events(events: list[Event], params: ModelParams, provider) -> tuple[list[int], np.ndarray]:
     """Evaluation-mode class predictions and representations for ``events``."""
     embeddings = [embed_event(e, provider).rows for e in events]
-    graphs = [build_graph(e) for e in events]
-    with nc.no_grad():
-        result = encode_batch(GraphBatch.from_events(embeddings, graphs), params, mode="eval")
-    preds = [int(i) for i in np.argmax(result.probs.data, axis=1)]
-    return preds, result.reps.data
+    probs, reps = encode_events(embeddings, [build_graph(e) for e in events], params)
+    return [int(i) for i in np.argmax(probs, axis=1)], reps
 
 
 @dataclass

@@ -7,7 +7,7 @@ layer-normalizes the result. The event representation is the column-wise
 mean of the final node states, and a single affine head plus softmax
 produces class probabilities.
 
-Several events are encoded in one pass by stacking their node features, so
+A batch of events is encoded in one pass by stacking their node features, so
 each event is a segment of consecutive rows whose first row is its claim;
 ``GraphBatch.sizes`` lists the segment lengths, and it is all that the
 claim lookups and the per-event pooling read. ``GraphBatch.from_events``
@@ -15,6 +15,8 @@ builds the operator once per batch, straight from the graphs' reply edges,
 as a sparse neighbor-list operator (``numcore.NeighborOperator``) whose time
 and memory grow with nodes plus edges; no event's rows reach another's, so
 the batched pass computes the same function as event-at-a-time encoding.
+Scoring (``encode_events``) encodes consecutive whole events in chunks under
+a fixed byte budget, so its peak memory does not grow with the event count.
 
 Each convolution is one ``numcore.graph_conv`` node, the second taking the
 boolean dropout mask as an operand, and each claim residual is built inside
@@ -43,6 +45,8 @@ from .numcore import RngStreams, Tensor
 from .propagation import PropagationGraph
 
 SNAPSHOT_VERSION = 1
+# nodes of one evaluation chunk: its widest per-node buffer, (n, d_hidden + d_in), stays within this
+_CHUNK_BYTES = 8 * 1024 * 1024
 PARAM_ORDER = ("w0", "b0", "ln1_gain", "ln1_bias", "w1", "b1", "ln2_gain", "ln2_bias", "wc", "bc")
 
 
@@ -203,6 +207,31 @@ def encode_batch(
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     probs = nc.softmax_rows(nc.matmul(reps, params.wc) + params.bc)
     return EncodeResult(node_states=h2_tilde, reps=reps, probs=probs)
+
+
+def encode_events(
+    embeddings: list[np.ndarray], graphs: list[PropagationGraph], params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation-mode probabilities and representations of events, in order: whole
+    consecutive events are encoded together under ``no_grad`` while a chunk's widest
+    buffer stays within ``_CHUNK_BYTES``; an event over that budget is encoded alone."""
+    if not graphs:
+        raise ValueError("nothing to score: no events were given")
+    cfg = params.config
+    max_nodes = _CHUNK_BYTES // ((cfg.d_hidden + cfg.d_in) * np.dtype(nc.active_dtype()).itemsize)
+    probs, reps = [], []
+    start = 0
+    with nc.no_grad():
+        while start < len(graphs):
+            stop, nodes = start + 1, graphs[start].n
+            while stop < len(graphs) and nodes + graphs[stop].n <= max_nodes:
+                nodes += graphs[stop].n
+                stop += 1
+            result = encode_batch(GraphBatch.from_events(embeddings[start:stop], graphs[start:stop]), params)
+            probs.append(result.probs.data)
+            reps.append(result.reps.data)
+            start = stop
+    return np.concatenate(probs), np.concatenate(reps)
 
 
 # -- snapshots -----------------------------------------------------------------

@@ -11,7 +11,8 @@ and tests on everything else. Early detection scores, at each checkpoint,
 the posts visible so far: a prefix of each event's rows and edges.
 
 Every protocol takes events its caller prepared once (``prepare_events``:
-embedded, with their graphs built) and scores through ``evaluate_prepared``.
+embedded, with their graphs built) and scores through ``evaluate_prepared``,
+which encodes a bounded chunk of events at a time (``model.encode_events``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     encode_batch,
+    encode_events,
     init_params,
     save_snapshot,
 )
@@ -248,10 +250,9 @@ def _carve_validation(
 
 
 def evaluate_prepared(prepared: list[PreparedEvent], params: ModelParams) -> Metrics:
-    with nc.no_grad():
-        result = encode_batch(_batch_of(prepared), params, mode="eval")
-    preds = [int(i) for i in np.argmax(result.probs.data, axis=1)]
-    return compute_metrics(preds, [p.label for p in prepared])
+    """Metrics of ``params`` on prepared events, scored a bounded chunk at a time."""
+    probs, _reps = encode_events([p.embedding for p in prepared], [p.graph for p in prepared], params)
+    return compute_metrics([int(i) for i in np.argmax(probs, axis=1)], [p.label for p in prepared])
 
 
 @dataclass

@@ -18,7 +18,10 @@ depend on where the tree lives. The matrix:
   TCL off, TCL with the positive in its denominator, ``val_fraction`` 0) and
   each precision (f64, f32): 80 runs;
 - ``earlydetect`` in count and in time mode, and ``export-features``, on the
-  single-mode f64 snapshot without an ``augment`` section.
+  single-mode f64 snapshot without an ``augment`` section;
+- a single-mode ``train`` of a wide model (``d_in`` 768), then ``earlydetect``
+  in count mode and ``export-features`` over a second, larger event file
+  (150 events, about 3k nodes), which the scorers encode in several chunks.
 
 Before any command runs, it writes ``blas_fingerprint.txt``: the SHA-256 of
 f64 and f32 products of four fixed matrix pairs, computed by a child
@@ -61,6 +64,9 @@ VARIANTS = {
 MODES = ("cv", "single")
 PRECISIONS = ("f64", "f32")
 EVENTS = ["--events", "data/target_events.jsonl", "--embeddings", "hashed:16"]
+# about 3k nodes at 768 + 64 columns: several evaluation chunks at the default budget
+WIDE_SYNTH = {"source_events": 4, "target_events": 150, "mean_replies": 20.0, "seed": 8}
+WIDE_MODEL = {"d_in": 768, "d_hidden": 64, "d_out": 64}
 # the inputs come from correctly rounded arithmetic alone, so only the products can differ
 FINGERPRINT = """
 import hashlib
@@ -114,16 +120,30 @@ def main() -> None:
     (out / "blas_fingerprint.txt").write_text(fingerprint.stdout)
     (out / "spec.json").write_text(json.dumps(SYNTH, sort_keys=True) + "\n")
     cli("synth", "--spec", "spec.json", "--out", "data")
-    for mode, augment, variant, precision in itertools.product(MODES, AUGMENTS, VARIANTS, PRECISIONS):
-        record = _run_config(mode, augment, variant, precision)
+
+    def train(record: dict) -> None:
         config = f"configs/{Path(record['paths']['output_dir']).name}.json"
         (out / config).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         cli("train", "--config", config)
+
+    for mode, augment, variant, precision in itertools.product(MODES, AUGMENTS, VARIANTS, PRECISIONS):
+        train(_run_config(mode, augment, variant, precision))
 
     snapshot = ["--snapshot", "runs/single-none-alpha0.5-f64/model.snapshot"]
     cli("earlydetect", *snapshot, *EVENTS, "--checkpoints", "1,2,4,inf", "--mode", "count", "--out", "detect-count")
     cli("earlydetect", *snapshot, *EVENTS, "--checkpoints", "60,300,900,inf", "--mode", "time", "--out", "detect-time")
     cli("export-features", *snapshot, *EVENTS, "--out", "features")
+
+    (out / "wide_spec.json").write_text(json.dumps(WIDE_SYNTH, sort_keys=True) + "\n")
+    cli("synth", "--spec", "wide_spec.json", "--out", "data-wide")
+    record = _run_config("single", "none", "alpha0.5", "f64")
+    record["model"] = WIDE_MODEL
+    record["paths"].update(source_embeddings="hashed:768", target_embeddings="hashed:768", output_dir="runs/wide")
+    train(record)
+    wide = ["--snapshot", "runs/wide/model.snapshot",
+            "--events", "data-wide/target_events.jsonl", "--embeddings", "hashed:768"]
+    cli("earlydetect", *wide, "--checkpoints", "1,4,16,inf", "--mode", "count", "--out", "detect-wide")
+    cli("export-features", *wide, "--out", "features-wide")
 
 
 if __name__ == "__main__":

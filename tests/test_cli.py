@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rumorgraph
+from rumorgraph import model
 from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
@@ -448,6 +449,36 @@ def test_layer_norm_blocks_change_no_artifact(tmp_path, synth_dirs, monkeypatch)
         assert main(["export-features", *snapshot, *events, "--out", str(out / "features")]) == 0
         paths = ("run/model.snapshot", "curve/early_detection.csv", "features/features.csv")
         artifacts.append([(out / path).read_bytes() for path in paths])
+    assert artifacts[0] == artifacts[1]
+
+
+def test_evaluation_chunks_change_no_artifact(tmp_path, synth_dirs, monkeypatch):
+    # every scorer's 12 events in one chunk (the default budget, at these widths) against one event a chunk
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir, max_epochs=2)
+    record = json.loads(config_path.read_text())
+    record["protocol"] = {"mode": "single"}
+    config_path.write_text(json.dumps(record))
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    common = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl")]
+    chunks, encode = [], model.encode_batch
+
+    def spy(batch, *args, **kwargs):
+        chunks.append(len(batch.sizes))
+        return encode(batch, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode_batch", spy)
+    artifacts = []
+    for chunk_bytes in (model._CHUNK_BYTES, 1):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        out = tmp_path / f"chunks{chunk_bytes}"
+        for checkpoints, mode in (("1,2,4,inf", "count"), ("60,300,inf", "time")):
+            argv = ["earlydetect", *common, "--checkpoints", checkpoints, "--mode", mode, "--out", str(out / mode)]
+            assert main(argv) == 0
+        assert main(["export-features", *common, "--out", str(out / "features")]) == 0
+        paths = ("count/early_detection.csv", "time/early_detection.csv", "features/features.csv")
+        artifacts.append([(out / path).read_bytes() for path in paths])
+    assert chunks == [12] * 8 + [1] * 96
     assert artifacts[0] == artifacts[1]
 
 

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rumorgraph import model
 from rumorgraph import numcore as nc
 from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import (
@@ -12,6 +13,7 @@ from rumorgraph.model import (
     ModelConfig,
     SnapshotError,
     encode_batch,
+    encode_events,
     init_params,
     load_snapshot,
     save_snapshot,
@@ -133,8 +135,30 @@ def test_batched_encoding_matches_per_event():
         assert np.allclose(result.probs.data[i], probs.data[0], atol=1e-12)
 
 
+def test_encode_events_scores_whole_events_in_order_under_the_budget(monkeypatch):
+    sizes = [3, 4, 2, 12, 1, 5, 3]
+    gen = np.random.default_rng(9)
+    parents = [[int(gen.integers(0, j + 1)) for j in range(n - 1)] for n in sizes]
+    prepared = [_prepared(make_event(f"e{i}", "rumor", p)) for i, p in enumerate(parents)]
+    params = init_params(TINY, RngStreams(3))
+    chunks = []
+
+    def spy(batch, *args, **kwargs):
+        chunks.append(batch.sizes)
+        return encode_batch(batch, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode_batch", spy)
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 8 * (TINY.d_hidden + TINY.d_in) * 8)  # 8 rows
+    probs, reps = encode_events([x for x, _ in prepared], [g for _, g in prepared], params)
+    assert chunks == [[3, 4], [2], [12], [1, 5], [3]]  # the 12-node event alone
+    for i, (x, graph) in enumerate(prepared):
+        _, rep, prob = _encode_one(x, graph, params)
+        assert np.allclose(reps[i], rep.data[0], atol=1e-12)
+        assert np.allclose(probs[i], prob.data[0], atol=1e-12)
+
+
 def test_batch_operator_memory_is_linear_in_nodes_and_edges():
-    # about 6k nodes in one batch, as when a whole test fold is scored at once;
+    # about 6k nodes in one batch, over an evaluation chunk at paper widths;
     # a dense (sum n)^2 float64 operator would take about 290 MB
     gen = np.random.default_rng(21)
     graphs = []

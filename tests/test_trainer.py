@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
-from rumorgraph import augment, trainer
+from rumorgraph import augment, model, trainer
 from rumorgraph.augment import AugmentStrategy
 from rumorgraph.dataio import visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
@@ -464,6 +464,31 @@ def test_evaluate_prepared_accuracy():
     metrics = evaluate_prepared(target, state.params)
     assert 0.0 <= metrics.accuracy <= 1.0
     assert 0.0 <= metrics.macro_f1 <= 1.0
+
+
+def test_evaluate_prepared_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="nothing to score"):
+        evaluate_prepared([], _fresh_state(_config()).params)
+
+
+def test_evaluation_peak_memory_is_set_by_the_chunk_budget(monkeypatch):
+    # 300 events, 5,157 nodes; scored as one batch, the peak was 16.7 MB
+    cfg = ModelConfig(d_in=64, d_hidden=64, d_out=32)
+    gen = np.random.default_rng(8)
+    events = [random_tree_event(gen, f"e{i}", ("rumor", "non-rumor")[i % 2], max_nodes=34) for i in range(300)]
+    prepared = prepare_events(events, HashedProvider(dim=cfg.d_in))
+    assert sum(p.graph.n for p in prepared) > 5000
+    params = init_params(cfg, RngStreams(2))
+    budget = 256 * 1024  # 256 rows of the widest buffer, (n, d_hidden + d_in)
+    monkeypatch.setattr(model, "_CHUNK_BYTES", budget)
+    evaluate_prepared(prepared[:2], params)  # lazy imports in numpy land outside the measurement
+    tracemalloc.start()
+    try:
+        evaluate_prepared(prepared, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * budget + 2 * len(prepared) * cfg.rep_dim * 8  # a chunk's buffers, then the stacked outputs
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
