@@ -4,6 +4,11 @@ Three strategies produce the positive pair for the target-instance
 contrastive term: a normalized-gradient adversarial shift of the
 representation, random zeroing of representation coordinates, and a second
 encoding pass over a topology with randomly removed reply edges.
+
+The adversarial direction is each event's classification-loss gradient at
+its representation: the ordinary ``Tensor.backward`` through the classifier
+head run again on a detached leaf of the representations, with the head's
+weights as constants, so no encoder or parameter gradient is touched.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
-from .model import EncodeResult, GraphBatch, ModelParams, encode_batch
+from .model import EncodeResult, GraphBatch, ModelParams, classify, encode_batch
 from .numcore import RngStreams, Tensor
 from .objectives import ce_from_probs
 from .propagation import PropagationGraph, dropedge
@@ -60,14 +64,16 @@ def feature_dropout(rep: Tensor, rate: float, gen: np.random.Generator) -> Tenso
     """Zero each coordinate independently with probability ``rate``; no rescaling."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"feature dropout rate must lie in [0, 1], got {rate}")
-    return nc.mask(rep, gen.random(rep.shape) >= rate)
+    return rep * Tensor(gen.random(rep.shape) >= rate)
 
 
-def classification_gradients(result: EncodeResult, labels: np.ndarray) -> np.ndarray:
+def classification_gradients(reps: Tensor, labels: np.ndarray, params: ModelParams) -> np.ndarray:
     """Per-event gradient of each event's own classification loss w.r.t. its
-    representation, captured without disturbing accumulated state."""
-    per_sample_sum = ce_from_probs(result.probs, labels) * float(len(labels))
-    return nc.grad_wrt(per_sample_sum, result.reps)
+    representation; the tape that made ``reps`` is left untouched."""
+    leaf = Tensor(reps.data, requires_grad=True)
+    probs = classify(leaf, Tensor(params.wc.data), Tensor(params.bc.data))
+    (ce_from_probs(probs, labels) * float(len(labels))).backward()
+    return leaf.grad
 
 
 def augment_batch(
@@ -81,7 +87,7 @@ def augment_batch(
 ) -> Tensor:
     """One augmented representation per event, as a differentiable tensor."""
     if strategy.kind == "adversarial":
-        grads = classification_gradients(result, labels)
+        grads = classification_gradients(result.reps, labels, params)
         return adversarial(result.reps, grads, strategy.epsilon)
     if strategy.kind == "feature_dropout":
         return feature_dropout(result.reps, strategy.feature_dropout_rate, streams.feature_dropout)

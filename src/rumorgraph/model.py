@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numcore as nc
+from .dataio import LABELS
 from .numcore import RngStreams, Tensor
 from .propagation import PropagationGraph
 
@@ -69,6 +70,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.layers != 2:
             raise ValueError(f"layers must be 2, the only supported depth, got {self.layers}")
+        if self.classes != len(LABELS):
+            raise ValueError(f"classes must be {len(LABELS)}, one per label, got {self.classes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.layer_norm_eps <= 0:
@@ -173,7 +176,6 @@ class GraphBatch:
 
 @dataclass
 class EncodeResult:
-    node_states: Tensor  # (sum(sizes), d_out + d_hidden)
     reps: Tensor  # (events, d_out + d_hidden)
     probs: Tensor  # (events, classes)
 
@@ -205,8 +207,12 @@ def encode_batch(
     h2 = nc.graph_conv(batch.mixing, h1_tilde, params.w1, params.b1, keep)
     h2_tilde = nc.layer_norm(h2, h1, batch.sizes, params.ln2_gain, params.ln2_bias, eps)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
-    probs = nc.softmax_rows(nc.matmul(reps, params.wc) + params.bc)
-    return EncodeResult(node_states=h2_tilde, reps=reps, probs=probs)
+    return EncodeResult(reps=reps, probs=classify(reps, params.wc, params.bc))
+
+
+def classify(reps, wc, bc) -> Tensor:
+    """The classifier head: class probabilities ``softmax_rows(reps @ wc + bc)`` of event representations."""
+    return nc.softmax_rows(nc.matmul(reps, wc) + bc)
 
 
 def encode_events(

@@ -14,8 +14,8 @@ in order.
 
 ``Tensor.backward`` drops each interior node's gradient as soon as its rule
 has passed it on, so only leaves (nodes without a rule, such as parameters)
-hold a gradient afterwards; ``grad_wrt`` reads the gradient of one interior
-node by stopping its walk there.
+hold a gradient afterwards. To read the gradient at an interior value, run
+the ops above it again on a leaf holding that value.
 
 A backward rule skips the gradient product of an operand that needs no
 gradient. It writes in place only into buffers it has just allocated, never
@@ -116,10 +116,9 @@ class Tensor:
 
     # -- graph walking ------------------------------------------------------
 
-    def _topo_order(self, stop: "Tensor | None" = None) -> list["Tensor"]:
+    def _topo_order(self) -> list["Tensor"]:
         # Iterative DFS; visit order depends only on the parent structure,
-        # never on object identity, so replays are bit-reproducible. ``stop``
-        # is neither expanded nor listed; every other node keeps its place.
+        # never on object identity, so replays are bit-reproducible.
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -128,7 +127,7 @@ class Tensor:
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited or node is stop:
+            if id(node) in visited:
                 continue
             visited.add(id(node))
             stack.append((node, True))
@@ -140,13 +139,18 @@ class Tensor:
     def backward(self) -> list["Tensor"]:
         """Accumulate gradients of ``self`` into every reachable leaf.
 
-        An interior node's ``grad`` is dropped right after its rule has run,
-        so afterwards only leaves (nodes without a rule, such as parameters)
-        hold a gradient. Returns the visited nodes so callers can clear
-        those fields afterwards (see :func:`clear_grads`).
+        Runs each rule once, in reverse topological order, from a unit
+        gradient at ``self``. An interior node's ``grad`` is dropped right
+        after its rule has run, so afterwards only leaves (nodes without a
+        rule, such as parameters) hold a gradient. Returns the visited nodes
+        so callers can clear those fields afterwards (see :func:`clear_grads`).
         """
         order = self._topo_order()
-        _replay(self, order)
+        self.grad = np.ones_like(self.data)
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                grad, node.grad = node.grad, None
+                node._backward(grad)
         return order
 
     # -- operator sugar -----------------------------------------------------
@@ -169,31 +173,6 @@ def parameter(data, name: str) -> Tensor:
 def clear_grads(nodes: Iterable[Tensor]) -> None:
     for node in nodes:
         node.grad = None
-
-
-def grad_wrt(loss: Tensor, target: Tensor) -> np.ndarray:
-    """Gradient of a scalar ``loss`` with respect to ``target``.
-
-    Runs a private backward pass that stops at ``target``: no rule of
-    ``target`` or of the nodes only it reaches runs. The pass visits the
-    remaining nodes in the order a full backward would, so the gradient has
-    the same bytes. Every gradient it touched is cleared, so the surrounding
-    training step sees pristine state afterwards.
-    """
-    order = loss._topo_order(stop=target)
-    _replay(loss, order)
-    grad, target.grad = target.grad, None
-    clear_grads(order)
-    return np.zeros_like(target.data) if grad is None else grad
-
-
-def _replay(root: Tensor, order: list[Tensor]) -> None:
-    """Run the rules of ``order`` (topological, ``root`` last) from a unit gradient at ``root``."""
-    root.grad = np.ones_like(root.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            grad, node.grad = node.grad, None
-            node._backward(grad)
 
 
 # -- primitive construction helpers ----------------------------------------
@@ -319,10 +298,10 @@ class NeighborOperator:
 def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
     """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
 
-    A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead, as ``mask`` would. One
-    tape node keeps only the output and the relu mask; backward forms ``x * keep`` again. It runs
-    the numpy operations of ``mask``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so
-    values and gradients match those five ops' bit for bit.
+    A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead. One tape node keeps only
+    the output and the relu mask; backward forms ``x * keep`` again. It runs the numpy operations
+    of ``mul`` by ``keep``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and
+    gradients match those five ops' bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
@@ -344,17 +323,6 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
                 _accumulate(w, (x.data if keep is None else x.data * keep).T @ g)
 
     return _make(data, (x, w, b), backward)
-
-
-def mask(x, keep: np.ndarray) -> Tensor:
-    """``x`` times a constant boolean array; numpy reads True as exactly 1 and False as 0."""
-    x = as_tensor(x)
-    data = x.data * keep
-
-    def backward(g):
-        _accumulate(x, g * keep)
-
-    return _make(data, (x,), backward)
 
 
 # -- structural ops ----------------------------------------------------------

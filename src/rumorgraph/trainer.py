@@ -34,6 +34,7 @@ from .model import (
     GraphBatch,
     ModelConfig,
     ModelParams,
+    classify,
     encode_batch,
     encode_events,
     init_params,
@@ -162,7 +163,7 @@ def train_step(
             params,
             streams,
         )
-        aug_probs = nc.softmax_rows(nc.matmul(aug_reps, params.wc) + params.bc)
+        aug_probs = classify(aug_reps, params.wc, params.bc)
 
     ce_s = ce_from_probs(source.probs, src_labels)
     if aug_probs is not None:

@@ -31,11 +31,13 @@ prefixes of prepared events must match; ``layer_norm``, ``gather_rows``,
 segment-summing ones in ``rumorgraph.numcore`` must reproduce;
 ``claim_layer_norm`` (``layer_norm`` of ``concat_cols`` and ``gather_rows``
 of each segment's first row), ``graph_conv`` (``relu`` of ``add`` of
-``spmm`` of ``matmul``, of ``float_mask`` with a keep mask), ``float_mask``,
-``backward`` and ``grad_wrt`` are the encoder composition and tape walk that
-the fused claim residual, the fused convolution with its boolean dropout
-mask, ``numcore.mask`` and the backward pass that frees interior gradients
-must match byte for byte.
+``spmm`` of ``matmul``, of ``float_mask`` with a keep mask) and ``backward``
+are the encoder composition and tape walk that the fused claim residual, the
+fused convolution with its boolean dropout mask and the backward pass that
+frees interior gradients must match byte for byte. ``grad_wrt`` reads the
+gradient at an interior node of the training tape by a full backward pass;
+``augment.classification_gradients``, which runs the classifier head again
+on a detached leaf, must match it byte for byte.
 """
 
 import math
@@ -515,7 +517,7 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
 
 
 def float_mask(x, keep: np.ndarray) -> Tensor:
-    """``numcore.mask`` as a product with the mask cast to the active element type."""
+    """``x`` times a boolean mask cast to the active element type, as a constant tape leaf."""
     return x * Tensor(keep.astype(active_dtype()))
 
 
@@ -530,7 +532,7 @@ def backward(root: Tensor) -> list[Tensor]:
 
 
 def grad_wrt(loss: Tensor, target: Tensor) -> np.ndarray:
-    """``numcore.grad_wrt`` by a full backward pass."""
+    """The gradient of a scalar ``loss`` at ``target`` by a full backward pass; clears what it set."""
     visited = backward(loss)
     grad = np.zeros_like(target.data) if target.grad is None else target.grad.copy()
     clear_grads(visited)

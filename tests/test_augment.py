@@ -73,7 +73,7 @@ def test_adversarial_direction_is_ascent_for_classification_loss():
     labels = np.array([1, 0])
     batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
     result = encode_batch(batch, params, mode="eval")
-    grads = classification_gradients(result, labels)
+    grads = classification_gradients(result.reps, labels, params)
 
     from tests.oracles import ce_reference
 
@@ -99,7 +99,7 @@ def test_adversarial_leaves_no_stale_gradients():
     x, graph = _prepared(event)
     batch = GraphBatch.from_events([x], [graph])
     result = encode_batch(batch, params, mode="eval")
-    classification_gradients(result, np.array([1]))
+    classification_gradients(result.reps, np.array([1]), params)
     assert result.reps.grad is None
     assert all(t.grad is None for t in params.tensors.values())
 
@@ -109,24 +109,24 @@ def _two_event_result():
     prepared = [_prepared(e) for e in events]
     batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
     params = init_params(TINY, RngStreams(2))
-    return encode_batch(batch, params, mode="train", streams=RngStreams(3)), np.array([1, 0])
+    return encode_batch(batch, params, mode="train", streams=RngStreams(3)), np.array([1, 0]), params
 
 
 def test_classification_gradients_match_a_full_backward_bitwise():
-    result, labels = _two_event_result()
+    result, labels, params = _two_event_result()
     want = oracles.grad_wrt(ce_from_probs(result.probs, labels) * float(len(labels)), result.reps)
-    got = classification_gradients(result, labels)
+    got = classification_gradients(result.reps, labels, params)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_classification_gradients_run_no_rule_below_the_representations():
-    result, labels = _two_event_result()
+    result, labels, params = _two_event_result()
     below = result.reps._topo_order()
     ran = []
     for node in below:
         if node._backward is not None:
             node._backward = lambda g, node=node: ran.append(node)
-    classification_gradients(result, labels)
+    classification_gradients(result.reps, labels, params)
     assert len(below) > 12 and ran == []
 
 

@@ -678,6 +678,8 @@ DEEP = b"[" * 100_000 + b"\n"
         (_folds_argv(7), 1, "cannot stratify"),
         # one hidden and one output unit: a pooled representation comes out all zeros
         (_model_argv(d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
+        (_model_argv(classes=1), 2, "classes must be 2, one per label, got 1"),
+        (_model_argv(classes=3), 2, "classes must be 2, one per label, got 3"),
         (_blocked_out_argv(_train_argv("hashed:8")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),
@@ -722,6 +724,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "synth-boolean-mean-replies",
         "train-folds-exceed-smallest-class",
         "train-zero-representation",
+        "train-one-class",
+        "train-three-classes",
         "train-out-not-creatable",
         "earlydetect-out-not-creatable",
         "export-out-not-creatable",

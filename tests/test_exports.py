@@ -1,9 +1,11 @@
-"""``rumorgraph.numcore`` exports only what library code uses.
+"""Every module-level function and class of ``rumorgraph`` has a library caller.
 
-A name counts as used when a module of ``rumorgraph`` refers to it as
-``nc.<name>``, imports it by name from ``numcore`` or ``numcore.tensor``, or,
-inside ``numcore``, calls it outside its own ``def``. The package's
-``__init__`` re-exports every name, so it counts for none. Ops that only
+A name counts as used when a module of ``rumorgraph`` refers to it outside
+any ``def`` or ``class`` of the same name: as a plain name (a call, a type, a
+base class, an annotation, ``set_defaults(func=...)``), as an attribute of a
+package module it imported (``nc.<name>``), or by importing it by name from
+the package with a relative import. ``numcore``'s ``__init__`` re-exports
+every name of ``numcore``, so it counts for none. Ops and helpers that only
 tests use live in ``tests/oracles.py``.
 """
 
@@ -12,47 +14,67 @@ from pathlib import Path
 
 from rumorgraph import numcore as nc
 
-NUMCORE = Path(nc.__file__).resolve().parent
-LIBRARY = NUMCORE.parent
+LIBRARY = Path(nc.__file__).resolve().parent.parent
+REEXPORTS = LIBRARY / "numcore" / "__init__.py"
+MODULES = sorted(LIBRARY.rglob("*.py"))
 
 
-class _Calls(ast.NodeVisitor):
-    """Names called as plain functions, except inside a ``def`` of the same name."""
+class _References(ast.NodeVisitor):
+    """Names one module refers to, each outside any ``def`` or ``class`` of that name."""
 
     def __init__(self):
         self.enclosing: list[str] = []
+        self.modules: set[str] = set()  # local names bound to package modules
         self.names: set[str] = set()
 
-    def visit_FunctionDef(self, node):
+    def _add(self, name: str) -> None:
+        if name not in self.enclosing:
+            self.names.add(name)
+
+    def _visit_definition(self, node):
         self.enclosing.append(node.name)
         self.generic_visit(node)
         self.enclosing.pop()
 
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id not in self.enclosing:
-            self.names.add(node.func.id)
+    visit_FunctionDef = visit_ClassDef = _visit_definition
+
+    def visit_ImportFrom(self, node):
+        if node.level:
+            for alias in node.names:
+                if node.module is None:
+                    self.modules.add(alias.asname or alias.name)
+                else:
+                    self._add(alias.name)
+
+    def visit_Name(self, node):
+        self._add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id in self.modules:
+            self._add(node.attr)
         self.generic_visit(node)
 
 
-def _used_names(path: Path) -> set[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _library_references() -> set[str]:
     used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "nc":
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("numcore", "tensor"):
-            used.update(alias.name for alias in node.names)
-    if path.parent == NUMCORE:
-        calls = _Calls()
-        calls.visit(tree)
-        used |= calls.names
+    for path in MODULES:
+        if path != REEXPORTS:
+            refs = _References()
+            refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+            used |= refs.names
     return used
 
 
 def test_every_numcore_export_has_a_library_caller():
-    used = set()
-    for path in sorted(LIBRARY.rglob("*.py")):
-        if path != NUMCORE / "__init__.py":
-            used |= _used_names(path)
-    unused = sorted(set(nc.__all__) - used)
+    unused = sorted(set(nc.__all__) - _library_references())
     assert not unused, f"exported by rumorgraph.numcore but used by no library module: {unused}"
+
+
+def test_every_module_level_definition_has_a_library_caller():
+    used = _library_references()
+    unused = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+                unused.append(f"{path.relative_to(LIBRARY)}:{node.name}")
+    assert not unused, f"defined in rumorgraph but used by no library module: {unused}"

@@ -1,6 +1,8 @@
 """Model contract: parameter count, forward semantics, invariances, snapshots."""
 
 import hashlib
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,9 +34,9 @@ def _prepared(event, dim=6):
 
 
 def _encode_one(x, graph, params, mode="eval", streams=None):
-    """Encode a single event; returns (node states, representation, probabilities)."""
+    """Encode a single event; returns (representation, probabilities)."""
     result = encode_batch(GraphBatch.from_events([x], [graph]), params, mode=mode, streams=streams)
-    return result.node_states, result.reps, result.probs
+    return result.reps, result.probs
 
 
 def test_param_count_matches_published_total():
@@ -47,8 +49,9 @@ def test_param_count_minimal_config_by_formula():
 
 
 def test_param_count_class_growth_is_linear():
+    # ModelConfig takes one class per label only, so the grown head is a plain namespace
     base = ModelConfig(d_in=16, d_hidden=8, d_out=4, classes=2)
-    grown = ModelConfig(d_in=16, d_hidden=8, d_out=4, classes=4)
+    grown = SimpleNamespace(**{**asdict(base), "classes": 4})
     assert param_count(grown) - param_count(base) == (4 + 8) * 2 + 2
 
 
@@ -72,7 +75,7 @@ def test_forward_manual_recomputation():
     event = make_event("e", "rumor", [0, 0])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(4))
-    _, rep, probs = _encode_one(x, graph, params, mode="eval")
+    rep, probs = _encode_one(x, graph, params, mode="eval")
 
     a_hat = normalized_reference(dense_adjacency(graph))
     assert np.allclose(mixing_of(graph), a_hat, atol=1e-15)
@@ -95,11 +98,20 @@ def test_forward_manual_recomputation():
     assert np.allclose(probs.data, p, atol=1e-12)
 
 
-def test_single_node_event_representation_is_single_row():
+def test_single_node_event_representation_is_single_row(monkeypatch):
+    pooled = []
+    segment_mean = nc.segment_mean
+
+    def recording_segment_mean(x, sizes):
+        pooled.append(x)
+        return segment_mean(x, sizes)
+
+    monkeypatch.setattr(nc, "segment_mean", recording_segment_mean)
     event = make_event("solo", "rumor", [])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(1))
-    states, rep, _ = _encode_one(x, graph, params)
+    rep, _ = _encode_one(x, graph, params)
+    (states,) = pooled
     assert np.allclose(rep.data, states.data, atol=1e-15)
 
 
@@ -113,9 +125,9 @@ def test_claim_fixing_permutation_leaves_representation():
         event = make_event(f"e{trial}", "rumor", parents)
         x, graph = _prepared(event)
         n = graph.n
-        _, rep, probs = _encode_one(x, graph, params)
+        rep, probs = _encode_one(x, graph, params)
         perm = np.concatenate([[0], 1 + gen.permutation(n - 1)])
-        _, rep_perm, _ = _encode_one(x[perm], permute_graph(graph, perm), params)
+        rep_perm, _ = _encode_one(x[perm], permute_graph(graph, perm), params)
         assert np.max(np.abs(rep.data - rep_perm.data)) < 1e-10
         assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
         checked += 1
@@ -130,7 +142,7 @@ def test_batched_encoding_matches_per_event():
     batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
     result = encode_batch(batch, params, mode="eval")
     for i, (x, graph) in enumerate(prepared):
-        _, rep, probs = _encode_one(x, graph, params)
+        rep, probs = _encode_one(x, graph, params)
         assert np.allclose(result.reps.data[i], rep.data[0], atol=1e-12)
         assert np.allclose(result.probs.data[i], probs.data[0], atol=1e-12)
 
@@ -152,7 +164,7 @@ def test_encode_events_scores_whole_events_in_order_under_the_budget(monkeypatch
     probs, reps = encode_events([x for x, _ in prepared], [g for _, g in prepared], params)
     assert chunks == [[3, 4], [2], [12], [1, 5], [3]]  # the 12-node event alone
     for i, (x, graph) in enumerate(prepared):
-        _, rep, prob = _encode_one(x, graph, params)
+        rep, prob = _encode_one(x, graph, params)
         assert np.allclose(reps[i], rep.data[0], atol=1e-12)
         assert np.allclose(probs[i], prob.data[0], atol=1e-12)
 
@@ -176,12 +188,12 @@ def test_eval_forward_deterministic_and_train_dropout_masks():
     event = make_event("e", "rumor", [0, 1, 1])
     x, graph = _prepared(event)
     params = init_params(TINY, RngStreams(6))
-    _, rep_a, _ = _encode_one(x, graph, params, mode="eval")
-    _, rep_b, _ = _encode_one(x, graph, params, mode="eval")
+    rep_a, _ = _encode_one(x, graph, params, mode="eval")
+    rep_b, _ = _encode_one(x, graph, params, mode="eval")
     assert np.array_equal(rep_a.data, rep_b.data)
 
-    _, train_a, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
-    _, train_b, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
+    train_a, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
+    train_b, _ = _encode_one(x, graph, params, mode="train", streams=RngStreams(9))
     assert np.array_equal(train_a.data, train_b.data)
     assert not np.array_equal(train_a.data, rep_a.data)
 
@@ -249,6 +261,7 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: raw.replace(b', "bc"]', b"]")[:-16], "does not name each parameter once"),
         (lambda raw: raw.replace(b'"d_in": 6', b'"d_in": 6.0'), r"d_in must be an integer, got 6\.0"),
         (lambda raw: raw.replace(b'"classes": 2', b'"classes": 2.0'), r"classes must be an integer, got 2\.0"),
+        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 3'), r"classes must be 2, one per label, got 3"),
         (lambda raw: raw.replace(b'"d_out": 4', b'"d_out": true'), "d_out must be an integer, got True"),
     ],
     ids=[
@@ -262,6 +275,7 @@ def test_snapshot_format_is_pinned(tmp_path):
         "short-order",
         "float-d_in",
         "float-classes",
+        "three-classes",
         "bool-d_out",
     ],
 )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rumorgraph import numcore as nc
 from rumorgraph import augment, model, trainer
 from rumorgraph.augment import AugmentStrategy
-from rumorgraph.dataio import visible_posts
+from rumorgraph.dataio import split_folds, visible_posts
 from rumorgraph.embed import HashedProvider, embed_event
 from rumorgraph.model import (
     GraphBatch,
@@ -22,7 +22,7 @@ from rumorgraph.model import (
     load_snapshot,
     save_snapshot,
 )
-from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step, tensor
+from rumorgraph.numcore import AdamWState, RngStreams, TrainingStepError, adamw_step, child_seed, tensor
 from rumorgraph.objectives import ce_from_probs
 from rumorgraph.propagation import build_graph
 from rumorgraph.runconfig import _PATH_KEYS, parse_run_config
@@ -308,7 +308,9 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     # convolution, gathered claim rows, their concatenation, a float dropout
     # mask, a mean per event), the loss terms and their blend composed of
     # primitive ops, and a backward pass that keeps every gradient, so the
-    # tape's visit and accumulation order is checked too.
+    # tape's visit and accumulation order is checked too. The adversarial
+    # view's backward and the feature-dropout product run through that same
+    # backward and ``mul`` on both sides.
     source_ds, target_ds = generate(SynthSpec(source_events=6, target_events=4, mean_replies=4.0, seed=3))
     provider = HashedProvider(dim=8)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
@@ -328,8 +330,6 @@ def test_steps_match_the_oracle_kernels_bitwise(kind, precision, monkeypatch):
     monkeypatch.setattr(nc, "graph_conv", oracles.graph_conv)
     monkeypatch.setattr(nc, "layer_norm", oracles.claim_layer_norm)
     monkeypatch.setattr(nc, "segment_mean", oracles.segment_mean)
-    monkeypatch.setattr(nc, "mask", oracles.float_mask)
-    monkeypatch.setattr(nc, "grad_wrt", oracles.grad_wrt)
     monkeypatch.setattr(nc.Tensor, "backward", oracles.backward)
     monkeypatch.setattr(trainer, "adamw_step", oracles.adamw_step)
     for name in ("ce_from_probs", "scl_source", "scl_cross", "tcl", "joint"):
@@ -389,6 +389,34 @@ def test_train_step_memory_peak_stays_lean():
     finally:
         tracemalloc.stop()
     assert peak < 5_500_000
+
+
+def test_one_fit_learns_to_classify_held_out_target_events():
+    # Only the reply-stance channel transfers at shift_strength 1.0. One fold of
+    # the 5-fold few-shot protocol trains on 20 target events and is scored on
+    # the other 80. The seed was fixed before measuring: seed 11 reads macro-F1
+    # 0.800 (seeds 12 and 13 read 0.887 and 0.837), against 0.5 for chance.
+    seed = 11
+    source_ds, target_ds = generate(
+        SynthSpec(source_events=120, target_events=100, shift_strength=1.0, seed=seed)
+    )
+    provider = HashedProvider(dim=128)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = TrainConfig(
+        model=ModelConfig(d_in=128, d_hidden=64, d_out=32),
+        alpha=0.0,
+        learning_rate=0.005,
+        max_epochs=30,
+        patience=30,
+        val_fraction=0.0,
+        seed=child_seed(seed, "fold0"),
+    )
+    assignment = split_folds(target_ds.events, 5, seed)
+    train_fold = [p for p in target if assignment[p.event.event_id] == 0]
+    test_fold = [p for p in target if assignment[p.event.event_id] != 0]
+    assert (len(train_fold), len(test_fold)) == (20, 80)
+    result = fit(source, train_fold, cfg)
+    assert evaluate_prepared(test_fold, result.params).macro_f1 >= 0.65
 
 
 def test_training_reduces_loss_on_separable_batches():
