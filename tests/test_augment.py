@@ -113,10 +113,13 @@ def _two_event_result():
 
 
 def test_classification_gradients_match_a_full_backward_bitwise():
-    result, labels, params = _two_event_result()
-    want = oracles.grad_wrt(ce_from_probs(result.probs, labels) * float(len(labels)), result.reps)
-    got = classification_gradients(result.reps, labels, params)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for precision, dtype in (("f64", np.float64), ("f32", np.float32)):
+        with nc.precision(precision):
+            result, labels, params = _two_event_result()
+            want = oracles.grad_wrt(ce_from_probs(result.probs, labels) * float(len(labels)), result.reps)
+            got = classification_gradients(result.reps, labels, params)
+        assert got.dtype == want.dtype == dtype, precision
+        assert got.tobytes() == want.tobytes(), precision
 
 
 def test_classification_gradients_run_no_rule_below_the_representations():
