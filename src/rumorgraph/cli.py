@@ -29,7 +29,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import numcore as nc
 from .dataio import CheckpointSpec, DatasetError, parse_events
 from .embed import EmbeddingError, HashedProvider, provider_from_spec
 from .evalkit import (
@@ -126,10 +125,6 @@ def cmd_train(args) -> int:
         return _fail(str(err), 1)
     except (TrainingStepError, SimilarityError) as err:
         return _fail(str(err), 3)
-    # process-wide, unlike fit and cross_validate, and only once the run has
-    # succeeded: code run after the command in the same process reads its
-    # results at the trained precision
-    nc.set_precision(run.train.precision)
     print(f"artifacts written to {out_dir}")
     return 0
 

@@ -74,8 +74,8 @@ class ModelConfig:
             raise ValueError(f"classes must be {len(LABELS)}, one per label, got {self.classes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.layer_norm_eps <= 0:
-            raise ValueError(f"layer_norm_eps must be positive, got {self.layer_norm_eps}")
+        if not 0 < self.layer_norm_eps < math.inf:
+            raise ValueError(f"layer_norm_eps must be positive and finite, got {self.layer_norm_eps}")
 
     @property
     def rep_dim(self) -> int:
@@ -102,9 +102,8 @@ class ModelParams:
     @classmethod
     def from_values(cls, config: ModelConfig, values: dict[str, np.ndarray]) -> "ModelParams":
         """Parameters of ``config``'s shapes holding ``values`` in the active element type; draws nothing."""
-        dtype = nc.active_dtype()
         tensors = {
-            name: nc.parameter(np.asarray(values[name], dtype=dtype).reshape(shape), name)
+            name: nc.parameter(values[name].reshape(shape), name)
             for name, shape in _shapes(config).items()
         }
         return cls(tensors=tensors, config=config)
@@ -130,14 +129,13 @@ def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def init_params(cfg: ModelConfig, streams: RngStreams) -> ModelParams:
     """Glorot-uniform weights, zero biases, unit/zero normalization affine."""
-    dtype = nc.active_dtype()
     tensors = {}
     for name, shape in _shapes(cfg).items():
         if len(shape) == 2:
             tensors[name] = nc.glorot_init(shape, streams.init, name)
         else:
             fill = np.ones if name.endswith("_gain") else np.zeros
-            tensors[name] = nc.parameter(fill(shape, dtype=dtype), name)
+            tensors[name] = nc.parameter(fill(shape), name)
     return ModelParams(tensors=tensors, config=cfg)
 
 
@@ -195,7 +193,7 @@ def encode_batch(
     if mode == "train" and cfg.dropout > 0.0 and streams is None:
         raise ValueError("train mode with dropout requires RNG streams")
 
-    x = Tensor(np.asarray(batch.features, dtype=nc.active_dtype()))
+    x = Tensor(batch.features)
     eps = cfg.layer_norm_eps
 
     h1 = nc.graph_conv(batch.mixing, x, params.w0, params.b0)
@@ -262,11 +260,11 @@ def save_snapshot(params: ModelParams, seed: int, path) -> None:
 
 
 def load_snapshot(path) -> tuple[ModelParams, int]:
-    """Inverse of ``save_snapshot``: the parameters, in the active element type, and the seed.
+    """Inverse of ``save_snapshot``: the parameters, at float64 whatever precision is active, and the seed.
 
     The header must hold the supported ``format_version``, the model
     configuration, the seed and an ``order`` naming each parameter once; the
-    payload must hold exactly those tensors.
+    payload must hold exactly those tensors, all finite.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -293,6 +291,9 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
         problem = "truncated" if len(payload) < expected else "followed by trailing bytes"
         raise SnapshotError(f"{path}: payload {problem} ({len(payload)} bytes, expected {expected})")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise SnapshotError(f"{path}: payload holds a non-finite value")
     offsets = np.cumsum([0] + sizes)
     values = {name: flat[a:b].reshape(shape) for name, a, b, shape in zip(order, offsets, offsets[1:], shapes)}
-    return ModelParams.from_values(config, values), seed
+    with nc.precision("f64"):
+        return ModelParams.from_values(config, values), seed

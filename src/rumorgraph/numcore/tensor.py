@@ -29,9 +29,10 @@ a call is taped is decided by ``_taped``, the one test ``_make`` also
 applies, so the in-place path never runs where a recorded backward would
 read those rows.
 
-Float64 is the default element type; float32 can be selected for faster
-experiment runs, inside a ``precision`` block or process-wide with
-``set_precision`` (gradient checks require float64).
+``Tensor.__init__`` is the one place that casts to the active element type:
+float64 by default, float32 inside a ``precision`` block for faster
+experiment runs (gradient checks require float64). ``set_precision``
+selects it process-wide; only that block and the benchmark harness call it.
 """
 
 from __future__ import annotations
@@ -404,13 +405,13 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     statistics are its own, so blocking changes no value. Untaped, the affine
     output is written over the normalized rows, and the call keeps one
     ``(n, d)`` buffer. The backward carries the ``gain`` and ``bias`` column
-    sums from block to block as the leading row of the next block's sum:
-    numpy's axis-0 sum of a C-contiguous array at least two columns wide adds
-    its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
-    carried sums equal the whole-array sums bit for bit. It finishes each
-    block's input gradient in a block scratch and keeps only the columns of
-    ``h`` or ``source`` that need one; each claim's gradient is the sum of its
-    segment's rows of the joined block's gradient, added in row order as
+    sums, from zeros, as the leading row of each block's sum: numpy's axis-0
+    sum of a C-contiguous array at least two columns wide starts from +0.0
+    and adds its rows in order, so for a C-contiguous ``g`` (the encoder's
+    are) the carried sums equal the whole-array sums bit for bit. It finishes
+    each block's input gradient in a block scratch and keeps only the columns
+    of ``h`` or ``source`` that need one; each claim's gradient is the sum of
+    its segment's rows of the joined block's gradient, added in row order as
     ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
@@ -450,24 +451,19 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
         needs_input = h.requires_grad or source.requires_grad
         cols = slice(None if h.requires_grad else split, None if source.requires_grad else split)
         term, scratch_rows = np.empty_like(normalized[:, cols]), np.empty_like(normalized[:step])
-        for k, (rows, inv_std) in enumerate(blocks):
+        carry = np.empty((min(step, n) + 1, d), dtype=np.result_type(g, normalized))
+        gain_sum = bias_sum = np.zeros(d, dtype=carry.dtype)
+        for rows, inv_std in blocks:
             x, gb = normalized[rows], g[rows]
-            if k == 0:
-                tmp = gb * x
-                gain_sum = tmp.sum(axis=0)
-                bias_sum = gb.sum(axis=0)
-            else:
-                # the sums so far lead the block's rows, so each sum adds rows in whole-array order
-                if k == 1:
-                    carry = np.empty((step + 1, d), dtype=tmp.dtype)
-                lead = carry[: len(x) + 1]
-                tmp = lead[1:]
-                lead[0] = gain_sum
-                np.multiply(gb, x, out=tmp)
-                gain_sum = lead.sum(axis=0)
-                lead[0] = bias_sum
-                tmp[...] = gb
-                bias_sum = lead.sum(axis=0)
+            # the sums so far lead the block's rows, so each sum adds rows in whole-array order
+            lead = carry[: len(x) + 1]
+            tmp = lead[1:]
+            lead[0] = gain_sum
+            np.multiply(gb, x, out=tmp)
+            gain_sum = lead.sum(axis=0)
+            lead[0] = bias_sum
+            tmp[...] = gb
+            bias_sum = lead.sum(axis=0)
             if not needs_input:
                 continue
             t = scratch_rows[: len(x)]
@@ -499,5 +495,4 @@ def glorot_init(shape: tuple[int, int], gen: np.random.Generator, name: str = ""
     if len(shape) != 2:
         raise ShapeError(f"glorot_init expects a 2-D shape, got {shape}")
     bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-    values = gen.uniform(-bound, bound, size=shape)
-    return parameter(np.asarray(values, dtype=_DTYPE), name)
+    return parameter(gen.uniform(-bound, bound, size=shape), name)

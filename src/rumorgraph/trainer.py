@@ -379,9 +379,10 @@ def cross_validate(
 
 def early_detection(prepared: list[PreparedEvent], params: ModelParams, spec: CheckpointSpec) -> EarlyDetectionCurve:
     """Score prepared events with only the posts visible at each checkpoint: a
-    prefix of each event's rows and edges, so no post is embedded again."""
-    metrics = [
-        evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
-        for value in spec.values
-    ]
+    prefix of each event's rows and edges, so no post is embedded again; at float64, as snapshots load."""
+    with nc.precision("f64"):
+        metrics = [
+            evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
+            for value in spec.values
+        ]
     return EarlyDetectionCurve(spec=spec, metrics=metrics)

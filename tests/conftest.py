@@ -16,9 +16,11 @@ settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def _double_precision():
+    """Start every test at f64, and fail one that leaves another precision or tape recording off behind."""
     nc.set_precision("f64")
     yield
-    nc.set_precision("f64")
+    assert nc.active_dtype() == np.float64, f"the test left {nc.active_dtype()} active"
+    assert nc.tensor._GRAD_ENABLED, "the test left tape recording off"
 
 
 # any JSON value, for fuzzing the readers of JSONL input

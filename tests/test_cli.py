@@ -398,10 +398,30 @@ def test_failed_train_leaves_precision_and_out_dir_alone(tmp_path, synth_dirs):
     assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert nc.active_dtype() == np.float64
     assert not out_dir.exists()
-    # a run that succeeds leaves its precision set, for code that reads its results
+    # and so does a run that succeeds
     config_path.write_text(json.dumps(record))
     assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
-    assert nc.active_dtype() == np.float32
+    assert nc.active_dtype() == np.float64
+
+
+def test_scoring_after_an_f32_train_writes_what_a_fresh_process_writes(tmp_path, synth_dirs):
+    tmp_path, data_dir = synth_dirs
+    config_path = _run_config(tmp_path, data_dir)
+    record = {**json.loads(config_path.read_text()), "precision": "f32", "protocol": {"mode": "single"}}
+    config_path.write_text(json.dumps(record))
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    inputs = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl")]
+    commands = {
+        "early_detection.csv": ["earlydetect", *inputs, "--checkpoints", "1,2,4,inf", "--mode", "count"],
+        "features.csv": ["export-features", *inputs],
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(rumorgraph.__file__).resolve().parents[1])}
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / "same")]) == 0
+        fresh = [sys.executable, "-m", "rumorgraph.cli", *argv, "--out", str(tmp_path / "fresh")]
+        done = subprocess.run(fresh, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def _strict_json(text: str):
@@ -604,6 +624,16 @@ def _broken_snapshot_argv(command, content: bytes):
     return build
 
 
+def _nan_eps_argv(command):
+    """``command`` loading the test snapshot with its ``layer_norm_eps`` set to NaN."""
+
+    def build(tmp_path, data_dir, snapshot):
+        content = snapshot.read_bytes().replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": NaN')
+        return _broken_snapshot_argv(command, content)(tmp_path, data_dir, snapshot)
+
+    return build
+
+
 def _missing_embedding_argv(command):
     """``command`` on an 8-wide embedding file whose one record matches no post."""
 
@@ -666,6 +696,8 @@ DEEP = b"[" * 100_000 + b"\n"
         (_broken_events_argv("validate", DEEP), 1, "line 1: invalid JSON"),
         (_broken_events_argv("train", DEEP), 1, "line 1: invalid JSON"),
         (_broken_snapshot_argv("earlydetect", DEEP), 1, "unreadable header"),
+        (_nan_eps_argv("earlydetect"), 1, "layer_norm_eps must be positive and finite, got nan"),
+        (_nan_eps_argv("export-features"), 1, "layer_norm_eps must be positive and finite, got nan"),
         (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
         (_config_argv(content=DEEP), 2, "invalid JSON"),
         (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
@@ -713,6 +745,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "validate-deeply-nested-events",
         "train-deeply-nested-events",
         "earlydetect-deeply-nested-snapshot-header",
+        "earlydetect-nan-layer-norm-eps",
+        "export-nan-layer-norm-eps",
         "train-negative-seed-override",
         "train-deeply-nested-config",
         "train-non-utf8-config",
@@ -750,3 +784,24 @@ def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, messa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp_path, data_dir, snapshot: ["validate", "--events", str(data_dir / "target_events.jsonl")],
+        _synth_argv({}),
+        _config_argv(),
+        _config_argv("--precision", "f32"),
+        _inference_argv("earlydetect"),
+        _inference_argv("export-features"),
+    ],
+    ids=["validate", "synth", "train-f64", "train-f32", "earlydetect", "export-features"],
+)
+def test_no_command_changes_the_precision(tmp_path, synth_dirs, build):
+    _tmp, data_dir = synth_dirs
+    snapshot = tmp_path / "tiny.snapshot"
+    save_snapshot(init_params(ModelConfig(d_in=8, d_hidden=6, d_out=4), RngStreams(1)), seed=1, path=snapshot)
+    with nc.precision("f32"):
+        assert main(build(tmp_path, data_dir, snapshot)) == 0
+        assert nc.active_dtype() == np.float32

@@ -263,6 +263,9 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: raw.replace(b'"classes": 2', b'"classes": 2.0'), r"classes must be an integer, got 2\.0"),
         (lambda raw: raw.replace(b'"classes": 2', b'"classes": 3'), r"classes must be 2, one per label, got 3"),
         (lambda raw: raw.replace(b'"d_out": 4', b'"d_out": true'), "d_out must be an integer, got True"),
+        (lambda raw: raw.replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": NaN'), "must be positive and finite, got nan"),
+        (lambda raw: raw.replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": Infinity'), "finite, got inf"),
+        (lambda raw: raw[:-8] + np.array(np.nan, dtype="<f8").tobytes(), "payload holds a non-finite value"),
     ],
     ids=[
         "short-blob",
@@ -277,6 +280,9 @@ def test_snapshot_format_is_pinned(tmp_path):
         "float-classes",
         "three-classes",
         "bool-d_out",
+        "nan-eps",
+        "infinite-eps",
+        "nan-weight",
     ],
 )
 def test_damaged_snapshot_raises_typed_error(tmp_path, damage, message):
