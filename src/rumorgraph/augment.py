@@ -13,11 +13,11 @@ weights as constants, so no encoder or parameter gradient is touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import EncodeResult, GraphBatch, ModelParams, classify, encode_batch
+from .model import EncodeResult, GraphBatch, ModelParams, classify, encode_batch, mixing_operator
 from .numcore import RngStreams, Tensor
 from .objectives import ce_from_probs
 from .propagation import PropagationGraph, dropedge
@@ -80,17 +80,18 @@ def augment_batch(
     strategy: AugmentStrategy,
     result: EncodeResult,
     labels: np.ndarray,
-    embeddings: list[np.ndarray],
+    batch: GraphBatch,
     graphs: list[PropagationGraph],
     params: ModelParams,
     streams: RngStreams,
 ) -> Tensor:
-    """One augmented representation per event, as a differentiable tensor."""
+    """One augmented representation per event of ``batch`` (stacked from ``graphs``), as a
+    differentiable tensor. The DropEdge view encodes the batch's own feature rows again over
+    an operator built from the deformed graphs, which keep every node."""
     if strategy.kind == "adversarial":
         grads = classification_gradients(result.reps, labels, params)
         return adversarial(result.reps, grads, strategy.epsilon)
     if strategy.kind == "feature_dropout":
         return feature_dropout(result.reps, strategy.feature_dropout_rate, streams.feature_dropout)
     deformed = [dropedge(g, strategy.dropedge_rate, streams.dropedge) for g in graphs]
-    batch = GraphBatch.from_events(embeddings, deformed)
-    return encode_batch(batch, params, mode="train", streams=streams).reps
+    return encode_batch(replace(batch, mixing=mixing_operator(deformed)), params, mode="train", streams=streams).reps

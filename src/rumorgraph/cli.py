@@ -38,7 +38,7 @@ from .evalkit import (
     write_curve_csv,
     write_features_csv,
 )
-from .model import load_snapshot, save_snapshot
+from .model import EncodingError, load_snapshot, save_snapshot
 from .numcore import TrainingStepError
 from .objectives import SimilarityError
 from .runconfig import ConfigError, config_hash, load_run_config
@@ -123,7 +123,7 @@ def cmd_train(args) -> int:
         _write_manifest(out_dir, [*files, "metrics.json"], run.raw)
     except (DatasetError, OSError) as err:
         return _fail(str(err), 1)
-    except (TrainingStepError, SimilarityError) as err:
+    except (TrainingStepError, SimilarityError, EncodingError) as err:
         return _fail(str(err), 3)
     print(f"artifacts written to {out_dir}")
     return 0
@@ -160,7 +160,10 @@ def cmd_earlydetect(args) -> int:
     except (OSError, ValueError) as err:
         return _fail(str(err), 1)
 
-    curve = early_detection(prepared, params, spec)
+    try:
+        curve = early_detection(prepared, params, spec)
+    except EncodingError as err:
+        return _fail(str(err), 1)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,7 +193,7 @@ def cmd_export_features(args) -> int:
     try:
         _preds, reps = predict_events(events, params, provider)
         coords, explained = pca_project(reps)
-    except EmbeddingError as err:
+    except (EmbeddingError, EncodingError) as err:
         return _fail(str(err), 1)
     except DegenerateDataError as err:
         return _fail(str(err), 4)

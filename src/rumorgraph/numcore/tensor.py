@@ -29,6 +29,18 @@ a call is taped is decided by ``_taped``, the one test ``_make`` also
 applies, so the in-place path never runs where a recorded backward would
 read those rows.
 
+A taped node keeps its output's value and what its rule reads: ``graph_conv``
+its relu mask, ``layer_norm`` its normalized rows and per-row inverse
+standard deviations, ``softmax_rows`` its output, ``segment_mean`` nothing
+but the segment sizes. Neither ``graph_conv``'s nor ``layer_norm``'s rule
+reads its own output, nor ``layer_norm``'s the values of ``h`` and
+``source``, so once every consumer of such an output has run forward, the
+caller may ``drop`` it; the model drops both convolutions' and both
+normalizations' outputs. A ``layer_norm`` output that a ``graph_conv`` later
+convolves is formed again in that rule from the normalized rows (its
+rebuild). Reading a dropped value raises ``DroppedValueError``, so no rule
+can read a stale or stand-in value by mistake.
+
 ``Tensor.__init__`` is the one place that casts to the active element type:
 float64 by default, float32 inside a ``precision`` block for faster
 experiment runs (gradient checks require float64). ``set_precision``
@@ -45,6 +57,10 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
+
+
+class DroppedValueError(RuntimeError):
+    """Something read the value of a tensor after ``drop`` let it go."""
 
 
 _DTYPE = np.float64
@@ -94,7 +110,7 @@ def no_grad():
 class Tensor:
     """A numpy array plus optional tape bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -103,6 +119,14 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        # forms the value again in a fresh array, for a rule that reads it after ``drop``
+        self._rebuild: Callable[[], np.ndarray] | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for a name with no value: every slot but ``data`` is set in __init__
+        if name == "data":
+            raise DroppedValueError("read the value of a tensor that was dropped once its consumers had run")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -174,6 +198,17 @@ def parameter(data, name: str) -> Tensor:
 def clear_grads(nodes: Iterable[Tensor]) -> None:
     for node in nodes:
         node.grad = None
+
+
+def drop(*tensors: Tensor) -> None:
+    """Let go of the value of each tensor once every op that reads it has run forward.
+
+    Call it only for values no backward rule reads, or ones with a rebuild
+    (``layer_norm``'s output, which ``graph_conv``'s backward forms again); a
+    later read raises ``DroppedValueError``.
+    """
+    for t in tensors:
+        del t.data
 
 
 # -- primitive construction helpers ----------------------------------------
@@ -300,9 +335,10 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
     """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
 
     A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead. One tape node keeps only
-    the output and the relu mask; backward forms ``x * keep`` again. It runs the numpy operations
-    of ``mul`` by ``keep``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and
-    gradients match those five ops' bit for bit.
+    the output and the relu mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one
+    fresh buffer when ``x`` has one. It runs the numpy operations of ``mul`` by ``keep``,
+    ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and gradients match those
+    five ops' bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
@@ -321,7 +357,13 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
             if x.requires_grad:
                 _accumulate(x, g @ w.data.T if keep is None else (g @ w.data.T) * keep)
             if w.requires_grad:
-                _accumulate(w, (x.data if keep is None else x.data * keep).T @ g)
+                if x._rebuild is None:
+                    rows = x.data if keep is None else x.data * keep
+                else:  # a fresh buffer of this rule's own, so it takes the mask in place
+                    rows = x._rebuild()
+                    if keep is not None:
+                        rows *= keep
+                _accumulate(w, rows.T @ g)
 
     return _make(data, (x, w, b), backward)
 
@@ -404,15 +446,18 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     ``_BLOCK_BYTES``, so each pass over a block reads it from cache; a row's
     statistics are its own, so blocking changes no value. Untaped, the affine
     output is written over the normalized rows, and the call keeps one
-    ``(n, d)`` buffer. The backward carries the ``gain`` and ``bias`` column
-    sums, from zeros, as the leading row of each block's sum: numpy's axis-0
-    sum of a C-contiguous array at least two columns wide starts from +0.0
-    and adds its rows in order, so for a C-contiguous ``g`` (the encoder's
-    are) the carried sums equal the whole-array sums bit for bit. It finishes
-    each block's input gradient in a block scratch and keeps only the columns
-    of ``h`` or ``source`` that need one; each claim's gradient is the sum of
-    its segment's rows of the joined block's gradient, added in row order as
-    ``np.add.at`` would.
+    ``(n, d)`` buffer. Taped, the output's rebuild forms it again from the
+    normalized rows with the forward's ufuncs, bit for bit, so a caller can
+    ``drop`` it; the backward reads neither ``h``'s nor ``source``'s value,
+    only ``source``'s shape and dtype. The backward carries the ``gain`` and
+    ``bias`` column sums, from zeros, as the leading row of each block's sum:
+    numpy's axis-0 sum of a C-contiguous array at least two columns wide
+    starts from +0.0 and adds its rows in order, so for a C-contiguous ``g``
+    (the encoder's are) the carried sums equal the whole-array sums bit for
+    bit. It finishes each block's input gradient in a block scratch and keeps
+    only the columns of ``h`` or ``source`` that need one; each claim's
+    gradient is the sum of its segment's rows of the joined block's gradient,
+    added in row order as ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -426,6 +471,7 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     d = split + source.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
+    source_shape, source_dtype = source.data.shape, source.data.dtype
     parents = (h, source, gain, bias)
     taped = _taped(parents)
     normalized = np.empty((n, d), dtype=np.result_type(h.data, source.data))
@@ -480,11 +526,20 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
         if h.requires_grad:
             _accumulate(h, term[:, :split])
         if source.requires_grad:
-            full = np.zeros_like(source.data)
+            full = np.zeros(source_shape, dtype=source_dtype)
             full[starts] = _segment_sums(term[:, split:] if h.requires_grad else term, sizes)
             _accumulate(source, full)
 
-    return _make(data, parents, backward)
+    def rebuild():
+        y = np.empty_like(normalized)
+        np.multiply(normalized, gain.data, out=y)
+        y += bias.data
+        return y
+
+    out = _make(data, parents, backward)
+    if taped:
+        out._rebuild = rebuild
+    return out
 
 
 # -- initialization ----------------------------------------------------------

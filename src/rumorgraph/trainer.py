@@ -148,7 +148,8 @@ def train_step(
     streams = state.streams
 
     source = encode_batch(_batch_of(source_batch), params, mode="train", streams=streams)
-    target = encode_batch(_batch_of(target_batch), params, mode="train", streams=streams)
+    stacked_target = _batch_of(target_batch)
+    target = encode_batch(stacked_target, params, mode="train", streams=streams)
     src_labels = _labels_of(source_batch)
     tgt_labels = _labels_of(target_batch)
 
@@ -158,7 +159,7 @@ def train_step(
             cfg.augment,
             target,
             tgt_labels,
-            [p.embedding for p in target_batch],
+            stacked_target,
             [p.graph for p in target_batch],
             params,
             streams,

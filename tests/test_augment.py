@@ -203,7 +203,7 @@ def test_augment_batch_dimensions_and_gradient_flow():
         batch = GraphBatch.from_events(embeddings, graphs)
         result = encode_batch(batch, params, mode="eval")
         aug = augment_batch(
-            AugmentStrategy(kind=kind), result, labels, embeddings, graphs, params, streams
+            AugmentStrategy(kind=kind), result, labels, batch, graphs, params, streams
         )
         assert aug.shape == result.reps.shape
         assert np.all(np.isfinite(aug.data))

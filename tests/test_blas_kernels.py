@@ -3,11 +3,12 @@
 A DYNAMIC_ARCH OpenBLAS picks its kernel for the CPU at load time, and
 ``OPENBLAS_CORETYPE`` overrides the pick. Kernels round some products
 differently, so a bound or a bitwise oracle check that holds under one
-kernel can fail under another. Rerunning ``test_objectives.py``, and
-``test_tensor.py`` with ``test_kernels.py``, in a child process under the
-SandyBridge kernel keeps the bounds, gradient checks and oracle checks of the
-one-node loss terms, the tape primitives and the fused kernels honest on
-other hosts.
+kernel can fail under another. Rerunning ``test_objectives.py``,
+``test_tensor.py`` with ``test_kernels.py``, and the whole-step oracle check
+of ``test_trainer.py``, in a child process under the SandyBridge kernel keeps
+the bounds, gradient checks and oracle checks of the one-node loss terms, the
+tape primitives, the fused kernels and a training step that drops values and
+forms ln1's output again honest on other hosts.
 """
 
 import os
@@ -50,3 +51,8 @@ def test_objectives_pass_under_the_sandybridge_kernel():
 @SANDYBRIDGE_ONLY
 def test_tensor_and_kernels_pass_under_the_sandybridge_kernel():
     _assert_pass_under_sandybridge("tests/test_tensor.py", "tests/test_kernels.py")
+
+
+@SANDYBRIDGE_ONLY
+def test_training_steps_match_the_oracle_under_the_sandybridge_kernel():
+    _assert_pass_under_sandybridge("tests/test_trainer.py::test_steps_match_the_oracle_kernels_bitwise")

@@ -20,7 +20,7 @@ from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
 from rumorgraph.embed import HashedProvider
-from rumorgraph.model import ModelConfig, init_params, save_snapshot
+from rumorgraph.model import ModelConfig, init_params, load_snapshot, save_snapshot
 from rumorgraph.numcore import RngStreams, tensor
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
 from tests.conftest import JSON_VALUES, valid_or_any, write_embeddings
@@ -634,6 +634,32 @@ def _nan_eps_argv(command):
     return build
 
 
+def _overflow_argv(command):
+    """``command`` loading the test snapshot with ``w0`` scaled to about 1e308: finite weights that overflow."""
+
+    def build(tmp_path, data_dir, snapshot):
+        params, seed = load_snapshot(snapshot)
+        params.w0.data *= 1e308 / np.abs(params.w0.data).max()
+        save_snapshot(params, seed, tmp_path / "overflow.snapshot")
+        return _inference_argv(command)(tmp_path, data_dir, tmp_path / "overflow.snapshot")
+
+    return build
+
+
+def _training_argv(**training):
+    """``train`` with the test config's training settings overridden by ``training``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        record["training"].update(training)
+        config.write_text(json.dumps(record))
+        return argv
+
+    return build
+
+
 def _missing_embedding_argv(command):
     """``command`` on an 8-wide embedding file whose one record matches no post."""
 
@@ -671,6 +697,9 @@ def _broken_events_argv(command, content: bytes):
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
+NON_FINITE = r"non-finite class probabilities or representations"
+# numpy warns of the overflow before the encoder's output check fails
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 # the JSON reader recurses once per bracket and runs out of stack long before
 DEEP = b"[" * 100_000 + b"\n"
 
@@ -698,6 +727,10 @@ DEEP = b"[" * 100_000 + b"\n"
         (_broken_snapshot_argv("earlydetect", DEEP), 1, "unreadable header"),
         (_nan_eps_argv("earlydetect"), 1, "layer_norm_eps must be positive and finite, got nan"),
         (_nan_eps_argv("export-features"), 1, "layer_norm_eps must be positive and finite, got nan"),
+        pytest.param(_overflow_argv("earlydetect"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
+        pytest.param(_overflow_argv("export-features"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
+        # one step a fold: its update overflows the weights the test fold is scored with
+        pytest.param(_training_argv(learning_rate=1e300, source_batch_size=16), 3, NON_FINITE, marks=OVERFLOW_WARNINGS),
         (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
         (_config_argv(content=DEEP), 2, "invalid JSON"),
         (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
@@ -747,6 +780,9 @@ DEEP = b"[" * 100_000 + b"\n"
         "earlydetect-deeply-nested-snapshot-header",
         "earlydetect-nan-layer-norm-eps",
         "export-nan-layer-norm-eps",
+        "earlydetect-overflowing-weights",
+        "export-overflowing-weights",
+        "train-overflowing-weights",
         "train-negative-seed-override",
         "train-deeply-nested-config",
         "train-non-utf8-config",

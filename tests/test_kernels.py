@@ -64,8 +64,11 @@ def _check_claim_layer_norm(precision, h, source, sizes, gain, bias, upstream, e
         want, want_grads = _claim_layer_norm(oracles.claim_layer_norm, arrays, sizes, upstream, eps, trainable)
         with nc.no_grad():
             untaped = nc.layer_norm(*[nc.parameter(a.copy(), "p") for a in arrays[:2]], sizes, gain, bias, eps)
+        # what graph_conv's backward reads of a dropped output
+        rebuilt = nc.layer_norm(*[nc.parameter(a.copy(), "p") for a in arrays[:2]], sizes, gain, bias, eps)._rebuild()
     assert _same_bytes(got, want)
     assert _same_bytes(untaped.data, want)
+    assert _same_bytes(rebuilt, want)
     for a, b in zip(got_grads, want_grads):
         assert (a is None and b is None) or _same_bytes(a, b)
 

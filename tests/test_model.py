@@ -21,6 +21,7 @@ from rumorgraph.model import (
     save_snapshot,
 )
 from rumorgraph.numcore import RngStreams
+from rumorgraph.numcore.tensor import DroppedValueError
 from rumorgraph.propagation import PropagationGraph, build_graph
 from tests import oracles
 from tests.conftest import make_event, mixing_of, permute_graph, random_tree_event
@@ -103,7 +104,7 @@ def test_single_node_event_representation_is_single_row(monkeypatch):
     segment_mean = nc.segment_mean
 
     def recording_segment_mean(x, sizes):
-        pooled.append(x)
+        pooled.append(x.data)  # the encoder drops this value once its consumers have run
         return segment_mean(x, sizes)
 
     monkeypatch.setattr(nc, "segment_mean", recording_segment_mean)
@@ -112,7 +113,24 @@ def test_single_node_event_representation_is_single_row(monkeypatch):
     params = init_params(TINY, RngStreams(1))
     rep, _ = _encode_one(x, graph, params)
     (states,) = pooled
-    assert np.allclose(rep.data, states.data, atol=1e-15)
+    assert np.allclose(rep.data, states, atol=1e-15)
+
+
+def test_a_training_encode_drops_the_values_no_backward_reads():
+    # both convolutions' and both layer norms' outputs; conv2's weight gradient forms ln1's output again
+    gen = np.random.default_rng(8)
+    prepared = [_prepared(random_tree_event(gen, f"e{i}", "rumor", max_nodes=6)) for i in range(3)]
+    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    params = init_params(TINY, RngStreams(7))
+    result = encode_batch(batch, params, mode="train", streams=RngStreams(9))
+    (h2_tilde,) = result.reps._parents
+    h2, h1 = h2_tilde._parents[:2]
+    h1_tilde = h2._parents[0]
+    for dropped in (h1, h1_tilde, h2, h2_tilde):
+        with pytest.raises(DroppedValueError):
+            dropped.data
+    oracles.sum_all(result.reps).backward()
+    assert all(np.any(t.grad != 0.0) for t in (params.w0, params.w1, params.ln1_gain))
 
 
 def test_claim_fixing_permutation_leaves_representation():

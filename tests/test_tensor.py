@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
 from rumorgraph.numcore import RngStreams, Tensor
+from rumorgraph.numcore.tensor import DroppedValueError
 from tests import oracles
 from tests.conftest import forest_operator
 from tests.gradcheck import finite_diff_grad, relative_error
@@ -231,6 +232,19 @@ def test_elementwise_backward_skips_the_constant_operand(case):
     out._backward(np.array(upstream))
     assert np.array_equal(p.grad, expected)
     assert c.grad is None
+
+
+def test_a_dropped_value_raises_when_read():
+    a = nc.parameter(np.array([[1.0, -2.0]]), "a")
+    b = a * a
+    loss = oracles.sum_all(b * b)  # mul's rule reads both operands' values
+    nc.drop(b)
+    with pytest.raises(DroppedValueError, match="dropped"):
+        b.data
+    with pytest.raises(DroppedValueError):
+        loss.backward()
+    with pytest.raises(AttributeError, match="no attribute 'datum'"):
+        b.datum
 
 
 def test_no_grad_blocks_recording():
