@@ -539,28 +539,14 @@ def _config_argv(*extra, content=None):
     return build
 
 
-def _folds_argv(folds: int):
-    """Cross-validated ``train`` with ``folds`` folds."""
+def _section_argv(section: str, **values):
+    """``train`` with a section of the test config ("model", "training", "protocol") updated with ``values``."""
 
     def build(tmp_path, data_dir, snapshot):
         argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
         config = Path(argv[-1])
         record = json.loads(config.read_text())
-        record["protocol"]["folds"] = folds
-        config.write_text(json.dumps(record))
-        return argv
-
-    return build
-
-
-def _model_argv(**model):
-    """``train`` with the test config's model sizes overridden by ``model``."""
-
-    def build(tmp_path, data_dir, snapshot):
-        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
-        config = Path(argv[-1])
-        record = json.loads(config.read_text())
-        record["model"].update(model)
+        record[section].update(values)
         config.write_text(json.dumps(record))
         return argv
 
@@ -646,20 +632,6 @@ def _overflow_argv(command):
     return build
 
 
-def _training_argv(**training):
-    """``train`` with the test config's training settings overridden by ``training``."""
-
-    def build(tmp_path, data_dir, snapshot):
-        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
-        config = Path(argv[-1])
-        record = json.loads(config.read_text())
-        record["training"].update(training)
-        config.write_text(json.dumps(record))
-        return argv
-
-    return build
-
-
 def _missing_embedding_argv(command):
     """``command`` on an 8-wide embedding file whose one record matches no post."""
 
@@ -730,7 +702,9 @@ DEEP = b"[" * 100_000 + b"\n"
         pytest.param(_overflow_argv("earlydetect"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
         pytest.param(_overflow_argv("export-features"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
         # one step a fold: its update overflows the weights the test fold is scored with
-        pytest.param(_training_argv(learning_rate=1e300, source_batch_size=16), 3, NON_FINITE, marks=OVERFLOW_WARNINGS),
+        pytest.param(
+            _section_argv("training", learning_rate=1e300, source_batch_size=16), 3, NON_FINITE, marks=OVERFLOW_WARNINGS
+        ),
         (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
         (_config_argv(content=DEEP), 2, "invalid JSON"),
         (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
@@ -740,11 +714,11 @@ DEEP = b"[" * 100_000 + b"\n"
         (_synth_argv({"source_events": 20.5}), 2, "field source_events: expected an integer"),
         (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
         (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
-        (_folds_argv(7), 1, "cannot stratify"),
+        (_section_argv("protocol", folds=7), 1, "cannot stratify"),
         # one hidden and one output unit: a pooled representation comes out all zeros
-        (_model_argv(d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
-        (_model_argv(classes=1), 2, "classes must be 2, one per label, got 1"),
-        (_model_argv(classes=3), 2, "classes must be 2, one per label, got 3"),
+        (_section_argv("model", d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
+        (_section_argv("model", classes=1), 2, "classes must be 2, one per label, got 1"),
+        (_section_argv("model", classes=3), 2, "classes must be 2, one per label, got 3"),
         (_blocked_out_argv(_train_argv("hashed:8")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),
