@@ -5,8 +5,9 @@ Subcommands: validate (check an event file and print its statistics), train
 (metrics at content checkpoints), export-features (2-D projection of learned
 representations), and synth (generate the two-domain synthetic benchmark).
 
-Commands that produce artifacts write them under ``--out`` together with a
-``manifest.json`` listing the files and a hash of the effective config.
+Commands that produce artifacts write them under ``--out`` and write
+``manifest.json`` last, listing the files and a hash of the effective config;
+an ``--out`` without a manifest holds an unfinished run.
 
 The same seed and config give byte-identical artifacts only on the same
 numpy build and the same BLAS kernel. Kernels round some products
@@ -17,7 +18,10 @@ tool first writes ``blas_fingerprint.txt``, a digest of fixed matrix products
 that tells such kernels apart.
 
 Exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training
-failed, 4 degenerate projection. Every failure prints an ``error:`` line.
+failed, 4 degenerate projection. Each command is straight-line code; ``main``
+turns the error it raises into an ``error:`` line and an exit code through
+that command's table of ``(error types, code)`` pairs, the first matching pair
+deciding, and lets an error that no pair matches propagate.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .dataio import CheckpointSpec, DatasetError, parse_events
+from .dataio import CheckpointSpec, DatasetError, parse_events, write_events
 from .embed import EmbeddingError, HashedProvider, provider_from_spec
 from .evalkit import (
     DegenerateDataError,
@@ -44,7 +48,6 @@ from .objectives import SimilarityError
 from .runconfig import ConfigError, config_hash, load_run_config
 from .synth import SynthSpec, SynthSpecError, generate
 from .trainer import cross_validate, early_detection, fit, prepare_events
-from .dataio import write_events
 
 
 def _write_manifest(out_dir: Path, files: list[str], cfg_record: dict) -> None:
@@ -58,20 +61,11 @@ def _write_manifest(out_dir: Path, files: list[str], cfg_record: dict) -> None:
         fh.write("\n")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 # -- validate ---------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    try:
-        dataset = parse_events(args.events)
-    except (DatasetError, OSError) as err:
-        return _fail(str(err), 1)
-    events = dataset.events
+    events = parse_events(args.events).events
     rumors = sum(1 for e in events if e.label == "rumor")
     stats = {
         "events": len(events),
@@ -89,42 +83,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        run = load_run_config(args.config, seed=args.seed, precision=args.precision)
-    except (ConfigError, OSError) as err:
-        return _fail(str(err), 2)
-
+    run = load_run_config(args.config, seed=args.seed, precision=args.precision)
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
-    try:
-        source_ds = parse_events(run.source_events)
-        target_ds = parse_events(run.target_events)
-        source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
-        target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
-        source = prepare_events(source_ds.events, source_provider)
-        target = prepare_events(target_ds.events, target_provider)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (DatasetError, EmbeddingError, OSError) as err:
-        return _fail(str(err), 1)
+    source_ds = parse_events(run.source_events)
+    target_ds = parse_events(run.target_events)
+    source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
+    target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
+    source = prepare_events(source_ds.events, source_provider)
+    target = prepare_events(target_ds.events, target_provider)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        if run.protocol_mode == "cv":
-            metrics = asdict(cross_validate(source, target, run.train, k=run.folds, out_dir=out_dir))
-            files = metrics.pop("files")
-        else:
-            log_name = "train_log.jsonl"
-            result = fit(source, target, run.train, log_path=out_dir / log_name)
-            save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
-            files = ["model.snapshot", log_name]
-            # with no epoch run there is no best score, and -inf is not JSON
-            metrics = {"best_score": result.best_score if result.history else None, "history": result.history}
-        with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        _write_manifest(out_dir, [*files, "metrics.json"], run.raw)
-    except (DatasetError, OSError) as err:
-        return _fail(str(err), 1)
-    except (TrainingStepError, SimilarityError, EncodingError) as err:
-        return _fail(str(err), 3)
+    if run.protocol_mode == "cv":
+        metrics = asdict(cross_validate(source, target, run.train, k=run.folds, out_dir=out_dir))
+        files = metrics.pop("files")
+    else:
+        log_name = "train_log.jsonl"
+        result = fit(source, target, run.train, log_path=out_dir / log_name)
+        save_snapshot(result.params, run.train.seed, out_dir / "model.snapshot")
+        files = ["model.snapshot", log_name]
+        # with no epoch run there is no best score, and -inf is not JSON
+        metrics = {"best_score": result.best_score if result.history else None, "history": result.history}
+    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
+        json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    _write_manifest(out_dir, [*files, "metrics.json"], run.raw)
     print(f"artifacts written to {out_dir}")
     return 0
 
@@ -151,30 +133,19 @@ def _provider_for(args, cfg):
 
 
 def cmd_earlydetect(args) -> int:
-    try:
-        params, _seed = load_snapshot(args.snapshot)
-        events = parse_events(args.events).events
-        provider = _provider_for(args, params.config)
-        spec = _parse_checkpoints(args.checkpoints, args.mode)
-        prepared = prepare_events(events, provider)
-    except (OSError, ValueError) as err:
-        return _fail(str(err), 1)
-
-    try:
-        curve = early_detection(prepared, params, spec)
-    except EncodingError as err:
-        return _fail(str(err), 1)
+    params, _seed = load_snapshot(args.snapshot)
+    events = parse_events(args.events).events
+    provider = _provider_for(args, params.config)
+    spec = _parse_checkpoints(args.checkpoints, args.mode)
+    curve = early_detection(prepare_events(events, provider), params, spec)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(curve, out_dir / "early_detection.csv")
-        _write_manifest(
-            out_dir,
-            ["early_detection.csv"],
-            {"snapshot": args.snapshot, "checkpoints": args.checkpoints, "mode": args.mode},
-        )
-    except OSError as err:
-        return _fail(str(err), 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_curve_csv(curve, out_dir / "early_detection.csv")
+    _write_manifest(
+        out_dir,
+        ["early_detection.csv"],
+        {"snapshot": args.snapshot, "checkpoints": args.checkpoints, "mode": args.mode},
+    )
     print(f"curve written to {out_dir / 'early_detection.csv'}")
     return 0
 
@@ -183,32 +154,19 @@ def cmd_earlydetect(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    try:
-        params, _seed = load_snapshot(args.snapshot)
-        events = parse_events(args.events).events
-        provider = _provider_for(args, params.config)
-    except (OSError, ValueError) as err:
-        return _fail(str(err), 1)
-
-    try:
-        _preds, reps = predict_events(events, params, provider)
-        coords, explained = pca_project(reps)
-    except (EmbeddingError, EncodingError) as err:
-        return _fail(str(err), 1)
-    except DegenerateDataError as err:
-        return _fail(str(err), 4)
-
+    params, _seed = load_snapshot(args.snapshot)
+    events = parse_events(args.events).events
+    provider = _provider_for(args, params.config)
+    _preds, reps = predict_events(events, params, provider)
+    coords, explained = pca_project(reps)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_features_csv(events, coords, explained, out_dir / "features.csv", out_dir / "explained_variance.json")
-        _write_manifest(
-            out_dir,
-            ["features.csv", "explained_variance.json"],
-            {"snapshot": args.snapshot, "events": args.events},
-        )
-    except OSError as err:
-        return _fail(str(err), 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_features_csv(events, coords, explained, out_dir / "features.csv", out_dir / "explained_variance.json")
+    _write_manifest(
+        out_dir,
+        ["features.csv", "explained_variance.json"],
+        {"snapshot": args.snapshot, "events": args.events},
+    )
     print(f"features written to {out_dir / 'features.csv'}")
     return 0
 
@@ -217,26 +175,19 @@ def cmd_export_features(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec.from_file(args.spec)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-    except (SynthSpecError, OSError) as err:
-        return _fail(str(err), 2)
-
+    spec = SynthSpec.from_file(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     out_dir = Path(args.out)
     source, target = generate(spec)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_events(source, out_dir / "source_events.jsonl")
-        write_events(target, out_dir / "target_events.jsonl")
-        _write_manifest(
-            out_dir,
-            ["source_events.jsonl", "target_events.jsonl"],
-            {"synth_spec": spec.__dict__},
-        )
-    except OSError as err:
-        return _fail(str(err), 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_events(source, out_dir / "source_events.jsonl")
+    write_events(target, out_dir / "target_events.jsonl")
+    _write_manifest(
+        out_dir,
+        ["source_events.jsonl", "target_events.jsonl"],
+        {"synth_spec": spec.__dict__},
+    )
     print(f"synthetic datasets written to {out_dir}")
     return 0
 
@@ -255,14 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate an event file and print statistics")
     p.add_argument("--events", required=True)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, errors=[((DatasetError, OSError), 1)])
 
     p = sub.add_parser("train", help="run joint training per a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--precision", choices=["f32", "f64"], default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(
+        func=cmd_train,
+        errors=[
+            ((ConfigError,), 2),
+            ((TrainingStepError, SimilarityError, EncodingError), 3),
+            ((DatasetError, EmbeddingError, OSError), 1),
+        ],
+    )
 
     p = sub.add_parser("earlydetect", help="evaluate at content checkpoints")
     p.add_argument("--snapshot", required=True)
@@ -271,27 +229,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["time", "count"], required=True)
     p.add_argument("--embeddings", default=None, help="path or hashed:<dim>")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_earlydetect)
+    p.set_defaults(func=cmd_earlydetect, errors=[((OSError, ValueError), 1)])
 
     p = sub.add_parser("export-features", help="export a 2-D projection of representations")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_features)
+    p.set_defaults(func=cmd_export_features, errors=[((DegenerateDataError,), 4), ((OSError, ValueError), 1)])
 
     p = sub.add_parser("synth", help="generate the synthetic two-domain benchmark")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, errors=[((SynthSpecError,), 2), ((OSError,), 1)])
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(t for types, _code in args.errors for t in types) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for types, code in args.errors if isinstance(err, types))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
 from .dataio import LABELS, CheckpointSpec, Event
 from .embed import embed_event
 from .model import ModelParams, encode_events
@@ -76,10 +75,9 @@ def compute_metrics(preds, truth) -> Metrics:
 
 
 def predict_events(events: list[Event], params: ModelParams, provider) -> tuple[list[int], np.ndarray]:
-    """Evaluation-mode class predictions and representations for ``events``, at float64 as snapshots load."""
+    """Evaluation-mode class predictions and representations for ``events``, at the parameters' element type."""
     embeddings = [embed_event(e, provider).rows for e in events]
-    with nc.precision("f64"):
-        probs, reps = encode_events(embeddings, [build_graph(e) for e in events], params)
+    probs, reps = encode_events(embeddings, [build_graph(e) for e in events], params)
     return [int(i) for i in np.argmax(probs, axis=1)], reps
 
 

@@ -236,14 +236,17 @@ def encode_events(
     """Evaluation-mode probabilities and representations of events, in order: whole
     consecutive events are encoded together under ``no_grad`` while a chunk's widest
     buffer stays within ``_CHUNK_BYTES``; an event over that budget is encoded alone.
-    Raises ``EncodingError`` unless every output is finite."""
+    Runs at the parameters' element type. Raises ``EncodingError`` unless every
+    output is finite, which is why numpy's overflow warnings are silenced."""
     if not graphs:
         raise ValueError("nothing to score: no events were given")
     cfg = params.config
-    max_nodes = _CHUNK_BYTES // ((cfg.d_hidden + cfg.d_in) * np.dtype(nc.active_dtype()).itemsize)
+    dtype = params.w0.data.dtype
+    max_nodes = _CHUNK_BYTES // ((cfg.d_hidden + cfg.d_in) * dtype.itemsize)
     probs, reps = [], []
     start = 0
-    with nc.no_grad():
+    precision = "f32" if dtype == np.float32 else "f64"
+    with nc.precision(precision), nc.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         while start < len(graphs):
             stop, nodes = start + 1, graphs[start].n
             while stop < len(graphs) and nodes + graphs[stop].n <= max_nodes:

@@ -115,11 +115,13 @@ def parse_run_config(record: dict) -> RunConfig:
 
 def load_run_config(path, **overrides) -> RunConfig:
     """Parse a config file after setting each top-level key in ``overrides`` that is not None."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
-        except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
-            raise ConfigError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
+    except OSError as err:  # missing or unreadable: as bad a config as a malformed one
+        raise ConfigError(str(err)) from err
+    except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
+        raise ConfigError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: configuration must be a JSON object")
     record.update({key: value for key, value in overrides.items() if value is not None})

@@ -63,11 +63,13 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 record = json.load(fh)
-            except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
-                raise SynthSpecError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
+        except OSError as err:  # missing or unreadable: as bad a spec as a malformed one
+            raise SynthSpecError(str(err)) from err
+        except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
+            raise SynthSpecError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
         return cls.from_dict(record)
 
 

@@ -278,7 +278,8 @@ def fit(
     fewer than two events to spare one (logged as a warning). Returns the
     parameters of the best-scoring epoch.
     """
-    with nc.precision(cfg.precision):
+    # the step checks its loss terms and the scorer its outputs, so numpy's overflow warnings add nothing
+    with nc.precision(cfg.precision), np.errstate(over="ignore", invalid="ignore"):
         streams = RngStreams(cfg.seed)
         state = TrainState(
             params=init_params(cfg.model, streams),
@@ -354,36 +355,34 @@ def cross_validate(
     parameters as ``fold{i}.snapshot`` (tagged with ``cfg.seed``) there, and
     ``files`` names them.
     """
-    with nc.precision(cfg.precision):
-        assignment = split_folds([p.event for p in target], k, cfg.seed)
-        fold_metrics = []
-        files = []
-        for fold in range(k):
-            train_fold = [p for p in target if assignment[p.event.event_id] == fold]
-            test_fold = [p for p in target if assignment[p.event.event_id] != fold]
-            fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
-            log_path = None if out_dir is None else out_dir / f"fold{fold}_train_log.jsonl"
-            result = fit(source, train_fold, fold_cfg, log_path=log_path)
-            if out_dir is not None:
-                save_snapshot(result.params, cfg.seed, out_dir / f"fold{fold}.snapshot")
-                files += [f"fold{fold}.snapshot", log_path.name]
-            fold_metrics.append(evaluate_prepared(test_fold, result.params))
+    assignment = split_folds([p.event for p in target], k, cfg.seed)
+    fold_metrics = []
+    files = []
+    for fold in range(k):
+        train_fold = [p for p in target if assignment[p.event.event_id] == fold]
+        test_fold = [p for p in target if assignment[p.event.event_id] != fold]
+        fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
+        log_path = None if out_dir is None else out_dir / f"fold{fold}_train_log.jsonl"
+        result = fit(source, train_fold, fold_cfg, log_path=log_path)
+        if out_dir is not None:
+            save_snapshot(result.params, cfg.seed, out_dir / f"fold{fold}.snapshot")
+            files += [f"fold{fold}.snapshot", log_path.name]
+        fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
-        mean = {
-            "accuracy": float(np.mean([m.accuracy for m in fold_metrics])),
-            "macro_f1": float(np.mean([m.macro_f1 for m in fold_metrics])),
-            "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
-            "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
-        }
-        return CVResult(folds=fold_metrics, mean=mean, fold_assignment=assignment, files=files)
+    mean = {
+        "accuracy": float(np.mean([m.accuracy for m in fold_metrics])),
+        "macro_f1": float(np.mean([m.macro_f1 for m in fold_metrics])),
+        "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
+        "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
+    }
+    return CVResult(folds=fold_metrics, mean=mean, fold_assignment=assignment, files=files)
 
 
 def early_detection(prepared: list[PreparedEvent], params: ModelParams, spec: CheckpointSpec) -> EarlyDetectionCurve:
     """Score prepared events with only the posts visible at each checkpoint: a
-    prefix of each event's rows and edges, so no post is embedded again; at float64, as snapshots load."""
-    with nc.precision("f64"):
-        metrics = [
-            evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
-            for value in spec.values
-        ]
+    prefix of each event's rows and edges, so no post is embedded again; at the parameters' element type."""
+    metrics = [
+        evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
+        for value in spec.values
+    ]
     return EarlyDetectionCurve(spec=spec, metrics=metrics)

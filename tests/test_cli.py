@@ -670,8 +670,7 @@ WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 NON_FINITE = r"non-finite class probabilities or representations"
-# numpy warns of the overflow before the encoder's output check fails
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+NO_FILE = r"\[Errno 2\] No such file or directory"
 # the JSON reader recurses once per bracket and runs out of stack long before
 DEEP = b"[" * 100_000 + b"\n"
 
@@ -699,12 +698,12 @@ DEEP = b"[" * 100_000 + b"\n"
         (_broken_snapshot_argv("earlydetect", DEEP), 1, "unreadable header"),
         (_nan_eps_argv("earlydetect"), 1, "layer_norm_eps must be positive and finite, got nan"),
         (_nan_eps_argv("export-features"), 1, "layer_norm_eps must be positive and finite, got nan"),
-        pytest.param(_overflow_argv("earlydetect"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
-        pytest.param(_overflow_argv("export-features"), 1, NON_FINITE, marks=OVERFLOW_WARNINGS),
+        (_overflow_argv("earlydetect"), 1, NON_FINITE),
+        (_overflow_argv("export-features"), 1, NON_FINITE),
         # one step a fold: its update overflows the weights the test fold is scored with
-        pytest.param(
-            _section_argv("training", learning_rate=1e300, source_batch_size=16), 3, NON_FINITE, marks=OVERFLOW_WARNINGS
-        ),
+        (_section_argv("training", learning_rate=1e300, source_batch_size=16), 3, NON_FINITE),
+        # several steps a fold: the second step's forward overflows
+        (_section_argv("training", learning_rate=1e300), 3, "non-finite loss term"),
         (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
         (_config_argv(content=DEEP), 2, "invalid JSON"),
         (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
@@ -732,6 +731,11 @@ DEEP = b"[" * 100_000 + b"\n"
         (_single_event_argv, 4, "at least two representation rows"),
         (_inference_argv("earlydetect", "--checkpoints", "2,nan", "--mode", "time"), 1, "checkpoint value nan"),
         (_inference_argv("earlydetect", "--checkpoints", "2,nan"), 1, "checkpoint value nan"),
+        (_inference_argv("earlydetect", "--checkpoints", "1,abc"), 1, "could not convert string to float"),
+        (lambda tmp_path, *_: ["train", "--config", str(tmp_path / "missing.json")], 2, NO_FILE),
+        (lambda tmp_path, *_: ["train", "--config", str(tmp_path)], 2, r"\[Errno 21\] Is a directory"),
+        (lambda tmp_path, *_: ["synth", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path)], 2, NO_FILE),
+        (lambda tmp_path, *_: ["validate", "--events", str(tmp_path / "missing.jsonl")], 1, NO_FILE),
     ],
     ids=[
         "train-malformed-hashed-spec",
@@ -757,6 +761,7 @@ DEEP = b"[" * 100_000 + b"\n"
         "earlydetect-overflowing-weights",
         "export-overflowing-weights",
         "train-overflowing-weights",
+        "train-overflowing-steps",
         "train-negative-seed-override",
         "train-deeply-nested-config",
         "train-non-utf8-config",
@@ -783,6 +788,11 @@ DEEP = b"[" * 100_000 + b"\n"
         "export-single-event",
         "earlydetect-nan-time-checkpoint",
         "earlydetect-nan-count-checkpoint",
+        "earlydetect-non-numeric-checkpoint",
+        "train-missing-config",
+        "train-config-is-a-directory",
+        "synth-missing-spec",
+        "validate-missing-events",
     ],
 )
 def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, message):
@@ -794,6 +804,16 @@ def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, messa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and re.search(message, err)
+
+
+def test_an_error_outside_the_command_table_propagates(tmp_path, monkeypatch, capsys):
+    def unexpected(path):
+        raise KeyError("not in validate's table")
+
+    monkeypatch.setattr("rumorgraph.cli.parse_events", unexpected)
+    with pytest.raises(KeyError, match="not in validate's table"):
+        main(["validate", "--events", str(tmp_path / "events.jsonl")])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
