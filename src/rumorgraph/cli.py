@@ -13,7 +13,7 @@ The same seed and config give byte-identical artifacts only on the same
 numpy build and the same BLAS kernel. Kernels round some products
 differently: on an AVX-512 Xeon, whose own OpenBLAS kernel is SkylakeX,
 selecting the SandyBridge kernel with ``OPENBLAS_CORETYPE=SandyBridge``
-changes 328 of the 571 files that ``tests/artifact_matrix.py`` writes. That
+changes 333 of the 586 files that ``tests/artifact_matrix.py`` writes. That
 tool first writes ``blas_fingerprint.txt``, a digest of fixed matrix products
 that tells such kernels apart.
 

@@ -20,19 +20,23 @@ Scoring (``encode_events``) encodes consecutive whole events in chunks under
 a fixed byte budget, so its peak memory does not grow with the event count.
 
 Each convolution is one ``numcore.graph_conv`` node, the second taking the
-boolean dropout mask as an operand, and each claim residual is built inside
-``numcore.layer_norm`` straight into its own buffer, a block of rows at a
-time. Once the forward has run, an encode drops the outputs of both
-convolutions and both normalizations (``numcore.drop``): no backward rule
-reads them, and the second convolution's weight gradient forms the first
-normalization's output again from its normalized rows. So per node row a
-training encode keeps only what a backward reads: the two relu masks, the
-dropout mask and the two normalizations' normalized rows, beside the batch's
-feature rows; no conv products or pre-activations, no masked rows, no
-gathered claim rows, no concatenation and no layer output. At 768/512/128
-and f64 that is about 17.3 kB per encoded node beside 6.1 kB of features.
-An evaluation encode under ``no_grad`` keeps one buffer per normalization,
-since ``layer_norm`` writes its output over its normalized rows untaped.
+boolean dropout mask (drawn a block of rows at a time, ``numcore.keep_mask``)
+as an operand, and each claim residual is built inside ``numcore.layer_norm``
+straight into its own buffer, a block of rows at a time. An encode drops the
+outputs of both convolutions and both normalizations (``numcore.drop``),
+each right after its last consumer has run forward: no backward rule reads
+them, and the second convolution's weight gradient forms the first
+normalization's output again. So per node row a training encode keeps only
+what a backward reads: the two relu masks, the dropout mask, and of each
+normalization the normalized columns of its ``h`` and the row's mean and
+inverse standard deviation (each normalization also keeps one claim row per
+event), beside the batch's feature rows; no conv products or
+pre-activations, no masked rows, no gathered claim rows, no concatenation,
+no normalized claim columns and no layer output. At 768/512/128 and f64 that
+is about 7.1 kB per encoded node beside 6.1 kB of features, and a backward
+lets go of each node's share as soon as that node's rule has run. An
+evaluation encode under ``no_grad`` keeps one buffer per normalization,
+since ``layer_norm`` keeps nothing for a backward untaped.
 
 Parameters read from a snapshot, and the best epoch's parameters that
 ``fit`` returns, are built from their shapes (``ModelParams.from_values``)
@@ -212,12 +216,14 @@ def encode_batch(
     keep = None
     if mode == "train" and cfg.dropout > 0.0:
         # mask-and-zero: survivors are not rescaled
-        keep = streams.dropout.random(h1_tilde.shape) >= cfg.dropout
+        keep = nc.keep_mask(streams.dropout, h1_tilde.shape, cfg.dropout)
     h2 = nc.graph_conv(batch.mixing, h1_tilde, params.w1, params.b1, keep)
+    # each value is dropped once its consumers have run forward; conv2's weight gradient forms h1_tilde again
+    nc.drop(h1_tilde)
     h2_tilde = nc.layer_norm(h2, h1, batch.sizes, params.ln2_gain, params.ln2_bias, eps)
+    nc.drop(h1, h2)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
-    # every consumer has run forward; conv2's weight gradient forms h1_tilde again
-    nc.drop(h1, h1_tilde, h2, h2_tilde)
+    nc.drop(h2_tilde)
     return EncodeResult(reps=reps, probs=classify(reps, params.wc, params.bc))
 
 

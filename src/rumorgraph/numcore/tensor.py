@@ -6,40 +6,46 @@ local gradient rule); ``Tensor.backward`` replays the tape in reverse
 topological order exactly once per node. The visit order is a pure function
 of graph structure, so gradients are bitwise reproducible run to run.
 ``graph_conv`` is a whole graph-convolution layer over a constant sparse
-symmetric ``NeighborOperator``, taped as one node. ``layer_norm`` and
+symmetric ``NeighborOperator``, taped as one node; ``keep_mask`` draws its
+boolean dropout operand a block of rows at a time. ``layer_norm`` and
 ``segment_mean`` see their rows as consecutive segments given by the
 segment sizes alone (a segment's first row is its claim), and both sum
 segments with one kernel, ``_segment_sums``, which adds each segment's rows
 in order.
 
 ``Tensor.backward`` drops each interior node's gradient as soon as its rule
-has passed it on, so only leaves (nodes without a rule, such as parameters)
-hold a gradient afterwards. To read the gradient at an interior value, run
-the ops above it again on a leaf holding that value.
+has passed it on, and with it the rule and the rebuild (see below) and every
+array their closures keep: every consumer's rule runs before its operand's,
+so nothing reads them again. Only leaves (nodes without a rule, such as
+parameters) hold a gradient afterwards, and a tape is replayed once. To read
+the gradient at an interior value, run the ops above it again on a leaf
+holding that value.
 
 A backward rule skips the gradient product of an operand that needs no
 gradient. It writes in place only into buffers it has just allocated, never
 into its upstream gradient ``g``, an operand's ``.data`` or an array its
-closure keeps (``layer_norm``'s normalized rows, ``graph_conv``'s mask,
-``softmax_rows``'s output): ``_unbroadcast`` can return ``g`` itself, so a
-node's ``grad`` may alias its parent's. A forward kernel may likewise
-overwrite a buffer it has just allocated once nothing will read it again:
-untaped, ``layer_norm`` writes its output over its normalized rows. Whether
-a call is taped is decided by ``_taped``, the one test ``_make`` also
-applies, so the in-place path never runs where a recorded backward would
-read those rows.
+closure keeps (``layer_norm``'s normalized columns and row statistics,
+``graph_conv``'s mask, ``softmax_rows``'s output): ``_unbroadcast`` can
+return ``g`` itself, so a node's ``grad`` may alias its parent's. A forward
+kernel may likewise overwrite a buffer it has just allocated once nothing
+will read it again: ``layer_norm`` normalizes and maps its rows in place in
+its output buffer, and copies out what its rule reads first. Whether a call
+is taped is decided by ``_taped``, the one test ``_make`` also applies, so
+``layer_norm`` keeps those copies exactly when a rule will read them.
 
 A taped node keeps its output's value and what its rule reads: ``graph_conv``
-its relu mask, ``layer_norm`` its normalized rows and per-row inverse
-standard deviations, ``softmax_rows`` its output, ``segment_mean`` nothing
-but the segment sizes. Neither ``graph_conv``'s nor ``layer_norm``'s rule
-reads its own output, nor ``layer_norm``'s the values of ``h`` and
-``source``, so once every consumer of such an output has run forward, the
-caller may ``drop`` it; the model drops both convolutions' and both
-normalizations' outputs. A ``layer_norm`` output that a ``graph_conv`` later
-convolves is formed again in that rule from the normalized rows (its
-rebuild). Reading a dropped value raises ``DroppedValueError``, so no rule
-can read a stale or stand-in value by mistake.
+its relu mask, ``layer_norm`` the normalized columns of ``h``, each
+segment's claim row of ``source`` and each row's mean and inverse standard
+deviation, ``softmax_rows`` its output, ``segment_mean`` nothing but the
+segment sizes. Neither ``graph_conv``'s nor ``layer_norm``'s rule reads its
+own output, and neither ``layer_norm``'s rule nor its rebuild reads the
+values of ``h`` and ``source``, so once every consumer of such a value has
+run forward, the caller may ``drop`` it; the model drops both convolutions'
+and both normalizations' outputs, each right after its last consumer's
+forward. A ``layer_norm`` output that a ``graph_conv`` later convolves is
+formed again in that rule from what the ``layer_norm`` keeps (its rebuild).
+Reading a dropped value raises ``DroppedValueError``, so no rule can read a
+stale or stand-in value by mistake.
 
 ``Tensor.__init__`` is the one place that casts to the active element type:
 float64 by default, float32 inside a ``precision`` block for faster
@@ -65,7 +71,7 @@ class DroppedValueError(RuntimeError):
 
 _DTYPE = np.float64
 _GRAD_ENABLED = True
-# rows of one layer_norm block: a block and its scratch stay in a core's L2 cache
+# rows of one layer_norm or keep_mask block: a block and its scratch stay in a core's L2 cache
 _BLOCK_BYTES = 256 * 1024
 
 _PRECISION_NAMES = {"f32": np.float32, "f64": np.float64}
@@ -165,9 +171,9 @@ class Tensor:
         """Accumulate gradients of ``self`` into every reachable leaf.
 
         Runs each rule once, in reverse topological order, from a unit
-        gradient at ``self``. An interior node's ``grad`` is dropped right
-        after its rule has run, so afterwards only leaves (nodes without a
-        rule, such as parameters) hold a gradient. Returns the visited nodes
+        gradient at ``self``. An interior node's ``grad``, rule and rebuild
+        are dropped right after its rule has run, so afterwards only leaves
+        (nodes without a rule, such as parameters) hold a gradient. Returns the visited nodes
         so callers can clear those fields afterwards (see :func:`clear_grads`).
         """
         order = self._topo_order()
@@ -176,6 +182,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 grad, node.grad = node.grad, None
                 node._backward(grad)
+                # every consumer's rule ran before this one, so nothing reads the rebuild again
+                node._backward = node._rebuild = None
         return order
 
     # -- operator sugar -----------------------------------------------------
@@ -331,12 +339,31 @@ class NeighborOperator:
         return out
 
 
+def keep_mask(gen: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
+    """The boolean mask ``gen.random(shape) >= rate``, drawn a block of rows at a time.
+
+    The blocks consume ``gen``'s stream in the same order as one whole draw,
+    so mask and generator state match it bit for bit, without a whole
+    ``shape`` array of doubles.
+    """
+    n, d = shape
+    step = max(1, _BLOCK_BYTES // (d * 8))
+    keep = np.empty(shape, dtype=bool)
+    block = np.empty((min(step, n), d))
+    for start in range(0, n, step):
+        draws = gen.random(out=block[: min(step, n - start)])
+        np.greater_equal(draws, rate, out=keep[start : start + step])
+    return keep
+
+
 def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
     """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
 
     A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead. One tape node keeps only
     the output and the relu mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one
-    fresh buffer when ``x`` has one. It runs the numpy operations of ``mul`` by ``keep``,
+    fresh buffer when ``x`` has one, and lets it go before it forms ``x``'s gradient, which takes
+    the mask in place, so the two ``x``-shaped buffers never coexist. It runs the numpy
+    operations of ``mul`` by ``keep``,
     ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and gradients match those
     five ops' bit for bit.
     """
@@ -354,18 +381,26 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
             _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad or w.requires_grad:
             g = op.apply(g)
-            if x.requires_grad:
-                _accumulate(x, g @ w.data.T if keep is None else (g @ w.data.T) * keep)
+            # the convolved rows are let go before the input gradient is formed
             if w.requires_grad:
-                if x._rebuild is None:
-                    rows = x.data if keep is None else x.data * keep
-                else:  # a fresh buffer of this rule's own, so it takes the mask in place
-                    rows = x._rebuild()
-                    if keep is not None:
-                        rows *= keep
-                _accumulate(w, rows.T @ g)
+                _accumulate(w, _convolved_rows(x, keep).T @ g)
+            if x.requires_grad:
+                grad = g @ w.data.T
+                if keep is not None:
+                    grad *= keep
+                _accumulate(x, grad)
 
     return _make(data, (x, w, b), backward)
+
+
+def _convolved_rows(x: Tensor, keep: np.ndarray | None) -> np.ndarray:
+    """``x * keep`` as ``graph_conv``'s forward convolved it, from ``x``'s rebuild when it has one."""
+    if x._rebuild is None:
+        return x.data if keep is None else x.data * keep
+    rows = x._rebuild()  # a fresh buffer of this rule's own, so it takes the mask in place
+    if keep is not None:
+        rows *= keep
+    return rows
 
 
 # -- structural ops ----------------------------------------------------------
@@ -440,24 +475,27 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     rows. ``h`` and ``source`` hold the same consecutive row segments, segment
     i ``sizes[i]`` rows long.
 
-    Both blocks are written straight into the buffer that becomes the
-    normalized rows, so neither the gathered rows nor their concatenation
-    stay on the tape. Forward and backward walk the rows in blocks of about
-    ``_BLOCK_BYTES``, so each pass over a block reads it from cache; a row's
-    statistics are its own, so blocking changes no value. Untaped, the affine
-    output is written over the normalized rows, and the call keeps one
-    ``(n, d)`` buffer. Taped, the output's rebuild forms it again from the
-    normalized rows with the forward's ufuncs, bit for bit, so a caller can
-    ``drop`` it; the backward reads neither ``h``'s nor ``source``'s value,
-    only ``source``'s shape and dtype. The backward carries the ``gain`` and
-    ``bias`` column sums, from zeros, as the leading row of each block's sum:
-    numpy's axis-0 sum of a C-contiguous array at least two columns wide
-    starts from +0.0 and adds its rows in order, so for a C-contiguous ``g``
-    (the encoder's are) the carried sums equal the whole-array sums bit for
-    bit. It finishes each block's input gradient in a block scratch and keeps
-    only the columns of ``h`` or ``source`` that need one; each claim's
-    gradient is the sum of its segment's rows of the joined block's gradient,
-    added in row order as ``np.add.at`` would.
+    Both blocks are written straight into the output buffer, where each row is
+    normalized and mapped in place, so neither the gathered rows nor their
+    concatenation stay alive. Forward and backward walk the rows in blocks of
+    about ``_BLOCK_BYTES``, so each pass over a block reads it from cache; a
+    row's statistics are its own, so blocking changes no value. Taped, the
+    call keeps the normalized columns of ``h``, each segment's claim row of
+    ``source`` and each row's mean and inverse standard deviation, not the
+    ``(n, d)`` normalized rows. The backward and the output's rebuild form a
+    block's normalized rows again, the claim columns as ``(claim - mean) *
+    inv_std``: the forward's own ufuncs on the same operands, so they match
+    it bit for bit. Neither reads ``h``'s or ``source``'s value, only
+    ``source``'s shape and dtype, and the rebuild lets a caller ``drop`` the
+    output. The backward carries the ``gain`` and ``bias`` column sums, from
+    zeros, as the leading row of each block's sum: numpy's axis-0 sum of a
+    C-contiguous array at least two columns wide starts from +0.0 and adds
+    its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
+    carried sums equal the whole-array sums bit for bit. It finishes each
+    block's input gradient in a block scratch and keeps only the columns of
+    ``h`` or ``source`` that need one; each claim's gradient is the sum of its
+    segment's rows of the joined block's gradient, added in row order as
+    ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -466,7 +504,6 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     rows_match = h.data.ndim == source.data.ndim == 2 and h.data.shape[0] == source.data.shape[0] == n
     if not rows_match or (sizes < 1).any():
         raise ShapeError(f"cannot join rows of {h.data.shape} and {source.data.shape} in segments {sizes}")
-    idx = np.repeat(starts, sizes)
     split = h.data.shape[1]
     d = split + source.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -474,33 +511,56 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     source_shape, source_dtype = source.data.shape, source.data.dtype
     parents = (h, source, gain, bias)
     taped = _taped(parents)
-    normalized = np.empty((n, d), dtype=np.result_type(h.data, source.data))
-    # untaped, no backward reads the normalized rows, so the output overwrites them
-    data = np.empty_like(normalized) if taped else normalized
-    step = max(1, _BLOCK_BYTES // (d * normalized.itemsize))
-    blocks = []  # (rows, their inverse standard deviations)
-    for start in range(0, max(n, 1), step):
+    dtype = np.result_type(h.data, source.data)
+    data = np.empty((n, d), dtype=dtype)
+    idx = np.repeat(starts, sizes)
+    step = max(1, _BLOCK_BYTES // (d * dtype.itemsize))
+    squares = np.empty((min(step, n), d), dtype=dtype)
+    # what the taped rules read: h's normalized columns, the claim rows and each row's mean and inverse std
+    if taped:
+        normalized_h, claims = np.empty((n, split), dtype=dtype), source.data[starts].astype(dtype, copy=False)
+        means, inv_stds = np.empty((2, n, 1), dtype=dtype)
+    for start in range(0, n, step):
         rows = slice(start, start + step)
-        x, y = normalized[rows], data[rows]
+        x = data[rows]
         x[:, :split] = h.data[rows]
-        x[:, split:] = source.data[idx[rows]]
+        x[:, split:] = source.data.take(idx[rows], axis=0)
         # the operations of np.var and of (x - mean) * inv_std, sharing x - mean
-        x -= x.mean(axis=1, keepdims=True)
-        squares = np.multiply(x, x, out=y) if taped else x * x
-        inv_std = 1.0 / np.sqrt(squares.sum(axis=1, keepdims=True) / d + eps)
+        mean = x.mean(axis=1, keepdims=True)
+        x -= mean
+        block_squares = np.multiply(x, x, out=squares[: len(x)])
+        inv_std = 1.0 / np.sqrt(block_squares.sum(axis=1, keepdims=True) / d + eps)
         x *= inv_std
-        np.multiply(x, gain.data, out=y)
-        y += bias.data
-        blocks.append((rows, inv_std))
+        if taped:
+            normalized_h[rows], means[rows], inv_stds[rows] = x[:, :split], mean, inv_std
+        x *= gain.data
+        x += bias.data
+
+    def normalized_blocks(out=None):
+        """Each block's rows and its normalized rows formed again, in ``out``'s rows or else in a
+        scratch reused from block to block: h's columns copied, the claim columns as
+        ``(claim - mean) * inv_std``."""
+        segment = np.repeat(np.arange(len(sizes)), sizes)
+        scratch = np.empty((min(step, n), d), dtype=dtype) if out is None else None
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            h_cols = normalized_h[rows]
+            x = scratch[: len(h_cols)] if out is None else out[rows]
+            x[:, :split] = h_cols
+            claim_cols = claims.take(segment[rows], axis=0)
+            claim_cols -= means[rows]
+            np.multiply(claim_cols, inv_stds[rows], out=x[:, split:])
+            yield rows, x
 
     def backward(g):
         needs_input = h.requires_grad or source.requires_grad
         cols = slice(None if h.requires_grad else split, None if source.requires_grad else split)
-        term, scratch_rows = np.empty_like(normalized[:, cols]), np.empty_like(normalized[:step])
-        carry = np.empty((min(step, n) + 1, d), dtype=np.result_type(g, normalized))
+        term = np.empty((n, len(range(d)[cols])), dtype=dtype)
+        scratch_rows = np.empty((min(step, n), d), dtype=dtype)
+        carry = np.empty((min(step, n) + 1, d), dtype=np.result_type(g, dtype))
         gain_sum = bias_sum = np.zeros(d, dtype=carry.dtype)
-        for rows, inv_std in blocks:
-            x, gb = normalized[rows], g[rows]
+        for rows, x in normalized_blocks():
+            gb = g[rows]
             # the sums so far lead the block's rows, so each sum adds rows in whole-array order
             lead = carry[: len(x) + 1]
             tmp = lead[1:]
@@ -520,7 +580,7 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
             t, scratch = t[:, cols], tmp[:, cols]
             np.multiply(x[:, cols], proj, out=scratch)
             t -= scratch
-            np.multiply(t, inv_std, out=term[rows])
+            np.multiply(t, inv_stds[rows], out=term[rows])
         _accumulate(gain, gain_sum)
         _accumulate(bias, bias_sum)
         if h.requires_grad:
@@ -531,9 +591,10 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
             _accumulate(source, full)
 
     def rebuild():
-        y = np.empty_like(normalized)
-        np.multiply(normalized, gain.data, out=y)
-        y += bias.data
+        y = np.empty((n, d), dtype=dtype)
+        for _, x in normalized_blocks(y):
+            x *= gain.data
+            x += bias.data
         return y
 
     out = _make(data, parents, backward)

@@ -1,7 +1,8 @@
 """The in-place kernels against their straightforward oracles, byte for byte.
 
 ``layer_norm`` (which gathers and joins each segment's claim row itself, a
-block of rows at a time) and ``adamw_step`` reuse buffers; the segment sums
+block of rows at a time) and ``adamw_step`` reuse buffers; ``keep_mask``
+draws a dropout mask a block of rows at a time; the segment sums
 behind ``layer_norm``'s claim gradient and ``segment_mean`` add the k-th row
 of every segment in one slab; ``graph_conv`` runs a whole convolution layer
 as one tape node. Each must still give the same values and gradients as the
@@ -156,6 +157,52 @@ def test_layer_norm_backward_keeps_only_the_columns_that_get_a_gradient():
         tracemalloc.stop()
     assert h.grad.shape == (2000, 64) and source.grad is None
     assert peak < h.grad.nbytes + 1_500_000
+
+
+def test_taped_layer_norm_keeps_no_full_rows_and_reads_no_operand_value():
+    # 2,000 rows of 64 + 768 columns at f64 in 100 segments. Taped, the call
+    # keeps h's normalized columns (1.02 MB), the 100 claim rows (0.61 MB)
+    # and each row's mean and inverse std (32 kB): 1.7 MB, where the
+    # normalized (n, d) rows it kept before read 13.3 MB. Its backward and
+    # its rebuild read neither h's nor source's value.
+    gen = np.random.default_rng(2)
+    arrays = gen.normal(size=(2000, 64)), gen.normal(size=(2000, 768))
+    gain, bias = gen.normal(size=832), gen.normal(size=832)
+    upstream = gen.normal(size=(2000, 832))
+    runs = []
+    for dropped in (False, True):
+        operands = [nc.parameter(a.copy(), name) for a, name in zip(arrays + (gain, bias), "hsgb")]
+        tracemalloc.start()
+        try:
+            out = nc.layer_norm(*operands[:2], [20] * 100, *operands[2:], 1e-5)
+            nc.drop(out)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        if dropped:
+            nc.drop(*operands[:2])
+        rebuilt = out._rebuild()
+        out._backward(upstream)
+        runs.append((kept, rebuilt, [t.grad for t in operands]))
+    (_, want, want_grads), (kept, got, got_grads) = runs
+    assert kept < (2000 * 64 + 100 * 768 + 2 * 2000) * 8 + 100_000
+    assert _same_bytes(got, want)
+    for a, b in zip(got_grads, want_grads):
+        assert _same_bytes(a, b)
+
+
+@pytest.mark.parametrize("rows", [3, 4, 11])
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.95])
+def test_keep_mask_matches_one_whole_draw_bitwise(rows, rate):
+    # blocks of 4 rows: under one block, exactly one, and a ragged third
+    with _block_rows(4, 5, np.float64):
+        got = nc.keep_mask(nc.RngStreams(3).dropout, (rows, 5), rate)
+        blocked = nc.RngStreams(3).dropout
+        nc.keep_mask(blocked, (rows, 5), rate)
+    whole = nc.RngStreams(3).dropout
+    assert _same_bytes(got, whole.random((rows, 5)) >= rate)
+    # the generator is left where the whole draw leaves it
+    assert _same_bytes(blocked.random(7), whole.random(7))
 
 
 def _check_graph_conv(precision, op, x, w, b, upstream, keep=None):

@@ -228,8 +228,10 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_bytes():
         visited = walk(loss)
         runs.append((params, visited))
     (params, visited), (reference, _) = runs
-    interior = [node for node in visited if node._backward is not None]
+    # _make gives a node parents exactly when it gives it a rule; backward lets go of the rules it ran
+    interior = [node for node in visited if node._parents]
     assert interior and all(node.grad is None for node in interior)
+    assert all(node._backward is None and node._rebuild is None for node in interior)
     for name, tensor in params.tensors.items():
         assert tensor.grad.tobytes() == reference.tensors[name].grad.tobytes(), name
 

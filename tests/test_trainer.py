@@ -365,7 +365,9 @@ def test_desk_shaped_step_tapes_one_node_per_loss_term(monkeypatch):
     train_step(source, target, _fresh_state(cfg), cfg)
     (tape,) = tapes
     assert len(tape) <= 44
-    assert sum(node._backward is not None for node in tape) <= 31
+    # backward let go of every rule it ran; _make gives a node parents exactly when it gives it a rule
+    assert all(node._backward is None for node in tape)
+    assert sum(bool(node._parents) for node in tape) <= 31
 
 
 def _step_peak(source, target, cfg) -> int:
@@ -390,35 +392,40 @@ def test_train_step_memory_peak_stays_lean():
     # convolution, which keeps no masked rows, 5.0 MB (4.79 MB with numpy 2.4.6);
     # dropping the values no backward reads, forming ln1's output again in
     # conv2's backward and sharing the target's feature rows with its view,
-    # 3.06 MB. The bound leaves about 10% over that.
+    # 3.06 MB; layer norms that keep h's normalized columns, the claim rows
+    # and per-row statistics instead of whole normalized rows, rules let go
+    # as backward runs and a dropout mask drawn a block at a time, 2.55 MB.
+    # The bound leaves about 10% over that.
     source_ds, target_ds = generate(SynthSpec(source_events=16, target_events=16, mean_replies=20.0, seed=7))
     provider = HashedProvider(dim=64)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
     cfg = _config(
         model=ModelConfig(d_in=64, d_hidden=32, d_out=16), source_batch_size=16, target_batch_size=16
     )
-    assert _step_peak(source, target, cfg) < 3_400_000
+    assert _step_peak(source, target, cfg) < 2_800_000
 
 
 @pytest.mark.parametrize("mean_replies, nodes", [(6.0, 461), (200.0, 12_958)])
 def test_train_step_peak_per_node_follows_the_buffer_inventory(mean_replies, nodes):
     # 32 + 32 events at the desk widths 16/16/8, f64, with a DropEdge view, so
     # a step encodes 1.5 nodes per node of its batches. Per encoded node the
-    # tape keeps the two relu masks (16 + 8 B), the dropout mask (32 B) and
-    # both layer norms' normalized rows ((32 + 24) x 8 B); per node it holds
+    # tape keeps the two relu masks (16 + 8 B), the dropout mask (32 B), both
+    # layer norms' normalized columns of h ((16 + 8) x 8 B) and their per-row
+    # means and inverse standard deviations (2 x 2 x 8 B); per node it holds
     # the stacked features (16 x 8 B) and, over three neighbour operators,
     # about 60 B of index arrays. The widest backward transient is at most
     # four (rows, 32) float64 arrays over one batch, half the nodes. Batch-sized
     # buffers (the loss terms' matrices, the parameters' gradients) add about
     # 0.34 MB, the intercept of the peak over mean_replies 1 to 200. The
-    # bound leaves 10% over that sum; the peak read 2,138 and 1,438 B per
-    # node here, and 3,168 and 2,463 with every value kept.
+    # bound leaves 10% over that sum; the peak read 1,705 and 944 B per node
+    # here, 2,132 and 1,438 with whole normalized rows on the tape, and 3,168
+    # and 2,463 with every value kept.
     source_ds, target_ds = generate(SynthSpec(source_events=32, target_events=32, mean_replies=mean_replies, seed=5))
     provider = HashedProvider(dim=16)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
     assert sum(p.graph.n for p in source + target) == nodes
     cfg = _config(model=ModelConfig(d_in=16, d_hidden=16, d_out=8), source_batch_size=32, target_batch_size=32)
-    per_node = 1.5 * (16 + 8 + 32 + 8 * (32 + 24)) + 8 * 16 + 60 + 0.5 * 4 * 8 * 32
+    per_node = 1.5 * (16 + 8 + 32 + 8 * (16 + 8) + 2 * 2 * 8) + 8 * 16 + 60 + 0.5 * 4 * 8 * 32
     assert _step_peak(source, target, cfg) / nodes < 1.1 * (per_node + 340_000 / nodes)
 
 
