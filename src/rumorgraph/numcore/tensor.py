@@ -362,10 +362,9 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
     A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead. One tape node keeps only
     the output and the relu mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one
     fresh buffer when ``x`` has one, and lets it go before it forms ``x``'s gradient, which takes
-    the mask in place, so the two ``x``-shaped buffers never coexist. It runs the numpy
-    operations of ``mul`` by ``keep``,
-    ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and gradients match those
-    five ops' bit for bit.
+    the mask in place, so the two ``x``-shaped buffers never coexist. It runs the numpy operations
+    of ``mul`` by ``keep``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and
+    gradients match those five ops' bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
