@@ -1,10 +1,10 @@
 """Evaluation: classification metrics, the early-detection curve and its CSV,
 and 2-D feature projection for inspecting the learned representation space.
 
-``predict_events`` embeds raw events and encodes them a bounded chunk at a
-time (``model.encode_events``), for the export. The
-protocols, early detection among them, take prepared events and live in
-``trainer``.
+``predict_events`` embeds raw events, packing each event's rows as soon as
+they are embedded (``embed.pack``), and encodes them a bounded chunk at a
+time (``model.encode_events``), for the export. The protocols, early
+detection among them, take prepared events and live in ``trainer``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import LABELS, CheckpointSpec, Event
-from .embed import embed_event
+from .embed import embed_event, pack
 from .model import ModelParams, encode_events
 from .propagation import build_graph
 
@@ -75,8 +75,9 @@ def compute_metrics(preds, truth) -> Metrics:
 
 
 def predict_events(events: list[Event], params: ModelParams, provider) -> tuple[list[int], np.ndarray]:
-    """Evaluation-mode class predictions and representations for ``events``, at the parameters' element type."""
-    embeddings = [embed_event(e, provider).rows for e in events]
+    """Evaluation-mode class predictions and representations for ``events``, at the parameters' element type.
+    Only one event's dense rows are alive at a time: each is packed as soon as it is embedded."""
+    embeddings = [pack(embed_event(e, provider).rows) for e in events]
     probs, reps = encode_events(embeddings, [build_graph(e) for e in events], params)
     return [int(i) for i in np.argmax(probs, axis=1)], reps
 

@@ -7,10 +7,11 @@ layer-normalizes the result. The event representation is the column-wise
 mean of the final node states, and a single affine head plus softmax
 produces class probabilities.
 
-A batch of events is encoded in one pass by stacking their node features, so
-each event is a segment of consecutive rows whose first row is its claim;
-``GraphBatch.sizes`` lists the segment lengths, and it is all that the
-claim lookups and the per-event pooling read. ``GraphBatch.from_events``
+A batch of events is encoded in one pass over one feature matrix, into which
+``GraphBatch.from_events`` scatters the events' packed embedding rows
+(``embed.unpack``), so each event is a segment of consecutive rows whose
+first row is its claim; ``GraphBatch.sizes`` lists the segment lengths, and
+it is all that the claim lookups and the per-event pooling read. It also
 builds the operator once per batch (``mixing_operator``), straight from the
 graphs' reply edges, as a sparse neighbor-list operator
 (``numcore.NeighborOperator``) whose time and memory grow with nodes plus
@@ -54,6 +55,7 @@ import numpy as np
 
 from . import numcore as nc
 from .dataio import LABELS
+from .embed import PackedRows, unpack
 from .numcore import RngStreams, Tensor
 from .propagation import PropagationGraph
 
@@ -159,17 +161,15 @@ class GraphBatch:
     """Several events stacked for a single encoding pass."""
 
     sizes: list[int]
-    features: np.ndarray  # (sum(sizes), d_in)
+    features: np.ndarray  # (sum(sizes), d_in): the events' packed rows, unpacked in order
     mixing: nc.NeighborOperator  # D^{-1/2} (A + I) D^{-1/2} of every graph, built from the edges
 
     @classmethod
-    def from_events(cls, embeddings: list[np.ndarray], graphs: list[PropagationGraph]) -> "GraphBatch":
+    def from_events(cls, embeddings: list[PackedRows], graphs: list[PropagationGraph]) -> "GraphBatch":
         sizes = [g.n for g in graphs]
-        if [e.shape[0] for e in embeddings] != sizes:
-            raise nc.ShapeError(
-                f"embedding row counts {[e.shape[0] for e in embeddings]} do not match graphs {sizes}"
-            )
-        return cls(sizes=sizes, features=np.concatenate(embeddings, axis=0), mixing=mixing_operator(graphs))
+        if [e.n for e in embeddings] != sizes:
+            raise nc.ShapeError(f"embedding row counts {[e.n for e in embeddings]} do not match graphs {sizes}")
+        return cls(sizes=sizes, features=unpack(embeddings), mixing=mixing_operator(graphs))
 
 
 def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:
@@ -237,11 +237,12 @@ class EncodingError(ValueError):
 
 
 def encode_events(
-    embeddings: list[np.ndarray], graphs: list[PropagationGraph], params: ModelParams
+    embeddings: list[PackedRows], graphs: list[PropagationGraph], params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation-mode probabilities and representations of events, in order: whole
-    consecutive events are encoded together under ``no_grad`` while a chunk's widest
-    buffer stays within ``_CHUNK_BYTES``; an event over that budget is encoded alone.
+    """Evaluation-mode probabilities and representations of events, from their packed
+    rows and graphs, in order: whole consecutive events are encoded together under
+    ``no_grad`` while a chunk's widest buffer stays within ``_CHUNK_BYTES``; an event
+    over that budget is encoded alone.
     Runs at the parameters' element type. Raises ``EncodingError`` unless every
     output is finite, which is why numpy's overflow warnings are silenced."""
     if not graphs:

@@ -13,6 +13,9 @@ the posts visible so far: a prefix of each event's rows and edges.
 Every protocol takes events its caller prepared once (``prepare_events``:
 embedded, with their graphs built) and scores through ``evaluate_prepared``,
 which encodes a bounded chunk of events at a time (``model.encode_events``).
+A prepared event keeps its rows packed (``embed.pack``), and each event's
+dense rows are packed as soon as they are embedded, so preparing a corpus
+holds one event's dense rows at a time; a batch unpacks only its own events.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import numcore as nc
 from .augment import AugmentStrategy, augment_batch
 from .dataio import CheckpointSpec, Event, split_folds, visible_posts
-from .embed import embed_event
+from .embed import PackedRows, embed_event, pack
 from .evalkit import LABEL_INDEX, EarlyDetectionCurve, Metrics, compute_metrics
 from .model import (
     GraphBatch,
@@ -84,11 +87,11 @@ class TrainConfig:
 
 @dataclass
 class PreparedEvent:
-    """An event with its embedding matrix and propagation graph precomputed."""
+    """An event with its packed embedding rows and propagation graph precomputed."""
 
     event: Event
     label: int
-    embedding: np.ndarray
+    embedding: PackedRows
     graph: PropagationGraph
 
     def prefix(self, k: int) -> PreparedEvent:
@@ -97,7 +100,7 @@ class PreparedEvent:
         if k == self.graph.n:
             return self
         graph = PropagationGraph(k, tuple(e for e in self.graph.edges if e[1] < k))
-        return PreparedEvent(self.event, self.label, self.embedding[:k], graph)
+        return PreparedEvent(self.event, self.label, self.embedding.prefix(k), graph)
 
 
 def prepare_events(events: list[Event], provider) -> list[PreparedEvent]:
@@ -105,7 +108,7 @@ def prepare_events(events: list[Event], provider) -> list[PreparedEvent]:
         PreparedEvent(
             event=e,
             label=LABEL_INDEX[e.label],
-            embedding=embed_event(e, provider).rows,
+            embedding=pack(embed_event(e, provider).rows),
             graph=build_graph(e),
         )
         for e in events

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
 from rumorgraph.dataio import Dataset, Event, Post
+from rumorgraph.embed import pack
 from rumorgraph.model import GraphBatch
 from rumorgraph.propagation import PropagationGraph
 
@@ -80,14 +81,14 @@ def write_embeddings(vectors: dict[str, np.ndarray], dim: int, path) -> None:
 def mixing_of(*graphs: PropagationGraph) -> np.ndarray:
     """The propagation operator ``GraphBatch.from_events`` builds for a batch of graphs, as a dense matrix."""
     total = sum(g.n for g in graphs)
-    return GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], list(graphs)).mixing.apply(np.eye(total))
+    return GraphBatch.from_events([pack(np.zeros((g.n, 1))) for g in graphs], list(graphs)).mixing.apply(np.eye(total))
 
 
 def forest_operator(parents: list) -> nc.NeighborOperator:
     """The propagation operator of one graph whose node ``i > 0`` replies to ``parents[i - 1]``, or to none if None."""
     edges = tuple(sorted((p, i + 1) for i, p in enumerate(parents) if p is not None))
     graph = PropagationGraph(len(parents) + 1, edges)
-    return GraphBatch.from_events([np.zeros((graph.n, 1))], [graph]).mixing
+    return GraphBatch.from_events([pack(np.zeros((graph.n, 1)))], [graph]).mixing
 
 
 def permute_graph(graph: PropagationGraph, perm: np.ndarray) -> PropagationGraph:

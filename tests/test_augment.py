@@ -11,7 +11,7 @@ from rumorgraph.augment import (
     classification_gradients,
     feature_dropout,
 )
-from rumorgraph.embed import HashedProvider, embed_event
+from rumorgraph.embed import HashedProvider, embed_event, pack
 from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
 from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.objectives import ce_from_probs
@@ -23,7 +23,7 @@ TINY = ModelConfig(d_in=6, d_hidden=5, d_out=4)
 
 
 def _prepared(event, dim=6):
-    return embed_event(event, HashedProvider(dim=dim)).rows, build_graph(event)
+    return pack(embed_event(event, HashedProvider(dim=dim)).rows), build_graph(event)
 
 
 def _rep(x, graph, params):

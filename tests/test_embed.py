@@ -9,14 +9,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rumorgraph.dataio import Post
+from rumorgraph.numcore import ShapeError
 from rumorgraph.embed import (
     EmbeddingError,
     HashedProvider,
     PrecomputedProvider,
     embed_event,
     load_precomputed,
+    pack,
     provider_from_spec,
     tokenize,
+    unpack,
 )
 from rumorgraph.synth import SynthSpec, generate
 from tests.conftest import jsonl_files, make_event, valid_or_any, write_embeddings
@@ -242,3 +245,59 @@ def test_claim_only_event_single_row():
     event = make_event("solo", "non-rumor", [])
     mat = embed_event(event, HashedProvider(dim=8))
     assert mat.rows.shape == (1, 8)
+
+
+def _hashed_rows(width, tmp_path):
+    # an empty reply gives an all-zero row; widths that are no multiple of 8 end their masks in a partial byte
+    texts = ["alpha beta", "", "gamma gamma delta", "Hello, World! a1-b2 \u75ab\u82d7", "epsilon"]
+    return embed_event(make_event("e", "rumor", [0, 0, 1, 2, 0], texts=texts), HashedProvider(width)).rows
+
+
+def _precomputed_rows(width, tmp_path):
+    # the claim row holds a -0.0 beside zeros, reply 1 is fully dense and reply 2 is all zero
+    claim = np.zeros(width)
+    claim[[0, 5]] = -0.0, 1.5
+    dense = np.random.default_rng(3).normal(size=width)
+    vectors = {"e-p0": claim, "e-p1": dense, "e-p2": np.zeros(width), "e-p3": -dense}
+    write_embeddings(vectors, width, tmp_path / "emb.jsonl")
+    rows = embed_event(make_event("e", "rumor", [0, 0, 1]), load_precomputed(tmp_path / "emb.jsonl")).rows
+    assert np.signbit(rows[0, 0]) and np.all(rows[1] != 0.0)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows_of, width",
+    [(_hashed_rows, w) for w in (1, 5, 8, 13, 16, 768)] + [(_precomputed_rows, 13)],
+    ids=[f"hashed-{w}" for w in (1, 5, 8, 13, 16, 768)] + ["precomputed-13"],
+)
+def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of, width):
+    rows = rows_of(width, tmp_path)
+    assert not rows.any(axis=1).all()  # an all-zero row is among them
+    packed = pack(rows)
+    assert (packed.n, packed.width) == rows.shape
+    out = unpack([packed])
+    assert out.dtype == rows.dtype and out.shape == rows.shape and out.tobytes() == rows.tobytes()
+    for k in range(1, rows.shape[0] + 1):
+        prefix, expected = packed.prefix(k), pack(rows[:k])
+        assert (prefix.n, prefix.width) == (expected.n, expected.width) == (k, width)
+        for name in ("masks", "values", "ends"):
+            assert getattr(prefix, name).tobytes() == getattr(expected, name).tobytes(), (k, name)
+        # stacked with another event, as a batch scatters them
+        stacked = unpack([prefix, packed])
+        assert stacked.tobytes() == np.concatenate([rows[:k], rows]).tobytes()
+
+
+def test_unpacking_refuses_rows_of_different_widths():
+    with pytest.raises(ShapeError, match="widths"):
+        unpack([pack(np.ones((2, 9))), pack(np.ones((1, 16)))])
+
+
+def test_a_dense_precomputed_event_packs_to_at_most_1_02_times_its_dense_bytes():
+    width = 768
+    event = make_event("e", "rumor", [0, 0, 1, 2, 2, 0])
+    gen = np.random.default_rng(4)
+    provider = PrecomputedProvider(width, {post.post_id: gen.normal(size=width) for post in event.posts})
+    rows = embed_event(event, provider).rows
+    packed = pack(rows)
+    assert packed.values.size == rows.size
+    assert packed.masks.nbytes + packed.values.nbytes + packed.ends.nbytes <= 1.02 * rows.nbytes

@@ -9,7 +9,7 @@ import pytest
 
 from rumorgraph import model
 from rumorgraph import numcore as nc
-from rumorgraph.embed import HashedProvider, embed_event
+from rumorgraph.embed import HashedProvider, embed_event, pack
 from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
@@ -36,7 +36,7 @@ def _prepared(event, dim=6):
 
 def _encode_one(x, graph, params, mode="eval", streams=None):
     """Encode a single event; returns (representation, probabilities)."""
-    result = encode_batch(GraphBatch.from_events([x], [graph]), params, mode=mode, streams=streams)
+    result = encode_batch(GraphBatch.from_events([pack(x)], [graph]), params, mode=mode, streams=streams)
     return result.reps, result.probs
 
 
@@ -120,7 +120,7 @@ def test_a_training_encode_drops_the_values_no_backward_reads():
     # both convolutions' and both layer norms' outputs; conv2's weight gradient forms ln1's output again
     gen = np.random.default_rng(8)
     prepared = [_prepared(random_tree_event(gen, f"e{i}", "rumor", max_nodes=6)) for i in range(3)]
-    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    batch = GraphBatch.from_events([pack(x) for x, _ in prepared], [g for _, g in prepared])
     params = init_params(TINY, RngStreams(7))
     result = encode_batch(batch, params, mode="train", streams=RngStreams(9))
     (h2_tilde,) = result.reps._parents
@@ -157,7 +157,7 @@ def test_batched_encoding_matches_per_event():
     params = init_params(TINY, RngStreams(3))
     events = [random_tree_event(gen, f"e{i}", "rumor", max_nodes=6) for i in range(4)]
     prepared = [_prepared(e) for e in events]
-    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    batch = GraphBatch.from_events([pack(x) for x, _ in prepared], [g for _, g in prepared])
     result = encode_batch(batch, params, mode="eval")
     for i, (x, graph) in enumerate(prepared):
         rep, probs = _encode_one(x, graph, params)
@@ -179,7 +179,7 @@ def test_encode_events_scores_whole_events_in_order_under_the_budget(monkeypatch
 
     monkeypatch.setattr(model, "encode_batch", spy)
     monkeypatch.setattr(model, "_CHUNK_BYTES", 8 * (TINY.d_hidden + TINY.d_in) * 8)  # 8 rows
-    probs, reps = encode_events([x for x, _ in prepared], [g for _, g in prepared], params)
+    probs, reps = encode_events([pack(x) for x, _ in prepared], [g for _, g in prepared], params)
     assert chunks == [[3, 4], [2], [12], [1, 5], [3]]  # the 12-node event alone
     for i, (x, graph) in enumerate(prepared):
         rep, prob = _encode_one(x, graph, params)
@@ -197,7 +197,7 @@ def test_batch_operator_memory_is_linear_in_nodes_and_edges():
         graphs.append(PropagationGraph(n, tuple(sorted((int(gen.integers(0, i)), i) for i in range(1, n)))))
     nodes = sum(g.n for g in graphs)
     edges = sum(len(g.edges) for g in graphs)
-    batch = GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], graphs)
+    batch = GraphBatch.from_events([pack(np.zeros((g.n, 1))) for g in graphs], graphs)
     assert nodes > 5000
     assert batch.mixing.nbytes <= 64 * (nodes + edges)
 
@@ -219,7 +219,7 @@ def test_eval_forward_deterministic_and_train_dropout_masks():
 def test_backward_frees_interior_gradients_and_keeps_leaf_bytes():
     events = [make_event("a", "rumor", [0, 0, 1]), make_event("b", "non-rumor", [0, 1])]
     prepared = [_prepared(e) for e in events]
-    batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
+    batch = GraphBatch.from_events([pack(x) for x, _ in prepared], [g for _, g in prepared])
     runs = []
     for walk in (nc.Tensor.backward, oracles.backward):
         params = init_params(TINY, RngStreams(4))

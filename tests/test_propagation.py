@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rumorgraph import numcore as nc
+from rumorgraph.embed import pack
 from rumorgraph.model import GraphBatch
 from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
@@ -102,7 +103,7 @@ def _mixed_operator() -> tuple[list[PropagationGraph], nc.NeighborOperator]:
         PropagationGraph(3, ()),
         PropagationGraph(1, ()),
     ]
-    return graphs, GraphBatch.from_events([np.zeros((g.n, 1)) for g in graphs], graphs).mixing
+    return graphs, GraphBatch.from_events([pack(np.zeros((g.n, 1))) for g in graphs], graphs).mixing
 
 
 def test_spmm_matches_dense_oracle():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from rumorgraph import numcore as nc
 from rumorgraph import augment, model, trainer
 from rumorgraph.augment import AugmentStrategy
-from rumorgraph.dataio import split_folds, visible_posts
-from rumorgraph.embed import HashedProvider, embed_event
+from rumorgraph.dataio import CheckpointSpec, split_folds, visible_posts
+from rumorgraph.embed import HashedProvider, embed_event, unpack
 from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
@@ -32,6 +32,7 @@ from rumorgraph.trainer import (
     TrainConfig,
     TrainState,
     cross_validate,
+    early_detection,
     evaluate_prepared,
     fit,
     prepare_events,
@@ -557,6 +558,37 @@ def test_evaluation_peak_memory_is_set_by_the_chunk_budget(monkeypatch):
     assert peak < 5 * budget + 2 * len(prepared) * cfg.rep_dim * 8  # a chunk's buffers, then the stacked outputs
 
 
+def test_prepared_hashed_rows_are_packed_to_at_most_160_bytes_a_node():
+    # 6,144 bytes a node dense at width 768, where a hashed row holds a few nonzero entries
+    source, target = generate(SynthSpec(source_events=40, target_events=40, seed=6))
+    prepared = prepare_events(source.events + target.events, HashedProvider(dim=768))
+    nodes = sum(p.graph.n for p in prepared)
+    packed = sum(p.embedding.masks.nbytes + p.embedding.values.nbytes + p.embedding.ends.nbytes for p in prepared)
+    assert nodes > 400
+    assert packed <= 160 * nodes
+
+
+def test_early_detection_never_holds_the_corpus_dense_rows(monkeypatch):
+    # 300 events, 5,157 nodes: their dense rows at width 768 take 31.7 MB, so holding them from
+    # preparing to the last checkpoint would exceed it; a 1 MiB chunk keeps the encode's own buffers small
+    cfg = ModelConfig(d_in=768, d_hidden=16, d_out=8)
+    gen = np.random.default_rng(8)
+    events = [random_tree_event(gen, f"e{i}", ("rumor", "non-rumor")[i % 2], max_nodes=34) for i in range(300)]
+    dense_bytes = sum(e.node_count for e in events) * cfg.d_in * 8
+    params = init_params(cfg, RngStreams(2))
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 1024 * 1024)
+    spec = CheckpointSpec("post_count", (2.0, 4.0, 8.0, math.inf))
+    provider = HashedProvider(dim=cfg.d_in)
+    early_detection(prepare_events(events[:2], provider), params, spec)  # lazy imports in numpy land outside the measurement
+    tracemalloc.start()
+    try:
+        early_detection(prepare_events(events, provider), params, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_prefix_matches_preparing_the_truncated_event_bitwise(seed):
     event = random_tree_event(np.random.default_rng(seed), "ev", "rumor", max_nodes=12)
@@ -569,7 +601,7 @@ def test_prefix_matches_preparing_the_truncated_event_bitwise(seed):
         for value in grid:
             truncated = truncate_event(event, mode, value)
             prefix = prepared.prefix(visible_posts(event, mode, value))
-            assert prefix.embedding.tobytes() == embed_event(truncated, provider).rows.tobytes()
+            assert unpack([prefix.embedding]).tobytes() == embed_event(truncated, provider).rows.tobytes()
             assert prefix.graph == build_graph(truncated)
             assert prefix.label == prepared.label
         assert prepared.prefix(visible_posts(event, mode, math.inf)) is prepared
