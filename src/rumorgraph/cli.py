@@ -144,7 +144,7 @@ def cmd_earlydetect(args) -> int:
     _write_manifest(
         out_dir,
         ["early_detection.csv"],
-        {"snapshot": args.snapshot, "checkpoints": args.checkpoints, "mode": args.mode},
+        {k: getattr(args, k) for k in ("snapshot", "events", "embeddings", "checkpoints", "mode")},
     )
     print(f"curve written to {out_dir / 'early_detection.csv'}")
     return 0
@@ -165,7 +165,7 @@ def cmd_export_features(args) -> int:
     _write_manifest(
         out_dir,
         ["features.csv", "explained_variance.json"],
-        {"snapshot": args.snapshot, "events": args.events},
+        {"snapshot": args.snapshot, "events": args.events, "embeddings": args.embeddings},
     )
     print(f"features written to {out_dir / 'features.csv'}")
     return 0

@@ -72,14 +72,17 @@ def pack(rows: np.ndarray) -> PackedRows:
 
 
 def unpack(parts: list[PackedRows]) -> np.ndarray:
-    """The dense rows of ``parts`` stacked in order, scattered into one zeroed buffer."""
+    """The dense rows of ``parts`` stacked in order: the values if no entry is zero, else scattered into zeros."""
     widths = {p.width for p in parts}
     if len(widths) > 1:
         raise ShapeError(f"cannot stack packed rows of widths {sorted(widths)}")
     masks = np.concatenate([p.masks for p in parts])
+    values = np.concatenate([p.values for p in parts])
     (width,) = widths
+    if values.size == masks.shape[0] * width:
+        return values.reshape(-1, width)
     out = np.zeros((masks.shape[0], width))
-    out[np.unpackbits(masks, axis=1, count=width).view(bool)] = np.concatenate([p.values for p in parts])
+    out[np.unpackbits(masks, axis=1, count=width).view(bool)] = values
     return out
 
 

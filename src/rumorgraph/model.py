@@ -63,6 +63,8 @@ SNAPSHOT_VERSION = 1
 # nodes of one evaluation chunk: its widest per-node buffer, (n, d_hidden + d_in), stays within this
 _CHUNK_BYTES = 8 * 1024 * 1024
 PARAM_ORDER = ("w0", "b0", "ln1_gain", "ln1_bias", "w1", "b1", "ln2_gain", "ln2_bias", "wc", "bc")
+# format 1's header config records the fixed class count and depth beside the ModelConfig fields
+_FORMAT_CONSTANTS = {"classes": 2, "layers": 2}
 
 
 @dataclass(frozen=True)
@@ -70,22 +72,16 @@ class ModelConfig:
     d_in: int
     d_hidden: int = 512
     d_out: int = 128
-    classes: int = 2
-    layers: int = 2
     dropout: float = 0.2
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("d_in", "d_hidden", "d_out", "classes", "layers"):
+        for name in ("d_in", "d_hidden", "d_out"):
             value = getattr(self, name)
             if type(value) is not int:  # a float size cannot slice a snapshot; bool is an int subclass
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.layers != 2:
-            raise ValueError(f"layers must be 2, the only supported depth, got {self.layers}")
-        if self.classes != len(LABELS):
-            raise ValueError(f"classes must be {len(LABELS)}, one per label, got {self.classes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0 < self.layer_norm_eps < math.inf:
@@ -136,8 +132,8 @@ def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "b1": (cfg.d_out,),
         "ln2_gain": (top,),
         "ln2_bias": (top,),
-        "wc": (top, cfg.classes),
-        "bc": (cfg.classes,),
+        "wc": (top, len(LABELS)),
+        "bc": (len(LABELS),),
     }
 
 
@@ -277,10 +273,11 @@ class SnapshotError(ValueError):
 
 
 def save_snapshot(params: ModelParams, seed: int, path) -> None:
-    """Sorted-key JSON header line, then the parameter tensors as little-endian float64."""
+    """Sorted-key JSON header line, whose ``config`` adds the format-1 constants ``"classes": 2`` and
+    ``"layers": 2`` to the ``ModelConfig`` fields, then the tensors as little-endian float64 in ``PARAM_ORDER``."""
     header = {
         "format_version": SNAPSHOT_VERSION,
-        "config": asdict(params.config),
+        "config": {**asdict(params.config), **_FORMAT_CONSTANTS},
         "seed": seed,
         "order": list(PARAM_ORDER),
     }
@@ -294,8 +291,9 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
     """Inverse of ``save_snapshot``: the parameters, at float64 whatever precision is active, and the seed.
 
     The header must hold the supported ``format_version``, the model
-    configuration, the seed and an ``order`` naming each parameter once; the
-    payload must hold exactly those tensors, all finite.
+    configuration with its format-1 constants, the seed and an ``order`` that
+    is ``PARAM_ORDER``, the only order written; the payload must hold exactly
+    those tensors, all finite.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -308,15 +306,17 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
     if found != SNAPSHOT_VERSION:
         raise SnapshotError(f"{path}: unsupported format_version {found!r} (expected {SNAPSHOT_VERSION})")
     try:
-        config = ModelConfig(**header["config"])
-        order = list(header["order"])
-        shapes = [_shapes(config)[name] for name in order]
-        seed = header["seed"]
+        fields = {**header["config"]}  # a TypeError unless the config is an object
+        constants = {key: fields.pop(key, None) for key in _FORMAT_CONSTANTS}
+        if constants != _FORMAT_CONSTANTS or any(type(v) is not int for v in constants.values()):  # 2.0 == 2
+            raise ValueError(f"config must hold {_FORMAT_CONSTANTS}, got {constants}")
+        config = ModelConfig(**fields)
+        order, seed = header["order"], header["seed"]
     except (ValueError, KeyError, TypeError) as err:
         raise SnapshotError(f"{path}: unreadable header ({type(err).__name__}: {err})") from err
-    if sorted(order) != sorted(PARAM_ORDER):
-        raise SnapshotError(f"{path}: unreadable header (order {order} does not name each parameter once)")
-    sizes = [math.prod(shape) for shape in shapes]
+    if order != list(PARAM_ORDER):
+        raise SnapshotError(f"{path}: unreadable header (order {order} is not {list(PARAM_ORDER)})")
+    sizes = [math.prod(shape) for shape in _shapes(config).values()]
     expected = 8 * sum(sizes)
     if len(payload) != expected:
         problem = "truncated" if len(payload) < expected else "followed by trailing bytes"
@@ -324,7 +324,6 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         raise SnapshotError(f"{path}: payload holds a non-finite value")
-    offsets = np.cumsum([0] + sizes)
-    values = {name: flat[a:b].reshape(shape) for name, a, b, shape in zip(order, offsets, offsets[1:], shapes)}
+    values = dict(zip(PARAM_ORDER, np.split(flat, np.cumsum(sizes)[:-1])))
     with nc.precision("f64"):
         return ModelParams.from_values(config, values), seed

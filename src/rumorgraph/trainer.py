@@ -216,9 +216,9 @@ def train_epoch(
     target: list[PreparedEvent],
     state: TrainState,
     cfg: TrainConfig,
-    step_logger=None,
+    step_logger,
 ) -> list[dict]:
-    """All (target batch, source batch) pairs: ceil(Nt/bt) * ceil(M/bs) steps; one log record each."""
+    """All (target batch, source batch) pairs: ceil(Nt/bt) * ceil(M/bs) steps, each record passed to ``step_logger``."""
     if not source or not target:
         raise ValueError("datasets must be non-empty")
     gen = state.streams.shuffle
@@ -229,8 +229,7 @@ def train_epoch(
     for target_batch in target_batches:
         for source_batch in source_batches:
             record = train_step(source_batch, target_batch, state, cfg)
-            if step_logger is not None:
-                step_logger(step, record)
+            step_logger(step, record)
             records.append(record)
             step += 1
     return records
@@ -272,9 +271,9 @@ def fit(
     source: list[PreparedEvent],
     target_fold: list[PreparedEvent],
     cfg: TrainConfig,
-    log_path=None,
+    log_path,
 ) -> FitResult:
-    """Train on a target fold; early-stop on carved-validation macro-F1.
+    """Train on a target fold, writing its train log to ``log_path``; early-stop on carved-validation macro-F1.
 
     Without a carve, progress is monitored on the mean training loss instead:
     when ``val_fraction`` is 0, or when a carve was asked for but a class has
@@ -300,13 +299,11 @@ def fit(
         epochs_since_improvement = 0
         history: list[dict] = []
 
-        log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-        try:
+        with open(log_path, "w", encoding="utf-8") as log_fh:
             for epoch in range(1, cfg.max_epochs + 1):
 
                 def step_logger(step, record, _epoch=epoch):
-                    if log_fh:
-                        log_fh.write(json.dumps({"epoch": _epoch, "step": step, **record}, sort_keys=True) + "\n")
+                    log_fh.write(json.dumps({"epoch": _epoch, "step": step, **record}, sort_keys=True) + "\n")
 
                 records = train_epoch(source, train_events, state, cfg, step_logger)
                 if val:
@@ -315,8 +312,7 @@ def fit(
                     score = -float(np.mean([r["l"] for r in records]))
                 record = {"epoch": epoch, monitor: score}
                 history.append(record)
-                if log_fh:
-                    log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
                 if score > best_score:
                     best_score = score
@@ -326,9 +322,6 @@ def fit(
                     epochs_since_improvement += 1
                     if epochs_since_improvement >= cfg.patience:
                         break
-        finally:
-            if log_fh:
-                log_fh.close()
 
         best = ModelParams.from_values(cfg.model, best_values)
         return FitResult(params=best, history=history, best_score=best_score, monitor=monitor)
@@ -349,13 +342,13 @@ def cross_validate(
     source: list[PreparedEvent],
     target: list[PreparedEvent],
     cfg: TrainConfig,
-    k: int = 5,
-    out_dir: Path | None = None,
+    k: int,
+    out_dir: Path,
 ) -> CVResult:
     """Few-shot protocol: train on each fold (the small slice), test on the rest.
 
-    With ``out_dir``, each fold writes ``fold{i}_train_log.jsonl`` and its best
-    parameters as ``fold{i}.snapshot`` (tagged with ``cfg.seed``) there, and
+    Each fold writes ``fold{i}_train_log.jsonl`` and its best parameters as
+    ``fold{i}.snapshot`` (tagged with ``cfg.seed``) under ``out_dir``, and
     ``files`` names them.
     """
     assignment = split_folds([p.event for p in target], k, cfg.seed)
@@ -365,11 +358,10 @@ def cross_validate(
         train_fold = [p for p in target if assignment[p.event.event_id] == fold]
         test_fold = [p for p in target if assignment[p.event.event_id] != fold]
         fold_cfg = replace(cfg, seed=child_seed(cfg.seed, f"fold{fold}"))
-        log_path = None if out_dir is None else out_dir / f"fold{fold}_train_log.jsonl"
-        result = fit(source, train_fold, fold_cfg, log_path=log_path)
-        if out_dir is not None:
-            save_snapshot(result.params, cfg.seed, out_dir / f"fold{fold}.snapshot")
-            files += [f"fold{fold}.snapshot", log_path.name]
+        log_name = f"fold{fold}_train_log.jsonl"
+        result = fit(source, train_fold, fold_cfg, out_dir / log_name)
+        save_snapshot(result.params, cfg.seed, out_dir / f"fold{fold}.snapshot")
+        files += [f"fold{fold}.snapshot", log_name]
         fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
     mean = {

@@ -250,8 +250,8 @@ def normalized_reference(adjacency: np.ndarray) -> np.ndarray:
     return out
 
 
-def param_count(cfg: ModelConfig) -> int:
-    """Closed-form number of trainable scalars."""
+def param_count(cfg: ModelConfig, classes: int = 2) -> int:
+    """Closed-form number of trainable scalars of a head with ``classes`` outputs."""
     mid = cfg.d_hidden + cfg.d_in
     top = cfg.d_out + cfg.d_hidden
     return (
@@ -261,8 +261,8 @@ def param_count(cfg: ModelConfig) -> int:
         + mid * cfg.d_out
         + cfg.d_out
         + 2 * top
-        + top * cfg.classes
-        + cfg.classes
+        + top * classes
+        + classes
     )
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,10 @@ from rumorgraph.dataio import parse_events
 from rumorgraph.embed import HashedProvider
 from rumorgraph.model import ModelConfig, init_params, load_snapshot, save_snapshot
 from rumorgraph.numcore import RngStreams, tensor
+from rumorgraph.augment import AugmentStrategy
 from rumorgraph.runconfig import ConfigError, load_run_config, parse_run_config
+from rumorgraph.synth import SynthSpec
+from rumorgraph.trainer import TrainConfig
 from tests.conftest import JSON_VALUES, valid_or_any, write_embeddings
 
 
@@ -258,6 +262,67 @@ def test_run_config_rejections(path, value):
         assert part in str(info.value)
 
 
+# per config class: values for its required fields, then one value beside the default for every field
+SETTINGS = {
+    ModelConfig: (
+        {"d_in": 4},
+        {"d_in": 8, "d_hidden": 16, "d_out": 32, "dropout": 0.0, "layer_norm_eps": 1e-6},
+    ),
+    TrainConfig: (
+        {"model": ModelConfig(d_in=4)},
+        {
+            "model": ModelConfig(d_in=8),
+            "alpha": 0.0,
+            "tau": 0.1,
+            "learning_rate": 1e-3,
+            "source_batch_size": 8,
+            "target_batch_size": 4,
+            "max_epochs": 0,
+            "patience": 1,
+            "val_fraction": 0.0,
+            "weight_decay": 0.01,
+            "augment": AugmentStrategy("adversarial"),
+            "tcl_enabled": False,
+            "tcl_include_positive": True,
+            "seed": 7,
+            "precision": "f32",
+        },
+    ),
+    AugmentStrategy: (
+        {"kind": "graph_dropedge"},
+        {"kind": "feature_dropout", "epsilon": 1.0, "feature_dropout_rate": 0.5, "dropedge_rate": 0.0},
+    ),
+    SynthSpec: (
+        {},
+        {
+            "source_events": 20,
+            "target_events": 10,
+            "class_balance": 0.4,
+            "vocab_size": 10,
+            "shift_strength": 1.0,
+            "mean_replies": 2.0,
+            "branching": 0.0,
+            "structural_signal": 1.0,
+            "seed": 3,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SETTINGS), ids=lambda cls: cls.__name__)
+def test_every_setting_takes_two_values(cls):
+    # a field that admits a single value is a constant of the code, not a setting
+    required, alternatives = SETTINGS[cls]
+    assert set(alternatives) == {f.name for f in fields(cls)}
+    base = cls(**required)
+    for field in fields(cls):
+        default = required[field.name] if field.default is MISSING else field.default
+        assert getattr(base, field.name) == default
+        other = alternatives[field.name]
+        assert other != default, field.name
+        assert getattr(cls(**{**required, field.name: other}), field.name) == other
+
+
 def _section(required: dict, optional: dict):
     """A JSON object drawn from ``required`` and ``optional`` field strategies, or any JSON value."""
 
@@ -328,6 +393,27 @@ def test_earlydetect_embeds_each_post_once(tmp_path, synth_dirs, monkeypatch):
     argv = ["earlydetect", "--snapshot", str(snapshot), "--events", str(events), "--checkpoints", "1,2,4,inf"]
     assert main([*argv, "--mode", "count", "--out", str(tmp_path / "curve")]) == 0
     assert embedded == [post for e in parse_events(events).events for post in e.posts]
+
+
+@pytest.mark.parametrize("command", ["earlydetect", "export-features"])
+def test_scoring_manifest_hashes_the_events_and_the_embeddings(synth_dirs, command):
+    # two runs that differ only in --events, or only in --embeddings, read different inputs
+    tmp_path, data_dir = synth_dirs
+    snapshot = tmp_path / "model.snapshot"
+    save_snapshot(init_params(ModelConfig(d_in=8, d_hidden=6, d_out=4), RngStreams(3)), seed=3, path=snapshot)
+    target = data_dir / "target_events.jsonl"
+    posts = [post.post_id for e in parse_events(target).events for post in e.posts]
+    vectors = tmp_path / "vectors.jsonl"
+    write_embeddings({post_id: np.full(8, 0.1) for post_id in posts}, 8, vectors)
+    flags = ["--checkpoints", "1,inf", "--mode", "count"] if command == "earlydetect" else []
+    runs = [(target, "hashed:8"), (data_dir / "source_events.jsonl", "hashed:8"), (target, str(vectors))]
+    hashes = []
+    for i, (events, embeddings) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        argv = [command, "--snapshot", str(snapshot), "--events", str(events), "--embeddings", embeddings]
+        assert main([*argv, *flags, "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert len(set(hashes)) == 3
 
 
 def test_cli_imports_numpy_only():
@@ -716,8 +802,8 @@ DEEP = b"[" * 100_000 + b"\n"
         (_section_argv("protocol", folds=7), 1, "cannot stratify"),
         # one hidden and one output unit: a pooled representation comes out all zeros
         (_section_argv("model", d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
-        (_section_argv("model", classes=1), 2, "classes must be 2, one per label, got 1"),
-        (_section_argv("model", classes=3), 2, "classes must be 2, one per label, got 3"),
+        (_section_argv("model", classes=1), 2, "field model/classes: unknown key"),
+        (_section_argv("model", classes=3), 2, "field model/classes: unknown key"),
         (_blocked_out_argv(_train_argv("hashed:8")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("earlydetect")), 1, "Not a directory"),
         (_blocked_out_argv(_inference_argv("export-features")), 1, "Not a directory"),

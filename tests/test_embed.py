@@ -265,15 +265,28 @@ def _precomputed_rows(width, tmp_path):
     return rows
 
 
+def _dense_rows(width, tmp_path):
+    # no entry is zero, as with encoder vectors; a -0.0 is stored like any other entry
+    event = make_event("e", "rumor", [0, 0, 1, 2])
+    gen = np.random.default_rng(width)
+    vectors = {post.post_id: gen.normal(size=width) for post in event.posts}
+    vectors["e-p1"][0] = -0.0
+    return embed_event(event, PrecomputedProvider(width, vectors)).rows
+
+
 @pytest.mark.parametrize(
     "rows_of, width",
-    [(_hashed_rows, w) for w in (1, 5, 8, 13, 16, 768)] + [(_precomputed_rows, 13)],
-    ids=[f"hashed-{w}" for w in (1, 5, 8, 13, 16, 768)] + ["precomputed-13"],
+    [(_hashed_rows, w) for w in (1, 5, 8, 13, 16, 768)]
+    + [(_precomputed_rows, 13), (_dense_rows, 13), (_dense_rows, 768)],
+    ids=[f"hashed-{w}" for w in (1, 5, 8, 13, 16, 768)] + ["precomputed-13", "dense-13", "dense-768"],
 )
 def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of, width):
     rows = rows_of(width, tmp_path)
-    assert not rows.any(axis=1).all()  # an all-zero row is among them
+    dense = rows_of is _dense_rows
+    # an all-zero row is among the other rows; of dense rows every entry is stored
+    assert rows.any(axis=1).all() == dense
     packed = pack(rows)
+    assert (packed.values.size == rows.size) == dense
     assert (packed.n, packed.width) == rows.shape
     out = unpack([packed])
     assert out.dtype == rows.dtype and out.shape == rows.shape and out.tobytes() == rows.tobytes()
@@ -285,6 +298,9 @@ def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of
         # stacked with another event, as a batch scatters them
         stacked = unpack([prefix, packed])
         assert stacked.tobytes() == np.concatenate([rows[:k], rows]).tobytes()
+    # after an event of dense rows: a batch that stores all its entries, or only some
+    other = _dense_rows(width, tmp_path)
+    assert unpack([pack(other), packed]).tobytes() == np.concatenate([other, rows]).tobytes()
 
 
 def test_unpacking_refuses_rows_of_different_widths():

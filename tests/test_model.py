@@ -1,8 +1,7 @@
 """Model contract: parameter count, forward semantics, invariances, snapshots."""
 
 import hashlib
-from dataclasses import asdict
-from types import SimpleNamespace
+import re
 
 import numpy as np
 import pytest
@@ -50,10 +49,9 @@ def test_param_count_minimal_config_by_formula():
 
 
 def test_param_count_class_growth_is_linear():
-    # ModelConfig takes one class per label only, so the grown head is a plain namespace
-    base = ModelConfig(d_in=16, d_hidden=8, d_out=4, classes=2)
-    grown = SimpleNamespace(**{**asdict(base), "classes": 4})
-    assert param_count(grown) - param_count(base) == (4 + 8) * 2 + 2
+    # the model has one class per label only, so the grown head is counted by the oracle alone
+    base = ModelConfig(d_in=16, d_hidden=8, d_out=4)
+    assert param_count(base, classes=4) - param_count(base) == (4 + 8) * 2 + 2
 
 
 def test_init_matches_count_and_conventions():
@@ -65,8 +63,9 @@ def test_init_matches_count_and_conventions():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="depth"):
-        ModelConfig(d_in=4, layers=3)
+    # the depth and the class count are fixed by the architecture, not set
+    with pytest.raises(TypeError, match="layers"):
+        ModelConfig(d_in=4, layers=2)
     with pytest.raises(ValueError):
         ModelConfig(d_in=0)
 
@@ -278,11 +277,16 @@ def test_snapshot_format_is_pinned(tmp_path):
         (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "unreadable header"),
         (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 9'), r"unsupported format_version 9 \(expected 1\)$"),
         (lambda raw: raw.replace(b'"seed"', b'"sead"'), r"unreadable header \(KeyError: 'seed'\)"),
-        (lambda raw: raw.replace(b', "bc"]', b"]")[:-16], "does not name each parameter once"),
+        (lambda raw: raw.replace(b', "bc"]', b"]")[:-16], r"order \[.*'wc'\] is not \[.*'wc', 'bc'\]"),
+        (lambda raw: raw.replace(b'["w0", "b0"', b'["b0", "w0"'), r"order \['b0', 'w0', .*\] is not \['w0', 'b0', "),
         (lambda raw: raw.replace(b'"d_in": 6', b'"d_in": 6.0'), r"d_in must be an integer, got 6\.0"),
-        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 2.0'), r"classes must be an integer, got 2\.0"),
-        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 3'), r"classes must be 2, one per label, got 3"),
+        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 2.0'), r"got \{'classes': 2\.0, 'layers': 2\}"),
+        (lambda raw: raw.replace(b'"classes": 2', b'"classes": true'), r"got \{'classes': True, 'layers': 2\}"),
+        (lambda raw: raw.replace(b'"classes": 2', b'"classes": 3'), r"got \{'classes': 3, 'layers': 2\}"),
+        (lambda raw: raw.replace(b'"classes": 2, ', b""), r"got \{'classes': None, 'layers': 2\}"),
+        (lambda raw: raw.replace(b'"layers": 2', b'"layers": 3'), r"got \{'classes': 2, 'layers': 3\}"),
         (lambda raw: raw.replace(b'"d_out": 4', b'"d_out": true'), "d_out must be an integer, got True"),
+        (lambda raw: re.sub(rb'"config": \{[^}]*\}', b'"config": [2]', raw), "TypeError: 'list' object is not a mapping"),
         (lambda raw: raw.replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": NaN'), "must be positive and finite, got nan"),
         (lambda raw: raw.replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": Infinity'), "finite, got inf"),
         (lambda raw: raw[:-8] + np.array(np.nan, dtype="<f8").tobytes(), "payload holds a non-finite value"),
@@ -296,10 +300,15 @@ def test_snapshot_format_is_pinned(tmp_path):
         "bad-version",
         "no-seed",
         "short-order",
+        "permuted-order",
         "float-d_in",
         "float-classes",
+        "bool-classes",
         "three-classes",
+        "no-classes",
+        "three-layers",
         "bool-d_out",
+        "array-config",
         "nan-eps",
         "infinite-eps",
         "nan-weight",

@@ -75,6 +75,10 @@ def _mini_events(count, prefix, dim=8):
     return prepare_events(events, provider)
 
 
+def _discard(step, record):
+    """A ``train_epoch`` step logger that keeps nothing."""
+
+
 def _fresh_state(cfg):
     streams = RngStreams(cfg.seed)
     params = init_params(cfg.model, streams)
@@ -105,11 +109,11 @@ def test_train_step_zero_lr_keeps_params_and_reports():
 def test_epoch_step_count_matches_product():
     cfg = _config(target_batch_size=2, source_batch_size=3, max_epochs=1)
     state = _fresh_state(cfg)
-    reports = train_epoch(_mini_events(6, "s"), _mini_events(4, "t"), state, cfg)
+    reports = train_epoch(_mini_events(6, "s"), _mini_events(4, "t"), state, cfg, _discard)
     assert len(reports) == 2 * 2  # ceil(4/2) * ceil(6/3)
 
     state_b = _fresh_state(cfg)
-    reports_b = train_epoch(_mini_events(3, "s"), _mini_events(2, "t"), state_b, cfg)
+    reports_b = train_epoch(_mini_events(3, "s"), _mini_events(2, "t"), state_b, cfg, _discard)
     assert len(reports_b) == 1
 
 
@@ -120,7 +124,7 @@ def test_same_seed_same_params_bitwise():
     def run():
         state = _fresh_state(cfg)
         for _ in range(cfg.max_epochs):
-            train_epoch(source, target, state, cfg)
+            train_epoch(source, target, state, cfg, _discard)
         return state.params.copy_values()
 
     a, b = run(), run()
@@ -134,7 +138,7 @@ def test_alpha_zero_matches_manual_ce_only_route_bitwise():
 
     state = _fresh_state(cfg)
     for _ in range(cfg.max_epochs):
-        train_epoch(source, target, state, cfg)
+        train_epoch(source, target, state, cfg, _discard)
 
     # independent route: assemble only the two classification terms
     manual = _fresh_state(cfg)
@@ -185,10 +189,10 @@ def test_nonfinite_loss_aborts_with_term_name():
             train_step(_mini_events(4, "s"), _mini_events(3, "t"), state, cfg)
 
 
-def test_fit_patience_stops_and_epoch_cap_zero():
+def test_fit_patience_stops_and_epoch_cap_zero(tmp_path):
     source, target = _mini_events(6, "s"), _mini_events(8, "t")
     cfg = _config(max_epochs=0)
-    result = fit(source, target, cfg)
+    result = fit(source, target, cfg, tmp_path / "capped.jsonl")
     assert result.history == []
     fresh = init_params(cfg.model, RngStreams(cfg.seed))
     for name, tensor in fresh.tensors.items():
@@ -196,47 +200,48 @@ def test_fit_patience_stops_and_epoch_cap_zero():
 
     # learning rate zero: the score can never improve after epoch 1
     cfg = _config(max_epochs=50, patience=1, learning_rate=0.0)
-    result = fit(source, target, cfg)
+    result = fit(source, target, cfg, tmp_path / "patient.jsonl")
     assert len(result.history) == 2  # stopped right after the second epoch
     assert result.best_score == max(h[result.monitor] for h in result.history)
 
 
-def test_fit_best_snapshot_is_best_observed():
+def test_fit_best_snapshot_is_best_observed(tmp_path):
     source, target = _mini_events(6, "s"), _mini_events(10, "t")
     cfg = _config(max_epochs=6, patience=2, val_fraction=0.2)
-    result = fit(source, target, cfg)
+    result = fit(source, target, cfg, tmp_path / "log.jsonl")
     scores = [h["val_macro_f1"] for h in result.history if "val_macro_f1" in h]
     assert result.best_score == max(scores)
     assert scores[0] <= result.best_score
 
 
-def test_fit_returns_the_best_epochs_parameters():
+def test_fit_returns_the_best_epochs_parameters(tmp_path):
     # a fit cut at the first best epoch ends on the parameters the full fit keeps
     source, target = _mini_events(6, "s"), _mini_events(10, "t")
-    full = fit(source, target, _config(max_epochs=8, patience=8, val_fraction=0.0))
+    full = fit(source, target, _config(max_epochs=8, patience=8, val_fraction=0.0), tmp_path / "full.jsonl")
     best_epoch = next(h["epoch"] for h in full.history if h[full.monitor] == full.best_score)
     assert best_epoch < len(full.history)
-    cut = fit(source, target, _config(max_epochs=best_epoch, patience=8, val_fraction=0.0))
+    cut_cfg = _config(max_epochs=best_epoch, patience=8, val_fraction=0.0)
+    cut = fit(source, target, cut_cfg, tmp_path / "cut.jsonl")
     assert cut.best_score == full.best_score
     for name, param in full.params.tensors.items():
         assert param.data.tobytes() == cut.params.tensors[name].data.tobytes(), name
 
 
-def test_fit_small_fold_falls_back_to_loss_monitor(caplog):
+def test_fit_small_fold_falls_back_to_loss_monitor(tmp_path, caplog):
     source = _mini_events(6, "s")
     target = _mini_events(2, "t")  # one event per class: no carve possible
     cfg = _config(max_epochs=1)
     with caplog.at_level("WARNING"):
-        result = fit(source, target, cfg)
+        result = fit(source, target, cfg, tmp_path / "log.jsonl")
     assert result.monitor == "neg_train_loss"
     assert any("validation carve" in r.message for r in caplog.records)
 
 
-def test_fit_without_a_carve_asked_for_does_not_warn(caplog):
+def test_fit_without_a_carve_asked_for_does_not_warn(tmp_path, caplog):
     source = _mini_events(6, "s")
     cfg = _config(max_epochs=1, val_fraction=0.0)
     with caplog.at_level("WARNING"):
-        results = [fit(source, _mini_events(count, "t"), cfg) for count in (2, 8)]
+        results = [fit(source, _mini_events(count, "t"), cfg, tmp_path / f"{count}.jsonl") for count in (2, 8)]
     assert [r.monitor for r in results] == ["neg_train_loss", "neg_train_loss"]
     assert not any("validation carve" in r.message for r in caplog.records)
 
@@ -245,7 +250,7 @@ def test_fit_writes_step_and_epoch_log(tmp_path):
     source, target = _mini_events(6, "s"), _mini_events(8, "t")
     cfg = _config(max_epochs=2)
     log_path = tmp_path / "log.jsonl"
-    fit(source, target, cfg, log_path=log_path)
+    fit(source, target, cfg, log_path)
     records = [json.loads(line) for line in log_path.read_text().splitlines()]
     step_records = [r for r in records if "l" in r]
     epoch_records = [r for r in records if "val_macro_f1" in r]
@@ -263,18 +268,18 @@ def test_only_a_fresh_fit_draws_initial_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(nc, "glorot_init", lambda *args: draws.append(args[0]) or glorot_init(*args))
     source, target = _mini_events(6, "s"), _mini_events(8, "t")
     cfg = _config(max_epochs=1)
-    first = fit(source, target, cfg)
+    first = fit(source, target, cfg, tmp_path / "log.jsonl")
     assert len(draws) == 3  # w0, w1 and wc
     save_snapshot(first.params, seed=cfg.seed, path=tmp_path / "model.snapshot")
     load_snapshot(tmp_path / "model.snapshot")
     assert len(draws) == 3
 
 
-def test_precision_is_scoped_to_the_call():
+def test_precision_is_scoped_to_the_call(tmp_path):
     cfg = _config(max_epochs=1, precision="f32")
-    cross_validate(_mini_events(6, "s"), _mini_events(8, "t"), cfg, k=2)
+    cross_validate(_mini_events(6, "s"), _mini_events(8, "t"), cfg, 2, tmp_path)
     assert nc.active_dtype() == np.float64
-    result = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg)
+    result = fit(_mini_events(6, "s"), _mini_events(8, "t"), cfg, tmp_path / "log.jsonl")
     assert result.params.w0.data.dtype == np.float32
     assert nc.active_dtype() == np.float64
 
@@ -430,7 +435,7 @@ def test_train_step_peak_per_node_follows_the_buffer_inventory(mean_replies, nod
     assert _step_peak(source, target, cfg) / nodes < 1.1 * (per_node + 340_000 / nodes)
 
 
-def test_one_fit_learns_to_classify_held_out_target_events():
+def test_one_fit_learns_to_classify_held_out_target_events(tmp_path):
     # Only the reply-stance channel transfers at shift_strength 1.0. One fold of
     # the 5-fold few-shot protocol trains on 20 target events and is scored on
     # the other 80. The seed was fixed before measuring: seed 11 reads macro-F1
@@ -454,7 +459,7 @@ def test_one_fit_learns_to_classify_held_out_target_events():
     train_fold = [p for p in target if assignment[p.event.event_id] == 0]
     test_fold = [p for p in target if assignment[p.event.event_id] != 0]
     assert (len(train_fold), len(test_fold)) == (20, 80)
-    result = fit(source, train_fold, cfg)
+    result = fit(source, train_fold, cfg, tmp_path / "log.jsonl")
     assert evaluate_prepared(test_fold, result.params).macro_f1 >= 0.65
 
 
@@ -476,7 +481,7 @@ def test_training_reduces_loss_on_separable_batches():
     assert losses[-1] < losses[0]
 
 
-def test_cross_validate_counts_and_determinism():
+def test_cross_validate_counts_and_determinism(tmp_path):
     spec = SynthSpec(source_events=12, target_events=10, mean_replies=3.0, seed=5)
     source_ds, target_ds = generate(spec)
     provider = HashedProvider(dim=8)
@@ -486,27 +491,34 @@ def test_cross_validate_counts_and_determinism():
     seen_sizes = []
     orig_fit = fit
 
-    def spy_fit(source, fold, fold_cfg, **kwargs):
+    def spy_fit(source, fold, fold_cfg, log_path):
         seen_sizes.append(len(fold))
-        return orig_fit(source, fold, fold_cfg, **kwargs)
+        return orig_fit(source, fold, fold_cfg, log_path)
 
     import rumorgraph.trainer as trainer_mod
 
+    first, repeated = tmp_path / "first", tmp_path / "repeated"
+    first.mkdir()
+    repeated.mkdir()
     trainer_mod_fit = trainer_mod.fit
     trainer_mod.fit = spy_fit
     try:
-        result = cross_validate(source, target, cfg, k=5)
+        result = cross_validate(source, target, cfg, 5, first)
     finally:
         trainer_mod.fit = trainer_mod_fit
 
     assert seen_sizes == [2, 2, 2, 2, 2]  # each run trains on one fold of 10/5 events
     assert len(result.folds) == 5
     assert set(result.mean) == {"accuracy", "macro_f1", "f1_rumor", "f1_nonrumor"}
-    assert result.files == []  # no out_dir, nothing written
+    names = [name for fold in range(5) for name in (f"fold{fold}.snapshot", f"fold{fold}_train_log.jsonl")]
+    assert result.files == names
+    assert sorted(p.name for p in first.iterdir()) == sorted(names)
 
-    repeat = cross_validate(source, target, cfg, k=5)
+    repeat = cross_validate(source, target, cfg, 5, repeated)
     assert repeat.mean == result.mean
     assert repeat.fold_assignment == result.fold_assignment
+    for name in names:
+        assert (repeated / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_config_validation():
