@@ -3,7 +3,8 @@
 Three strategies produce the positive pair for the target-instance
 contrastive term: a normalized-gradient adversarial shift of the
 representation, random zeroing of representation coordinates, and a second
-encoding pass over a topology with randomly removed reply edges.
+encoding pass over a topology with randomly removed reply edges. Each view
+is a representation; the caller runs the classifier head on it.
 
 The adversarial direction is each event's classification-loss gradient at
 its representation: the ordinary ``Tensor.backward`` through the classifier
@@ -13,14 +14,14 @@ weights as constants, so no encoder or parameter gradient is touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EncodeResult, GraphBatch, ModelParams, classify, encode_batch, mixing_operator
+from .model import GraphBatch, ModelParams, classify, encode_batch
 from .numcore import RngStreams, Tensor
 from .objectives import ce_from_probs
-from .propagation import PropagationGraph, dropedge
+from .propagation import dropedge
 
 STRATEGY_KINDS = ("adversarial", "feature_dropout", "graph_dropedge")
 
@@ -78,20 +79,19 @@ def classification_gradients(reps: Tensor, labels: np.ndarray, params: ModelPara
 
 def augment_batch(
     strategy: AugmentStrategy,
-    result: EncodeResult,
+    reps: Tensor,
     labels: np.ndarray,
     batch: GraphBatch,
-    graphs: list[PropagationGraph],
     params: ModelParams,
     streams: RngStreams,
 ) -> Tensor:
-    """One augmented representation per event of ``batch`` (stacked from ``graphs``), as a
-    differentiable tensor. The DropEdge view encodes the batch's own feature rows again over
-    an operator built from the deformed graphs, which keep every node."""
+    """One augmented representation per event of ``batch``, whose representations are
+    ``reps``, as a differentiable tensor. The DropEdge view encodes the batch's own feature
+    rows again over its deformed graphs, which keep every node."""
     if strategy.kind == "adversarial":
-        grads = classification_gradients(result.reps, labels, params)
-        return adversarial(result.reps, grads, strategy.epsilon)
+        grads = classification_gradients(reps, labels, params)
+        return adversarial(reps, grads, strategy.epsilon)
     if strategy.kind == "feature_dropout":
-        return feature_dropout(result.reps, strategy.feature_dropout_rate, streams.feature_dropout)
-    deformed = [dropedge(g, strategy.dropedge_rate, streams.dropedge) for g in graphs]
-    return encode_batch(replace(batch, mixing=mixing_operator(deformed)), params, mode="train", streams=streams).reps
+        return feature_dropout(reps, strategy.feature_dropout_rate, streams.feature_dropout)
+    deformed = [dropedge(g, strategy.dropedge_rate, streams.dropedge) for g in batch.graphs]
+    return encode_batch(GraphBatch(batch.features, deformed), params, mode="train", streams=streams)

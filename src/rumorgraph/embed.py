@@ -32,7 +32,6 @@ class EmbeddingError(ValueError):
 
 @dataclass
 class EmbeddingMatrix:
-    event_id: str
     rows: np.ndarray  # (node_count, dim); row 0 is the claim
 
 
@@ -204,4 +203,4 @@ def embed_event(event: Event, provider) -> EmbeddingMatrix:
     rows = np.empty((event.node_count, provider.dim), dtype=np.float64)
     for i, post in enumerate(event.posts):
         rows[i] = provider.vector_for(post)
-    return EmbeddingMatrix(event_id=event.event_id, rows=rows)
+    return EmbeddingMatrix(rows=rows)

@@ -27,6 +27,8 @@ class DegenerateDataError(ValueError):
 
 
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
+# the scalar fields of ``Metrics``, in the order every table of them lists them
+METRIC_NAMES = ("accuracy", "macro_f1", "f1_rumor", "f1_nonrumor")
 
 
 @dataclass(frozen=True)
@@ -87,30 +89,15 @@ class EarlyDetectionCurve:
     spec: CheckpointSpec
     metrics: list[Metrics]  # one per checkpoint, in spec order
 
-    def rows(self) -> list[dict]:
-        out = []
-        for value, m in zip(self.spec.values, self.metrics):
-            label = "inf" if math.isinf(value) else (f"{value:g}")
-            out.append(
-                {
-                    "checkpoint": label,
-                    "accuracy": m.accuracy,
-                    "macro_f1": m.macro_f1,
-                    "f1_rumor": m.f1_rumor,
-                    "f1_nonrumor": m.f1_nonrumor,
-                }
-            )
-        return out
-
 
 def write_curve_csv(curve: EarlyDetectionCurve, path) -> None:
+    """A header, then one row per checkpoint: its value (``%g``, or ``inf``) and the ``repr`` of each metric."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["checkpoint", "accuracy", "macro_f1", "f1_rumor", "f1_nonrumor"]
-        )
-        writer.writeheader()
-        for row in curve.rows():
-            writer.writerow({k: (v if isinstance(v, str) else repr(v)) for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(["checkpoint", *METRIC_NAMES])
+        for value, m in zip(curve.spec.values, curve.metrics):
+            label = "inf" if math.isinf(value) else f"{value:g}"
+            writer.writerow([label, *(repr(getattr(m, name)) for name in METRIC_NAMES)])
 
 
 # -- principal component projection ------------------------------------------------

@@ -4,16 +4,18 @@ Each layer mixes node states through the normalized adjacency
 A_hat = D^{-1/2} (A + I) D^{-1/2}, applies a learned linear map and ReLU,
 then concatenates the claim's previous hidden state onto every row and
 layer-normalizes the result. The event representation is the column-wise
-mean of the final node states, and a single affine head plus softmax
-produces class probabilities.
+mean of the final node states (``encode_batch`` returns it), and a single
+affine head plus softmax (``classify``) turns representations into class
+probabilities; each caller runs the head once per view it scores.
 
 A batch of events is encoded in one pass over one feature matrix, into which
 ``GraphBatch.from_events`` scatters the events' packed embedding rows
 (``embed.unpack``), so each event is a segment of consecutive rows whose
-first row is its claim; ``GraphBatch.sizes`` lists the segment lengths, and
-it is all that the claim lookups and the per-event pooling read. It also
-builds the operator once per batch (``mixing_operator``), straight from the
-graphs' reply edges, as a sparse neighbor-list operator
+first row is its claim. A ``GraphBatch`` holds those rows and the events'
+graphs, and derives from the graphs, once at construction, the segment
+lengths (``sizes``, all that the claim lookups and the per-event pooling
+read) and the operator (``mixing_operator``), built straight from the
+graphs' reply edges as a sparse neighbor-list operator
 (``numcore.NeighborOperator``) whose time and memory grow with nodes plus
 edges; no event's rows reach another's, so the batched pass computes the
 same function as event-at-a-time encoding.
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -154,18 +156,25 @@ def init_params(cfg: ModelConfig, streams: RngStreams) -> ModelParams:
 
 @dataclass
 class GraphBatch:
-    """Several events stacked for a single encoding pass."""
+    """Several events stacked for a single encoding pass: their rows and their graphs,
+    from which the segment sizes and the operator are derived once, at construction."""
 
-    sizes: list[int]
-    features: np.ndarray  # (sum(sizes), d_in): the events' packed rows, unpacked in order
-    mixing: nc.NeighborOperator  # D^{-1/2} (A + I) D^{-1/2} of every graph, built from the edges
+    features: np.ndarray  # (sum(sizes), d_in): the events' rows in order
+    graphs: list[PropagationGraph]
+    sizes: list[int] = field(init=False)
+    mixing: nc.NeighborOperator = field(init=False)  # D^{-1/2} (A + I) D^{-1/2} of every graph
+
+    def __post_init__(self):
+        self.sizes = [g.n for g in self.graphs]
+        self.mixing = mixing_operator(self.graphs)
 
     @classmethod
     def from_events(cls, embeddings: list[PackedRows], graphs: list[PropagationGraph]) -> "GraphBatch":
+        """The events' packed rows unpacked in order, beside their graphs."""
         sizes = [g.n for g in graphs]
         if [e.n for e in embeddings] != sizes:
             raise nc.ShapeError(f"embedding row counts {[e.n for e in embeddings]} do not match graphs {sizes}")
-        return cls(sizes=sizes, features=unpack(embeddings), mixing=mixing_operator(graphs))
+        return cls(unpack(embeddings), graphs)
 
 
 def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:
@@ -183,19 +192,14 @@ def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:
     return nc.NeighborOperator(inv_sqrt, rows, cols)
 
 
-@dataclass
-class EncodeResult:
-    reps: Tensor  # (events, d_out + d_hidden)
-    probs: Tensor  # (events, classes)
-
-
 def encode_batch(
     batch: GraphBatch,
     params: ModelParams,
     mode: str = "eval",
     streams: RngStreams | None = None,
-) -> EncodeResult:
-    """Run the two-scale convolution over a stacked batch of events."""
+) -> Tensor:
+    """Run the two-scale convolution over a stacked batch of events: their representations,
+    ``(events, d_out + d_hidden)``."""
     cfg = params.config
     if batch.features.shape[1] != cfg.d_in:
         raise nc.ShapeError(f"feature width {batch.features.shape[1]} does not match d_in {cfg.d_in}")
@@ -220,7 +224,7 @@ def encode_batch(
     nc.drop(h1, h2)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     nc.drop(h2_tilde)
-    return EncodeResult(reps=reps, probs=classify(reps, params.wc, params.bc))
+    return reps
 
 
 def classify(reps, wc, bc) -> Tensor:
@@ -255,9 +259,9 @@ def encode_events(
             while stop < len(graphs) and nodes + graphs[stop].n <= max_nodes:
                 nodes += graphs[stop].n
                 stop += 1
-            result = encode_batch(GraphBatch.from_events(embeddings[start:stop], graphs[start:stop]), params)
-            probs.append(result.probs.data)
-            reps.append(result.reps.data)
+            chunk = encode_batch(GraphBatch.from_events(embeddings[start:stop], graphs[start:stop]), params)
+            probs.append(classify(chunk, params.wc, params.bc).data)
+            reps.append(chunk.data)
             start = stop
     probs, reps = np.concatenate(probs), np.concatenate(reps)
     if not (np.isfinite(probs).all() and np.isfinite(reps).all()):

@@ -11,7 +11,7 @@ boolean dropout operand a block of rows at a time. ``layer_norm`` and
 ``segment_mean`` see their rows as consecutive segments given by the
 segment sizes alone (a segment's first row is its claim), and both sum
 segments with one kernel, ``_segment_sums``, which adds each segment's rows
-in order.
+in order, one reduce per segment.
 
 ``Tensor.backward`` drops each interior node's gradient as soon as its rule
 has passed it on, and with it the rule and the rebuild (see below) and every
@@ -423,18 +423,17 @@ def _segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Row sums of consecutive segments: (sum(sizes), ...) -> (len(sizes), ...).
 
     Each segment's rows are added in order starting from +0.0, as np.add.at
-    and numpy's axis-0 sum of a C-contiguous array at least two columns wide
-    do. Segments are taken longest first, so the k-th row of every segment
-    still live is added in one slab.
+    does: rows at least two columns wide as one axis-0 reduce of the
+    segment's block of rows, which numpy adds row by row. numpy sums a single
+    column pairwise instead, so narrower rows go through np.add.at.
     """
-    order = np.argsort(-sizes, kind="stable")
-    first = (np.cumsum(sizes) - sizes)[order]
-    live = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
-    acc = np.zeros((len(sizes),) + x.shape[1:], dtype=x.dtype)
-    for k, n in enumerate(live):
-        acc[:n] += x[first[:n] + k]
-    sums = np.empty_like(acc)
-    sums[order] = acc
+    sums = np.zeros((len(sizes),) + x.shape[1:], dtype=x.dtype)
+    if x.ndim < 2 or x.shape[1] < 2:
+        np.add.at(sums, np.repeat(np.arange(len(sizes)), sizes), x)
+        return sums
+    stops = np.cumsum(sizes)
+    for i, (start, stop) in enumerate(zip((stops - sizes).tolist(), stops.tolist())):
+        np.add.reduce(x[start:stop], axis=0, out=sums[i])
     return sums
 
 

@@ -1,9 +1,10 @@
 """Joint training loop and the few-shot cross-validation harness.
 
 One optimization step pairs a source mini-batch with a target mini-batch:
-both are encoded, target events get augmented views, the four loss terms are
-blended, and one AdamW update is applied. A step returns the value of each
-term as its log record, which ``fit`` writes to the train log. An epoch walks every target
+both are encoded into representations, target events get augmented views,
+the classifier head runs once on each, the four loss terms are blended, and
+one AdamW update is applied. A step returns the value of each term as its log
+record, which ``fit`` writes to the train log. An epoch walks every target
 mini-batch and, inside it, every source mini-batch. Training on a target
 fold carves a small stratified validation subset and early-stops on its
 macro-F1. Cross-validation trains on each fold in turn (the small portion)
@@ -32,7 +33,7 @@ from . import numcore as nc
 from .augment import AugmentStrategy, augment_batch
 from .dataio import CheckpointSpec, Event, split_folds, visible_posts
 from .embed import PackedRows, embed_event, pack
-from .evalkit import LABEL_INDEX, EarlyDetectionCurve, Metrics, compute_metrics
+from .evalkit import LABEL_INDEX, METRIC_NAMES, EarlyDetectionCurve, Metrics, compute_metrics
 from .model import (
     GraphBatch,
     ModelConfig,
@@ -139,7 +140,8 @@ def train_step(
     state: TrainState,
     cfg: TrainConfig,
 ) -> dict:
-    """Encode both batches, blend the objectives, and apply one update.
+    """Encode both batches and the target batch's augmented view, run the head on each,
+    blend the objectives, and apply one update.
 
     Returns the step's log record: the value of every loss term (``l_ce_s``,
     ``l_ce_t``, ``l_scl_s``, ``l_scl_t``, ``l_tcl_t``), of the joint losses
@@ -156,35 +158,24 @@ def train_step(
     src_labels = _labels_of(source_batch)
     tgt_labels = _labels_of(target_batch)
 
-    aug_reps = aug_probs = None
+    aug = None
     if cfg.tcl_enabled:
-        aug_reps = augment_batch(
-            cfg.augment,
-            target,
-            tgt_labels,
-            stacked_target,
-            [p.graph for p in target_batch],
-            params,
-            streams,
-        )
-        aug_probs = classify(aug_reps, params.wc, params.bc)
+        aug = augment_batch(cfg.augment, target, tgt_labels, stacked_target, params, streams)
 
-    ce_s = ce_from_probs(source.probs, src_labels)
-    if aug_probs is not None:
+    ce_s = ce_from_probs(classify(source, params.wc, params.bc), src_labels)
+    target_probs = classify(target, params.wc, params.bc)
+    if aug is not None:
         # augmented views also feed the target classification term
-        ce_t = ce_from_probs(nc.concat_rows(target.probs, aug_probs), np.concatenate([tgt_labels, tgt_labels]))
+        aug_probs = classify(aug, params.wc, params.bc)
+        ce_t = ce_from_probs(nc.concat_rows(target_probs, aug_probs), np.concatenate([tgt_labels, tgt_labels]))
     else:
-        ce_t = ce_from_probs(target.probs, tgt_labels)
+        ce_t = ce_from_probs(target_probs, tgt_labels)
 
     # terms with an exactly-zero blend weight are left out of the graph
     if cfg.alpha > 0.0:
-        scl_s = scl_source(source.reps, src_labels, cfg.tau)
-        scl_t = scl_cross(target.reps, tgt_labels, source.reps, src_labels, cfg.tau)
-        tcl_t = (
-            tcl(target.reps, aug_reps, cfg.tau, include_positive=cfg.tcl_include_positive)
-            if cfg.tcl_enabled
-            else Tensor(0.0)
-        )
+        scl_s = scl_source(source, src_labels, cfg.tau)
+        scl_t = scl_cross(target, tgt_labels, source, src_labels, cfg.tau)
+        tcl_t = tcl(target, aug, cfg.tau, include_positive=cfg.tcl_include_positive) if aug is not None else Tensor(0.0)
     else:
         scl_s = scl_t = tcl_t = Tensor(0.0)
 
@@ -364,12 +355,7 @@ def cross_validate(
         files += [f"fold{fold}.snapshot", log_name]
         fold_metrics.append(evaluate_prepared(test_fold, result.params))
 
-    mean = {
-        "accuracy": float(np.mean([m.accuracy for m in fold_metrics])),
-        "macro_f1": float(np.mean([m.macro_f1 for m in fold_metrics])),
-        "f1_rumor": float(np.mean([m.f1_rumor for m in fold_metrics])),
-        "f1_nonrumor": float(np.mean([m.f1_nonrumor for m in fold_metrics])),
-    }
+    mean = {name: float(np.mean([getattr(m, name) for m in fold_metrics])) for name in METRIC_NAMES}
     return CVResult(folds=fold_metrics, mean=mean, fold_assignment=assignment, files=files)
 
 

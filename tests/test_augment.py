@@ -12,7 +12,7 @@ from rumorgraph.augment import (
     feature_dropout,
 )
 from rumorgraph.embed import HashedProvider, embed_event, pack
-from rumorgraph.model import GraphBatch, ModelConfig, encode_batch, init_params
+from rumorgraph.model import GraphBatch, ModelConfig, classify, encode_batch, init_params
 from rumorgraph.numcore import RngStreams, Tensor
 from rumorgraph.objectives import ce_from_probs
 from rumorgraph.propagation import PropagationGraph, build_graph, dropedge
@@ -27,7 +27,7 @@ def _prepared(event, dim=6):
 
 
 def _rep(x, graph, params):
-    return encode_batch(GraphBatch.from_events([x], [graph]), params, mode="eval").reps
+    return encode_batch(GraphBatch.from_events([x], [graph]), params, mode="eval")
 
 
 def _dropedge_view(x, graph, params, rate, gen):
@@ -72,8 +72,8 @@ def test_adversarial_direction_is_ascent_for_classification_loss():
     prepared = [_prepared(event_a), _prepared(event_b)]
     labels = np.array([1, 0])
     batch = GraphBatch.from_events([x for x, _ in prepared], [g for _, g in prepared])
-    result = encode_batch(batch, params, mode="eval")
-    grads = classification_gradients(result.reps, labels, params)
+    reps = encode_batch(batch, params, mode="eval")
+    grads = classification_gradients(reps, labels, params)
 
     from tests.oracles import ce_reference
 
@@ -86,7 +86,7 @@ def test_adversarial_direction_is_ascent_for_classification_loss():
     h = 1e-5
     for i in range(2):
         direction = grads[i] / np.linalg.norm(grads[i])
-        plus, minus = result.reps.data.copy(), result.reps.data.copy()
+        plus, minus = reps.data.copy(), reps.data.copy()
         plus[i] += h * direction
         minus[i] -= h * direction
         directional = (loss_at(plus) - loss_at(minus)) / (2 * h)
@@ -98,9 +98,9 @@ def test_adversarial_leaves_no_stale_gradients():
     params = init_params(TINY, RngStreams(1))
     x, graph = _prepared(event)
     batch = GraphBatch.from_events([x], [graph])
-    result = encode_batch(batch, params, mode="eval")
-    classification_gradients(result.reps, np.array([1]), params)
-    assert result.reps.grad is None
+    reps = encode_batch(batch, params, mode="eval")
+    classification_gradients(reps, np.array([1]), params)
+    assert reps.grad is None
     assert all(t.grad is None for t in params.tensors.values())
 
 
@@ -115,21 +115,22 @@ def _two_event_result():
 def test_classification_gradients_match_a_full_backward_bitwise():
     for precision, dtype in (("f64", np.float64), ("f32", np.float32)):
         with nc.precision(precision):
-            result, labels, params = _two_event_result()
-            want = oracles.grad_wrt(ce_from_probs(result.probs, labels) * float(len(labels)), result.reps)
-            got = classification_gradients(result.reps, labels, params)
+            reps, labels, params = _two_event_result()
+            probs = classify(reps, params.wc, params.bc)
+            want = oracles.grad_wrt(ce_from_probs(probs, labels) * float(len(labels)), reps)
+            got = classification_gradients(reps, labels, params)
         assert got.dtype == want.dtype == dtype, precision
         assert got.tobytes() == want.tobytes(), precision
 
 
 def test_classification_gradients_run_no_rule_below_the_representations():
-    result, labels, params = _two_event_result()
-    below = result.reps._topo_order()
+    reps, labels, params = _two_event_result()
+    below = reps._topo_order()
     ran = []
     for node in below:
         if node._backward is not None:
             node._backward = lambda g, node=node: ran.append(node)
-    classification_gradients(result.reps, labels, params)
+    classification_gradients(reps, labels, params)
     assert len(below) > 12 and ran == []
 
 
@@ -201,11 +202,9 @@ def test_augment_batch_dimensions_and_gradient_flow():
     for kind in ("adversarial", "feature_dropout", "graph_dropedge"):
         streams = RngStreams(11)
         batch = GraphBatch.from_events(embeddings, graphs)
-        result = encode_batch(batch, params, mode="eval")
-        aug = augment_batch(
-            AugmentStrategy(kind=kind), result, labels, batch, graphs, params, streams
-        )
-        assert aug.shape == result.reps.shape
+        reps = encode_batch(batch, params, mode="eval")
+        aug = augment_batch(AugmentStrategy(kind=kind), reps, labels, batch, params, streams)
+        assert aug.shape == reps.shape
         assert np.all(np.isfinite(aug.data))
         loss = oracles.sum_all(aug * aug)
         visited = loss.backward()

@@ -2,10 +2,10 @@
 
 ``layer_norm`` (which gathers and joins each segment's claim row itself, a
 block of rows at a time) and ``adamw_step`` reuse buffers; ``keep_mask``
-draws a dropout mask a block of rows at a time; the segment sums
-behind ``layer_norm``'s claim gradient and ``segment_mean`` add the k-th row
-of every segment in one slab; ``graph_conv`` runs a whole convolution layer
-as one tape node. Each must still give the same values and gradients as the
+draws a dropout mask a block of rows at a time; the segment sums behind
+``layer_norm``'s claim gradient and ``segment_mean`` reduce each segment's
+block of rows in one call; ``graph_conv`` runs a whole convolution layer as
+one tape node. Each must still give the same values and gradients as the
 composition in ``tests.oracles`` at f64 and at f32, whatever the block size.
 """
 

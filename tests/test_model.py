@@ -13,6 +13,7 @@ from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
     SnapshotError,
+    classify,
     encode_batch,
     encode_events,
     init_params,
@@ -35,8 +36,8 @@ def _prepared(event, dim=6):
 
 def _encode_one(x, graph, params, mode="eval", streams=None):
     """Encode a single event; returns (representation, probabilities)."""
-    result = encode_batch(GraphBatch.from_events([pack(x)], [graph]), params, mode=mode, streams=streams)
-    return result.reps, result.probs
+    reps = encode_batch(GraphBatch.from_events([pack(x)], [graph]), params, mode=mode, streams=streams)
+    return reps, classify(reps, params.wc, params.bc)
 
 
 def test_param_count_matches_published_total():
@@ -121,14 +122,14 @@ def test_a_training_encode_drops_the_values_no_backward_reads():
     prepared = [_prepared(random_tree_event(gen, f"e{i}", "rumor", max_nodes=6)) for i in range(3)]
     batch = GraphBatch.from_events([pack(x) for x, _ in prepared], [g for _, g in prepared])
     params = init_params(TINY, RngStreams(7))
-    result = encode_batch(batch, params, mode="train", streams=RngStreams(9))
-    (h2_tilde,) = result.reps._parents
+    reps = encode_batch(batch, params, mode="train", streams=RngStreams(9))
+    (h2_tilde,) = reps._parents
     h2, h1 = h2_tilde._parents[:2]
     h1_tilde = h2._parents[0]
     for dropped in (h1, h1_tilde, h2, h2_tilde):
         with pytest.raises(DroppedValueError):
             dropped.data
-    oracles.sum_all(result.reps).backward()
+    oracles.sum_all(reps).backward()
     assert all(np.any(t.grad != 0.0) for t in (params.w0, params.w1, params.ln1_gain))
 
 
@@ -157,11 +158,12 @@ def test_batched_encoding_matches_per_event():
     events = [random_tree_event(gen, f"e{i}", "rumor", max_nodes=6) for i in range(4)]
     prepared = [_prepared(e) for e in events]
     batch = GraphBatch.from_events([pack(x) for x, _ in prepared], [g for _, g in prepared])
-    result = encode_batch(batch, params, mode="eval")
+    reps = encode_batch(batch, params, mode="eval")
+    batch_probs = classify(reps, params.wc, params.bc)
     for i, (x, graph) in enumerate(prepared):
         rep, probs = _encode_one(x, graph, params)
-        assert np.allclose(result.reps.data[i], rep.data[0], atol=1e-12)
-        assert np.allclose(result.probs.data[i], probs.data[0], atol=1e-12)
+        assert np.allclose(reps.data[i], rep.data[0], atol=1e-12)
+        assert np.allclose(batch_probs.data[i], probs.data[0], atol=1e-12)
 
 
 def test_encode_events_scores_whole_events_in_order_under_the_budget(monkeypatch):
@@ -222,8 +224,9 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_bytes():
     runs = []
     for walk in (nc.Tensor.backward, oracles.backward):
         params = init_params(TINY, RngStreams(4))
-        result = encode_batch(batch, params, mode="train", streams=RngStreams(5))
-        loss = oracles.sum_all(result.probs * result.probs) + oracles.sum_all(result.reps * result.reps)
+        reps = encode_batch(batch, params, mode="train", streams=RngStreams(5))
+        probs = classify(reps, params.wc, params.bc)
+        loss = oracles.sum_all(probs * probs) + oracles.sum_all(reps * reps)
         visited = walk(loss)
         runs.append((params, visited))
     (params, visited), (reference, _) = runs

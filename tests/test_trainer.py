@@ -17,6 +17,7 @@ from rumorgraph.embed import HashedProvider, embed_event, unpack
 from rumorgraph.model import (
     GraphBatch,
     ModelConfig,
+    classify,
     encode_batch,
     init_params,
     load_snapshot,
@@ -163,8 +164,8 @@ def test_alpha_zero_matches_manual_ce_only_route_bitwise():
                 tb_batch = GraphBatch.from_events([p.embedding for p in tb], [p.graph for p in tb])
                 src = encode_batch(sb_batch, manual.params, mode="train", streams=manual.streams)
                 tgt = encode_batch(tb_batch, manual.params, mode="train", streams=manual.streams)
-                ce_s = ce_from_probs(src.probs, np.array([p.label for p in sb]))
-                ce_t = ce_from_probs(tgt.probs, np.array([p.label for p in tb]))
+                ce_s = ce_from_probs(classify(src, manual.params.wc, manual.params.bc), np.array([p.label for p in sb]))
+                ce_t = ce_from_probs(classify(tgt, manual.params.wc, manual.params.bc), np.array([p.label for p in tb]))
                 total = (ce_s + ce_t) * 0.5
                 visited = total.backward()
                 grads = {
@@ -374,6 +375,27 @@ def test_desk_shaped_step_tapes_one_node_per_loss_term(monkeypatch):
     # backward let go of every rule it ran; _make gives a node parents exactly when it gives it a rule
     assert all(node._backward is None for node in tape)
     assert sum(bool(node._parents) for node in tape) <= 31
+
+
+@pytest.mark.parametrize(
+    "kind, tcl_enabled, heads",
+    [("graph_dropedge", True, 3), ("adversarial", True, 4), ("feature_dropout", True, 3), ("graph_dropedge", False, 2)],
+)
+def test_a_training_step_runs_the_classifier_head_once_per_view(monkeypatch, kind, tcl_enabled, heads):
+    # the source, the target and (with TCL) the augmented view; the adversarial
+    # view's direction runs the head once more, on a detached leaf
+    calls = []
+    head = model.classify
+
+    def counting_head(*args):
+        calls.append(args)
+        return head(*args)
+
+    for module in (model, trainer, augment):
+        monkeypatch.setattr(module, "classify", counting_head)
+    cfg = _config(augment=AugmentStrategy(kind=kind), tcl_enabled=tcl_enabled)
+    train_step(_mini_events(3, "s"), _mini_events(2, "t"), _fresh_state(cfg), cfg)
+    assert len(calls) == heads
 
 
 def _step_peak(source, target, cfg) -> int:
