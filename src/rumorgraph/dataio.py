@@ -225,8 +225,6 @@ def write_events(dataset: Dataset, path) -> None:
 
 def split_folds(events: list[Event], k: int, seed: int) -> dict[str, int]:
     """Assign every event to one of k folds, stratified by label: event_id -> fold."""
-    if k < 2:
-        raise DatasetError(f"fold count must be >= 2, got {k}")
     gen = RngStreams(seed).shuffle
     assignment: dict[str, int] = {}
     for label in LABELS:
@@ -253,10 +251,6 @@ def visible_posts(event: Event, mode: str, value: float) -> int:
     seconds after it (replies sort by timestamp); post_count keeps the first
     ``value`` posts, the claim included. Every reply sorts after its parent.
     """
-    if not value > 0:
-        raise DatasetError(f"checkpoint value must be positive, got {value}")
     if mode == "elapsed_time":
         return bisect.bisect_right(event.posts, value, lo=1, key=lambda p: p.timestamp)
-    if mode == "post_count":
-        return event.node_count if math.isinf(value) else min(int(value), event.node_count)
-    raise DatasetError(f"unknown checkpoint mode {mode!r}")
+    return event.node_count if math.isinf(value) else min(int(value), event.node_count)

@@ -192,7 +192,7 @@ def provider_from_spec(spec: str):
     """Build a provider from a config string: a file path or "hashed:<dim>"."""
     if spec.startswith("hashed:"):
         width = spec.split(":", 1)[1]
-        if not width.isdigit() or int(width) < 1:
+        if not width.isdecimal() or int(width) < 1:
             raise EmbeddingError(f"embedding spec {spec!r}: the width must be a positive integer")
         return HashedProvider(dim=int(width))
     return load_precomputed(spec)

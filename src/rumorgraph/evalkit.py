@@ -113,10 +113,8 @@ def pca_project(representations: np.ndarray) -> tuple[np.ndarray, tuple[float, f
     exports reproducible.
     """
     x = np.asarray(representations, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    if x.shape[0] < 2:
         raise DegenerateDataError(f"need at least two representation rows, got shape {x.shape}")
-    if x.shape[1] < 2:
-        raise ValueError(f"representation dimension must be >= 2, got {x.shape[1]}")
     centered = x - x.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (x.shape[0] - 1)
     total = float(np.trace(cov))

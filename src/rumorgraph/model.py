@@ -203,10 +203,6 @@ def encode_batch(
     cfg = params.config
     if batch.features.shape[1] != cfg.d_in:
         raise nc.ShapeError(f"feature width {batch.features.shape[1]} does not match d_in {cfg.d_in}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and cfg.dropout > 0.0 and streams is None:
-        raise ValueError("train mode with dropout requires RNG streams")
 
     x = Tensor(batch.features)
     eps = cfg.layer_norm_eps

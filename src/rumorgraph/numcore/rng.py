@@ -30,8 +30,6 @@ class RngStreams:
     """A master seed fanned out into the fixed set of named substreams."""
 
     def __init__(self, master_seed: int):
-        if master_seed < 0:
-            raise ValueError(f"master seed must be non-negative, got {master_seed}")
         self.master_seed = int(master_seed)
         self._generators: dict[str, np.random.Generator] = {}
         for name in STREAM_NAMES:

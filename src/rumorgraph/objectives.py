@@ -63,12 +63,6 @@ def _constant(value) -> np.ndarray:
 # -- similarity ----------------------------------------------------------------
 
 
-def _scale_of(tau: float) -> np.ndarray:
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    return _constant(1.0 / tau)
-
-
 class _UnitRows(NamedTuple):
     """A tensor, its rows over their Euclidean norms, and the norms as a column."""
 
@@ -172,7 +166,7 @@ def scl_source(reps: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     if n < 2:
         log.warning("source contrastive term skipped: batch of size %d", n)
         return Tensor(0.0)
-    scale = _scale_of(tau)
+    scale = _constant(1.0 / tau)
     off_diag = 1.0 - np.eye(n)
     positives = (labels[:, None] == labels[None, :]).astype(np.float64) * off_diag
     unit = _unit_rows(reps)
@@ -193,7 +187,7 @@ def scl_cross(
     The denominator ranges over every source event in the batch; target
     anchors whose label is absent from the source batch contribute zero.
     """
-    scale = _scale_of(tau)
+    scale = _constant(1.0 / tau)
     matches = (target_labels[:, None] == source_labels[None, :]).astype(np.float64)
     target, source = _unit_rows(target_reps), _unit_rows(source_reps)
     value, grad_s = _supervised((target.rows @ source.rows.T) * scale, matches, None)
@@ -215,7 +209,7 @@ def tcl(reps: Tensor, aug_reps: Tensor, tau: float, include_positive: bool = Fal
     if n < 2:
         log.warning("target-instance contrastive term skipped: batch of size %d", n)
         return Tensor(0.0)
-    scale = _scale_of(tau)
+    scale = _constant(1.0 / tau)
     eye = np.eye(n)
     eye, off_diag = _constant(eye), _constant(1.0 - eye)
     minus_one, mean = _constant(-1.0), _constant(-1.0 / n)
@@ -255,8 +249,6 @@ def joint(
 
     Only the average is taped; the per-domain losses are plain values.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     terms = ce_s, scl_s, ce_t, scl_t, tcl_t = tuple(as_tensor(t) for t in (ce_s, scl_s, ce_t, scl_t, tcl_t))
     keep, weight, half = _constant(1.0 - alpha), _constant(alpha), _constant(0.5)
     loss_s = ce_s.data * keep + scl_s.data * weight

@@ -3,8 +3,8 @@
 Reply relations become undirected edges so opinion signals flow both ways.
 A graph holds only its node count and its edges; the symmetric normalized
 operator A_hat = D^{-1/2} (A + I) D^{-1/2} that the graph convolution mixes
-through is built per batch from the edges, as neighbor lists
-(``model.GraphBatch.from_events``).
+through is built per batch from the edges, as neighbor lists, by
+``model.mixing_operator`` when a ``model.GraphBatch`` is built.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def dropedge(graph: PropagationGraph, rate: float, gen: np.random.Generator) -> 
     Self-loops are added by the operator, never dropped, so every degree
     stays >= 1 and the normalization remains well defined.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"dropedge rate must lie in [0, 1], got {rate}")
     if rate == 0.0 or not graph.edges:
         return graph
     draws = gen.random(len(graph.edges))

@@ -14,6 +14,7 @@ transfer; the reply-pattern channel is the domain-invariant evidence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .dataio import Dataset, Event, Post
@@ -22,6 +23,9 @@ from .runconfig import dataclass_from_json
 
 INDICATIVE_POOL = 32  # class-indicative cue tokens per class and domain
 STANCE_POOL = 12  # denial/support tokens per polarity, shared across domains
+# the largest integer bound and Poisson mean (its POISSON_LAM_MAX) numpy's Generator draws from
+INT64_MAX = 2**63 - 1
+POISSON_MEAN_MAX = INT64_MAX - math.sqrt(INT64_MAX) * 10
 
 
 class SynthSpecError(ValueError):
@@ -45,10 +49,10 @@ class SynthSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SynthSpecError(f"{name} must lie in [0, 1], got {value}")
-        if self.vocab_size < 1:
-            raise SynthSpecError("vocab_size must be >= 1")
-        if self.mean_replies < 1:
-            raise SynthSpecError("mean_replies must be >= 1")
+        if not 1 <= self.vocab_size <= INT64_MAX:
+            raise SynthSpecError(f"vocab_size must lie in [1, {INT64_MAX}], got {self.vocab_size}")
+        if not 1 <= self.mean_replies <= POISSON_MEAN_MAX:
+            raise SynthSpecError(f"mean_replies must lie in [1, {POISSON_MEAN_MAX!r}], got {self.mean_replies!r}")
         if self.seed < 0:
             raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         for name in ("source_events", "target_events"):

@@ -147,8 +147,6 @@ def train_step(
     ``l_ce_t``, ``l_scl_s``, ``l_scl_t``, ``l_tcl_t``), of the joint losses
     (``l_s``, ``l_t``, ``l``) and the ``alpha`` and ``tau`` they used.
     """
-    if not source_batch or not target_batch:
-        raise ValueError("both batches must be non-empty")
     params = state.params
     streams = state.streams
 

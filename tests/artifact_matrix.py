@@ -6,10 +6,11 @@ Two checkouts write the same bytes exactly when their trees compare equal::
     PYTHONPATH=<checkout B>/src python tests/artifact_matrix.py out_b
     diff -r out_a out_b
 
-Each command runs as ``python -m rumorgraph.cli`` in its own process, using
-the ``rumorgraph`` package this interpreter imports. Commands run inside the
-output directory with relative paths, so manifests and config hashes do not
-depend on where the tree lives. The matrix:
+Every command runs in this process, as ``rumorgraph.cli.main(argv)`` of the
+``rumorgraph`` package this interpreter imports. Each runs inside the output
+directory with relative paths, so manifests and config hashes do not depend on
+where the tree lives; the working directory is restored after each command.
+The matrix:
 
 - ``synth`` of a small two-domain corpus;
 - ``train`` in cv mode (3 folds) and in single mode, for each ``augment``
@@ -24,26 +25,31 @@ depend on where the tree lives. The matrix:
   (150 events, about 3k nodes), which the scorers encode in several chunks.
 
 Before any command runs, it writes ``blas_fingerprint.txt``: the SHA-256 of
-f64 and f32 products of four fixed matrix pairs, computed by a child
-``python -c`` with the commands' environment. Artifacts are byte-identical
-only under the same BLAS kernel, so when two trees differ, compare this file
-first. On an AVX-512 Xeon with OpenBLAS 0.3.31, the fingerprint of the default
-kernel (SkylakeX) differs from that under ``OPENBLAS_CORETYPE=SandyBridge``.
-Under ``Haswell`` and ``Prescott`` it also differs between
-``OPENBLAS_NUM_THREADS`` 1 and 2, so there the thread count is part of the kernel.
+f64 and f32 products of four fixed matrix pairs, computed with the numpy the
+commands use. Artifacts are byte-identical only under the same BLAS kernel,
+so when two trees differ, compare this file first. OpenBLAS picks its kernel
+when numpy loads, so select one by running the whole tool under it, as in
+``OPENBLAS_CORETYPE=SandyBridge python tests/artifact_matrix.py out``. On an
+AVX-512 Xeon with OpenBLAS 0.3.31, the fingerprint of the default kernel
+(SkylakeX) differs from that under SandyBridge. Under ``Haswell`` and
+``Prescott`` it also differs between ``OPENBLAS_NUM_THREADS`` 1 and 2, so
+there the thread count is part of the kernel.
 
-pytest does not collect this file. It needs only the standard library.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
+
+import numpy as np
+
+from rumorgraph.cli import main as cli_main
 
 SYNTH = {"source_events": 24, "target_events": 30, "mean_replies": 6.0, "seed": 7}
 MODEL = {"d_in": 16, "d_hidden": 12, "d_out": 8}
@@ -67,18 +73,18 @@ EVENTS = ["--events", "data/target_events.jsonl", "--embeddings", "hashed:16"]
 # about 3k nodes at 768 + 64 columns: several evaluation chunks at the default budget
 WIDE_SYNTH = {"source_events": 4, "target_events": 150, "mean_replies": 20.0, "seed": 8}
 WIDE_MODEL = {"d_in": 768, "d_hidden": 64, "d_out": 64}
-# the inputs come from correctly rounded arithmetic alone, so only the products can differ
-FINGERPRINT = """
-import hashlib
-import numpy as np
-digest = hashlib.sha256()
-for dtype in (np.float64, np.float32):
-    for m, k, n in ((16, 16, 12), (199, 28, 8), (300, 768, 512), (1585, 640, 128)):
-        a = (np.arange(m * k) * 0.6180339887498949 % 1.0 - 0.5).reshape(m, k).astype(dtype)
-        b = (np.arange(k * n) * 0.7548776662466927 % 1.0 - 0.5).reshape(k, n).astype(dtype)
-        digest.update((a @ b).tobytes())
-print(digest.hexdigest())
-"""
+
+
+def blas_fingerprint() -> str:
+    """SHA-256 of f64 and f32 products of four fixed matrix pairs, one line."""
+    # the inputs come from correctly rounded arithmetic alone, so only the products can differ
+    digest = hashlib.sha256()
+    for dtype in (np.float64, np.float32):
+        for m, k, n in ((16, 16, 12), (199, 28, 8), (300, 768, 512), (1585, 640, 128)):
+            a = (np.arange(m * k) * 0.6180339887498949 % 1.0 - 0.5).reshape(m, k).astype(dtype)
+            b = (np.arange(k * n) * 0.7548776662466927 % 1.0 - 0.5).reshape(k, n).astype(dtype)
+            digest.update((a @ b).tobytes())
+    return digest.hexdigest() + "\n"
 
 
 def _run_config(mode: str, augment: str, variant: str, precision: str) -> dict:
@@ -109,15 +115,17 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "configs").mkdir(exist_ok=True)
 
-    import rumorgraph  # the package the commands below must run
-
-    env = {**os.environ, "PYTHONPATH": str(Path(rumorgraph.__file__).resolve().parents[1])}
-
     def cli(*argv: str) -> None:
-        subprocess.run([sys.executable, "-m", "rumorgraph.cli", *argv], cwd=out, env=env, check=True)
+        cwd = os.getcwd()
+        os.chdir(out)
+        try:
+            code = cli_main(list(argv))
+        finally:
+            os.chdir(cwd)
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)}: exit {code}")
 
-    fingerprint = subprocess.run([sys.executable, "-c", FINGERPRINT], env=env, check=True, capture_output=True, text=True)
-    (out / "blas_fingerprint.txt").write_text(fingerprint.stdout)
+    (out / "blas_fingerprint.txt").write_text(blas_fingerprint())
     (out / "spec.json").write_text(json.dumps(SYNTH, sort_keys=True) + "\n")
     cli("synth", "--spec", "spec.json", "--out", "data")
 

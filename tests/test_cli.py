@@ -243,6 +243,10 @@ DELETE = object()
         ("training/tau", math.nan),
         ("training/learning_rate", math.inf),
         ("augment/epsilon", -math.inf),
+        ("training/alpha", 1.5),
+        ("training/tau", 0.0),
+        ("augment/dropedge_rate", 1.5),
+        ("augment/feature_dropout_rate", -0.1),
     ],
     ids=lambda v: "delete" if v is DELETE else repr(v),
 )
@@ -765,6 +769,9 @@ DEEP = b"[" * 100_000 + b"\n"
     "build, code, message",
     [
         (_train_argv("hashed:abc"), 1, "width must be a positive integer"),
+        # a superscript two is a digit to str.isdigit but not to int
+        (_train_argv("hashed:\u00b2"), 1, "width must be a positive integer"),
+        (_inference_argv("earlydetect", "--embeddings", "hashed:\u00b2"), 1, "width must be a positive integer"),
         (_train_argv("hashed:16"), 1, WIDTH_MISMATCH),
         (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
         (_inference_argv("export-features", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
@@ -799,6 +806,9 @@ DEEP = b"[" * 100_000 + b"\n"
         (_synth_argv({"source_events": 20.5}), 2, "field source_events: expected an integer"),
         (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
         (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
+        # beyond what numpy's generator can draw
+        (_synth_argv({"vocab_size": 10**20}), 2, "vocab_size must lie in"),
+        (_synth_argv({"mean_replies": 1e19}), 2, "mean_replies must lie in"),
         (_section_argv("protocol", folds=7), 1, "cannot stratify"),
         # one hidden and one output unit: a pooled representation comes out all zeros
         (_section_argv("model", d_hidden=1, d_out=1), 3, "similarity of a zero vector"),
@@ -825,6 +835,8 @@ DEEP = b"[" * 100_000 + b"\n"
     ],
     ids=[
         "train-malformed-hashed-spec",
+        "train-superscript-hashed-width",
+        "earlydetect-superscript-hashed-width",
         "train-embedding-width",
         "earlydetect-embedding-width",
         "export-embedding-width",
@@ -857,6 +869,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "synth-float-event-count",
         "synth-float-vocab-size",
         "synth-boolean-mean-replies",
+        "synth-vocab-size-beyond-int64",
+        "synth-mean-replies-beyond-poisson",
         "train-folds-exceed-smallest-class",
         "train-zero-representation",
         "train-one-class",

@@ -204,9 +204,3 @@ def test_dropedge_invariants(seed, rate):
     assert np.array_equal(a_hat, a_hat.T)
     assert np.all(np.diag(a_hat) > 0.0)
     assert np.allclose(a_hat, normalized_reference(dense_adjacency(got)), atol=1e-12)
-
-
-def test_dropedge_rejects_bad_rate():
-    graph = build_graph(make_event("e", "rumor", [0]))
-    with pytest.raises(ValueError):
-        dropedge(graph, 1.5, RngStreams(0).dropedge)

@@ -433,6 +433,15 @@ def test_train_step_memory_peak_stays_lean():
     assert _step_peak(source, target, cfg) < 2_800_000
 
 
+def _desk_step_peak(mean_replies: float) -> tuple[int, int]:
+    """The peak of one warm 32 + 32-event step at the desk widths 16/16/8 (``_step_peak``), and its node count."""
+    source_ds, target_ds = generate(SynthSpec(source_events=32, target_events=32, mean_replies=mean_replies, seed=5))
+    provider = HashedProvider(dim=16)
+    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
+    cfg = _config(model=ModelConfig(d_in=16, d_hidden=16, d_out=8), source_batch_size=32, target_batch_size=32)
+    return _step_peak(source, target, cfg), sum(p.graph.n for p in source + target)
+
+
 @pytest.mark.parametrize("mean_replies, nodes", [(6.0, 461), (200.0, 12_958)])
 def test_train_step_peak_per_node_follows_the_buffer_inventory(mean_replies, nodes):
     # 32 + 32 events at the desk widths 16/16/8, f64, with a DropEdge view, so
@@ -448,13 +457,19 @@ def test_train_step_peak_per_node_follows_the_buffer_inventory(mean_replies, nod
     # bound leaves 10% over that sum; the peak read 1,705 and 944 B per node
     # here, 2,132 and 1,438 with whole normalized rows on the tape, and 3,168
     # and 2,463 with every value kept.
-    source_ds, target_ds = generate(SynthSpec(source_events=32, target_events=32, mean_replies=mean_replies, seed=5))
-    provider = HashedProvider(dim=16)
-    source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
-    assert sum(p.graph.n for p in source + target) == nodes
-    cfg = _config(model=ModelConfig(d_in=16, d_hidden=16, d_out=8), source_batch_size=32, target_batch_size=32)
+    peak, counted = _desk_step_peak(mean_replies)
+    assert counted == nodes
     per_node = 1.5 * (16 + 8 + 32 + 8 * (16 + 8) + 2 * 2 * 8) + 8 * 16 + 60 + 0.5 * 4 * 8 * 32
-    assert _step_peak(source, target, cfg) / nodes < 1.1 * (per_node + 340_000 / nodes)
+    assert peak / nodes < 1.1 * (per_node + 340_000 / nodes)
+
+
+def test_train_step_peak_per_node_does_not_grow_with_the_trees():
+    # memory linear in nodes: no buffer of a step may grow faster than the
+    # nodes do, as a dense (sum n)^2 operator would. The peak read 1,203 B per
+    # node over 3,208 nodes at mean_replies 50 and 922 B over 50,973 at 800.
+    (peak_small, nodes_small), (peak_large, nodes_large) = _desk_step_peak(50.0), _desk_step_peak(800.0)
+    assert nodes_large > 10 * nodes_small
+    assert peak_large / nodes_large <= peak_small / nodes_small
 
 
 def test_one_fit_learns_to_classify_held_out_target_events(tmp_path):
