@@ -6,6 +6,17 @@ Two checkouts write the same bytes exactly when their trees compare equal::
     PYTHONPATH=<checkout B>/src python tests/artifact_matrix.py out_b
     diff -r out_a out_b
 
+With ``--digests FILE`` it also writes one ``<sha256>  <path>`` line per file
+of the tree, sorted by path, which ``sha256sum -c FILE`` checks from inside the
+tree. ``tests/artifact_digests/<fingerprint>.sha256`` holds that list for each
+BLAS fingerprint it was made under, and ``tests/test_artifact_digests.py``
+compares a fresh tree with the list for the host's fingerprint. A change that
+moves artifacts on purpose writes each list again, under the kernel it
+belongs to, and says which files moved and why::
+
+    PYTHONPATH=src python tests/artifact_matrix.py out --digests digests.sha256
+    mv digests.sha256 tests/artifact_digests/$(cat out/blas_fingerprint.txt).sha256
+
 Every command runs in this process, as ``rumorgraph.cli.main(argv)`` of the
 ``rumorgraph`` package this interpreter imports. Each runs inside the output
 directory with relative paths, so manifests and config hashes do not depend on
@@ -20,6 +31,11 @@ The matrix:
   each precision (f64, f32): 80 runs;
 - ``earlydetect`` in count and in time mode, and ``export-features``, on the
   single-mode f64 snapshot without an ``augment`` section;
+- precomputed embeddings, the input of real runs: an embedding file with one
+  dense 16-wide vector per post of the small corpus, every entry nonzero and
+  taken from a fixed formula, then a single-mode f64 ``train`` that reads it
+  as both source and target embeddings, and ``earlydetect`` in count mode and
+  ``export-features`` with ``--embeddings`` pointing at it;
 - a single-mode ``train`` of a wide model (``d_in`` 768), then ``earlydetect``
   in count mode and ``export-features`` over a second, larger event file
   (150 events, about 3k nodes), which the scorers encode in several chunks.
@@ -50,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from rumorgraph.cli import main as cli_main
+from rumorgraph.dataio import parse_events
 
 SYNTH = {"source_events": 24, "target_events": 30, "mean_replies": 6.0, "seed": 7}
 MODEL = {"d_in": 16, "d_hidden": 12, "d_out": 8}
@@ -108,10 +125,20 @@ def _run_config(mode: str, augment: str, variant: str, precision: str) -> dict:
     return record
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="directory to write into; created if missing")
-    out = Path(parser.parse_args().out)
+def _write_embeddings(out: Path, events: list[str], path: str) -> None:
+    """One dense 16-wide vector per post of ``events``: entry j of the k-th post is
+    ``(-1) ** j * (0.25 + frac(0.618... * (16 k + j + 1)))``, nonzero and exact in JSON."""
+    posts = [post.post_id for name in events for e in parse_events(out / name).events for post in e.posts]
+    width = MODEL["d_in"]
+    lines = [json.dumps({"dim": width, "count": len(posts)})]
+    for k, post_id in enumerate(posts):
+        vector = [(-1) ** j * (0.25 + (width * k + j + 1) * 0.6180339887498949 % 1.0) for j in range(width)]
+        lines.append(json.dumps({"post_id": post_id, "vector": vector}))
+    (out / path).write_text("\n".join(lines) + "\n")
+
+
+def write_matrix(out: Path) -> None:
+    """Run every command of the matrix, writing its artifacts under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "configs").mkdir(exist_ok=True)
 
@@ -142,6 +169,16 @@ def main() -> None:
     cli("earlydetect", *snapshot, *EVENTS, "--checkpoints", "60,300,900,inf", "--mode", "time", "--out", "detect-time")
     cli("export-features", *snapshot, *EVENTS, "--out", "features")
 
+    vectors = "data/embeddings.jsonl"
+    _write_embeddings(out, ["data/source_events.jsonl", "data/target_events.jsonl"], vectors)
+    record = _run_config("single", "none", "alpha0.5", "f64")
+    record["paths"].update(source_embeddings=vectors, target_embeddings=vectors, output_dir="runs/precomputed")
+    train(record)
+    precomputed = ["--snapshot", "runs/precomputed/model.snapshot",
+                   "--events", "data/target_events.jsonl", "--embeddings", vectors]
+    cli("earlydetect", *precomputed, "--checkpoints", "1,2,4,inf", "--mode", "count", "--out", "detect-precomputed")
+    cli("export-features", *precomputed, "--out", "features-precomputed")
+
     (out / "wide_spec.json").write_text(json.dumps(WIDE_SYNTH, sort_keys=True) + "\n")
     cli("synth", "--spec", "wide_spec.json", "--out", "data-wide")
     record = _run_config("single", "none", "alpha0.5", "f64")
@@ -152,6 +189,23 @@ def main() -> None:
             "--events", "data-wide/target_events.jsonl", "--embeddings", "hashed:768"]
     cli("earlydetect", *wide, "--checkpoints", "1,4,16,inf", "--mode", "count", "--out", "detect-wide")
     cli("export-features", *wide, "--out", "features-wide")
+
+
+def digest_lines(out: Path) -> str:
+    """``<sha256>  <path>`` per file under ``out``, sorted by its path relative to ``out``: ``sha256sum -c`` input."""
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    return "".join(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}\n" for name in files)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="directory to write into; created if missing")
+    parser.add_argument("--digests", help="also write the sha256sum list of the tree to this file")
+    args = parser.parse_args()
+    out = Path(args.out)
+    write_matrix(out)
+    if args.digests:
+        Path(args.digests).write_text(digest_lines(out))
 
 
 if __name__ == "__main__":
