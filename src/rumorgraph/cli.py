@@ -5,6 +5,10 @@ Subcommands: validate (check an event file and print its statistics), train
 (metrics at content checkpoints), export-features (2-D projection of learned
 representations), and synth (generate the two-domain synthetic benchmark).
 
+The scorers, earlydetect and export-features, require ``--embeddings``: the
+provider the model was trained with, a file path or ``hashed:<dim>``. Nothing
+picks one for them.
+
 Commands that produce artifacts write them under ``--out`` and write
 ``manifest.json`` last, listing the files and a hash of the effective config;
 an ``--out`` without a manifest holds an unfinished run.
@@ -13,7 +17,7 @@ The same seed and config give byte-identical artifacts only on the same
 numpy build and the same BLAS kernel. Kernels round some products
 differently: on an AVX-512 Xeon, whose own OpenBLAS kernel is SkylakeX,
 selecting the SandyBridge kernel with ``OPENBLAS_CORETYPE=SandyBridge``
-changes 333 of the 586 files that ``tests/artifact_matrix.py`` writes. That
+changes 337 of the 597 files that ``tests/artifact_matrix.py`` writes. That
 tool first writes ``blas_fingerprint.txt``, a digest of fixed matrix products
 that tells such kernels apart.
 
@@ -30,11 +34,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .dataio import CheckpointSpec, DatasetError, parse_events, write_events
-from .embed import EmbeddingError, HashedProvider, provider_from_spec
+from .embed import EmbeddingError, provider_from_spec
 from .evalkit import (
     DegenerateDataError,
     pca_project,
@@ -83,7 +87,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = load_run_config(args.config, seed=args.seed, precision=args.precision)
+    run = load_run_config(args.config)
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
     source_ds = parse_events(run.source_events)
     target_ds = parse_events(run.target_events)
@@ -126,21 +130,15 @@ def _checked_width(provider, cfg, role: str):
     return provider
 
 
-def _provider_for(args, cfg):
-    if args.embeddings:
-        return _checked_width(provider_from_spec(args.embeddings), cfg, "event")
-    return HashedProvider(dim=cfg.d_in)
-
-
 def cmd_earlydetect(args) -> int:
     params, _seed = load_snapshot(args.snapshot)
     events = parse_events(args.events).events
-    provider = _provider_for(args, params.config)
+    provider = _checked_width(provider_from_spec(args.embeddings), params.config, "event")
     spec = _parse_checkpoints(args.checkpoints, args.mode)
-    curve = early_detection(prepare_events(events, provider), params, spec)
+    metrics = early_detection(prepare_events(events, provider), params, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(curve, out_dir / "early_detection.csv")
+    write_curve_csv(spec.values, metrics, out_dir / "early_detection.csv")
     _write_manifest(
         out_dir,
         ["early_detection.csv"],
@@ -156,7 +154,7 @@ def cmd_earlydetect(args) -> int:
 def cmd_export_features(args) -> int:
     params, _seed = load_snapshot(args.snapshot)
     events = parse_events(args.events).events
-    provider = _provider_for(args, params.config)
+    provider = _checked_width(provider_from_spec(args.embeddings), params.config, "event")
     _preds, reps = predict_events(events, params, provider)
     coords, explained = pca_project(reps)
     out_dir = Path(args.out)
@@ -176,8 +174,6 @@ def cmd_export_features(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec.from_file(args.spec)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     out_dir = Path(args.out)
     source, target = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumorgraph",
         description="Contrastive transfer training over rumor propagation graphs",
-        epilog="exit codes: 0 ok, 1 input or IO error, 2 config or spec error, "
-        "3 training failed, 4 degenerate projection",
+        epilog="earlydetect and export-features require --embeddings, the embeddings the model was trained on; "
+        "exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training failed, 4 degenerate projection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run joint training per a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--precision", choices=["f32", "f64"], default=None)
     p.set_defaults(
         func=cmd_train,
         errors=[
@@ -227,21 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--checkpoints", required=True, help="comma-separated values; 'inf' allowed")
     p.add_argument("--mode", choices=["time", "count"], required=True)
-    p.add_argument("--embeddings", default=None, help="path or hashed:<dim>")
+    p.add_argument("--embeddings", required=True, help="path or hashed:<dim>")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_earlydetect, errors=[((OSError, ValueError), 1)])
 
     p = sub.add_parser("export-features", help="export a 2-D projection of representations")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--embeddings", default=None)
+    p.add_argument("--embeddings", required=True, help="path or hashed:<dim>")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features, errors=[((DegenerateDataError,), 4), ((OSError, ValueError), 1)])
 
     p = sub.add_parser("synth", help="generate the synthetic two-domain benchmark")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(func=cmd_synth, errors=[((SynthSpecError,), 2), ((OSError,), 1)])
 
     return parser

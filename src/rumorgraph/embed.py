@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Event, Post
-from .numcore import ShapeError, fnv1a64
+from .numcore import INT64_MAX, ShapeError, fnv1a64
 
 class EmbeddingError(ValueError):
     """Embedding file malformed or a post could not be resolved."""
@@ -192,8 +192,9 @@ def provider_from_spec(spec: str):
     """Build a provider from a config string: a file path or "hashed:<dim>"."""
     if spec.startswith("hashed:"):
         width = spec.split(":", 1)[1]
-        if not width.isdecimal() or int(width) < 1:
-            raise EmbeddingError(f"embedding spec {spec!r}: the width must be a positive integer")
+        # a width longer than INT64_MAX's digits is out of bounds, so it is never converted
+        if not width.isdecimal() or len(width) > len(str(INT64_MAX)) or not 1 <= int(width) <= INT64_MAX:
+            raise EmbeddingError(f"embedding spec {spec!r}: the width must be a positive integer up to {INT64_MAX}")
         return HashedProvider(dim=int(width))
     return load_precomputed(spec)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import LABELS, CheckpointSpec, Event
+from .dataio import LABELS, Event
 from .embed import embed_event, pack
 from .model import ModelParams, encode_events
 from .propagation import build_graph
@@ -84,18 +84,12 @@ def predict_events(events: list[Event], params: ModelParams, provider) -> tuple[
     return [int(i) for i in np.argmax(probs, axis=1)], reps
 
 
-@dataclass
-class EarlyDetectionCurve:
-    spec: CheckpointSpec
-    metrics: list[Metrics]  # one per checkpoint, in spec order
-
-
-def write_curve_csv(curve: EarlyDetectionCurve, path) -> None:
+def write_curve_csv(values: tuple[float, ...], metrics: list[Metrics], path) -> None:
     """A header, then one row per checkpoint: its value (``%g``, or ``inf``) and the ``repr`` of each metric."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["checkpoint", *METRIC_NAMES])
-        for value, m in zip(curve.spec.values, curve.metrics):
+        for value, m in zip(values, metrics):
             label = "inf" if math.isinf(value) else f"{value:g}"
             writer.writerow([label, *(repr(getattr(m, name)) for name in METRIC_NAMES)])
 

@@ -82,8 +82,8 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int:  # a float size cannot slice a snapshot; bool is an int subclass
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not 1 <= value <= nc.INT64_MAX:  # numpy's largest array dimension
+                raise ValueError(f"{name} must lie in [1, {nc.INT64_MAX}], got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0 < self.layer_norm_eps < math.inf:
@@ -188,8 +188,7 @@ def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:
     loops = np.arange(total)
     rows = np.concatenate([loops, pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([loops, pairs[:, 1], pairs[:, 0]])
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=total))
-    return nc.NeighborOperator(inv_sqrt, rows, cols)
+    return nc.NeighborOperator(total, rows, cols)
 
 
 def encode_batch(

@@ -73,6 +73,8 @@ _DTYPE = np.float64
 _GRAD_ENABLED = True
 # rows of one layer_norm or keep_mask block: a block and its scratch stay in a core's L2 cache
 _BLOCK_BYTES = 256 * 1024
+# the largest integer numpy takes as an array dimension or a Generator bound
+INT64_MAX = 2**63 - 1
 
 _PRECISION_NAMES = {"f32": np.float32, "f64": np.float64}
 
@@ -297,25 +299,25 @@ def matmul(a, b) -> Tensor:
 
 
 class NeighborOperator:
-    """The symmetric matrix diag(s) A diag(s), with A a 0/1 matrix kept as neighbor lists.
+    """The normalized adjacency D^{-1/2} A D^{-1/2} of its entries, A a 0/1 matrix kept as neighbor lists.
 
-    ``rows`` and ``cols`` index A's nonzero entries and must list both
-    (i, j) and (j, i) for every off-diagonal pair. Rows are grouped by
-    their entry count, and each group stores its rows and a
-    (count, rows) array of their neighbor columns in ascending order, so a
-    product costs one gather-and-sum per distinct count and memory linear
-    in the entries. Summing the gathered (count, rows, width) block over
-    its leading axis adds whole contiguous slabs, which keeps the fixed
-    cost of each group's sum low on small batches.
+    ``rows`` and ``cols`` index A's nonzero entries among ``n`` nodes, both
+    (i, j) and (j, i) for every off-diagonal pair, and every node needs one
+    (the model gives each a self-loop): ``scale`` is D^{-1/2} of the row
+    counts. Rows are grouped by their entry count, and each group stores its
+    rows and a (count, rows) array of their neighbor columns in ascending
+    order, so a product costs one gather-and-sum per distinct count and
+    memory linear in the entries. Summing the gathered (count, rows, width)
+    block over its leading axis adds whole slabs, keeping each group's fixed cost low.
     """
 
     __slots__ = ("scale", "groups")
 
-    def __init__(self, scale: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        counts = np.bincount(rows, minlength=len(scale))
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
+        counts = np.bincount(rows, minlength=n)
         starts = np.cumsum(counts) - counts
         neighbors = cols[np.lexsort((cols, rows))]
-        self.scale = scale
+        self.scale = 1.0 / np.sqrt(counts)
         self.groups = []
         for count in np.unique(counts):
             members = np.flatnonzero(counts == count)

@@ -113,8 +113,8 @@ def parse_run_config(record: dict) -> RunConfig:
     return RunConfig(record, train, **{key: paths[key] for key in _PATH_KEYS}, protocol_mode=mode, folds=folds)
 
 
-def load_run_config(path, **overrides) -> RunConfig:
-    """Parse a config file after setting each top-level key in ``overrides`` that is not None."""
+def load_run_config(path) -> RunConfig:
+    """Read and parse a config file."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
@@ -124,7 +124,6 @@ def load_run_config(path, **overrides) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: configuration must be a JSON object")
-    record.update({key: value for key, value in overrides.items() if value is not None})
     return parse_run_config(record)
 
 

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 from .dataio import Dataset, Event, Post
-from .numcore import RngStreams
+from .numcore import INT64_MAX, RngStreams
 from .runconfig import dataclass_from_json
 
 INDICATIVE_POOL = 32  # class-indicative cue tokens per class and domain
 STANCE_POOL = 12  # denial/support tokens per polarity, shared across domains
-# the largest integer bound and Poisson mean (its POISSON_LAM_MAX) numpy's Generator draws from
-INT64_MAX = 2**63 - 1
+# the largest Poisson mean (its POISSON_LAM_MAX) numpy's Generator draws from
 POISSON_MEAN_MAX = INT64_MAX - math.sqrt(INT64_MAX) * 10
 
 
@@ -62,10 +61,6 @@ class SynthSpec:
                 raise SynthSpecError(f"{name}: each class needs >= 2 events")
 
     @classmethod
-    def from_dict(cls, record: dict) -> "SynthSpec":
-        return dataclass_from_json(cls, record, SynthSpecError)
-
-    @classmethod
     def from_file(cls, path) -> "SynthSpec":
         try:
             with open(path, encoding="utf-8") as fh:
@@ -74,7 +69,7 @@ class SynthSpec:
             raise SynthSpecError(str(err)) from err
         except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
             raise SynthSpecError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
-        return cls.from_dict(record)
+        return dataclass_from_json(cls, record, SynthSpecError)
 
 
 def _pool(role: str, base: str, size: int, shift: float) -> list[str]:

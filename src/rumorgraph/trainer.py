@@ -33,7 +33,7 @@ from . import numcore as nc
 from .augment import AugmentStrategy, augment_batch
 from .dataio import CheckpointSpec, Event, split_folds, visible_posts
 from .embed import PackedRows, embed_event, pack
-from .evalkit import LABEL_INDEX, METRIC_NAMES, EarlyDetectionCurve, Metrics, compute_metrics
+from .evalkit import LABEL_INDEX, METRIC_NAMES, Metrics, compute_metrics
 from .model import (
     GraphBatch,
     ModelConfig,
@@ -253,7 +253,6 @@ class FitResult:
     params: ModelParams
     history: list[dict]
     best_score: float
-    monitor: str
 
 
 def fit(
@@ -313,7 +312,7 @@ def fit(
                         break
 
         best = ModelParams.from_values(cfg.model, best_values)
-        return FitResult(params=best, history=history, best_score=best_score, monitor=monitor)
+        return FitResult(params=best, history=history, best_score=best_score)
 
 
 # -- cross-validation -------------------------------------------------------------------
@@ -357,11 +356,10 @@ def cross_validate(
     return CVResult(folds=fold_metrics, mean=mean, fold_assignment=assignment, files=files)
 
 
-def early_detection(prepared: list[PreparedEvent], params: ModelParams, spec: CheckpointSpec) -> EarlyDetectionCurve:
-    """Score prepared events with only the posts visible at each checkpoint: a
+def early_detection(prepared: list[PreparedEvent], params: ModelParams, spec: CheckpointSpec) -> list[Metrics]:
+    """Metrics per checkpoint, in ``spec`` order, of prepared events with only the posts visible there: a
     prefix of each event's rows and edges, so no post is embedded again; at the parameters' element type."""
-    metrics = [
+    return [
         evaluate_prepared([p.prefix(visible_posts(p.event, spec.mode, value)) for p in prepared], params)
         for value in spec.values
     ]
-    return EarlyDetectionCurve(spec=spec, metrics=metrics)

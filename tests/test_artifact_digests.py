@@ -26,5 +26,7 @@ def test_artifacts_match_the_digest_list_of_this_blas_kernel(tmp_path):
         pytest.skip(f"no digest list for BLAS fingerprint {fingerprint} in {DIGESTS}")
     write_matrix(tmp_path)
     want, got = _by_path(listed.read_text()), _by_path(digest_lines(tmp_path))
-    assert sorted(set(want) ^ set(got)) == [], "files missing from, or not in, the list"
-    assert sorted(path for path in want if want[path] != got[path]) == [], "files whose bytes moved"
+    unlisted = sorted(set(want) ^ set(got))
+    assert not unlisted, f"files written but not listed, or listed but not written: {unlisted}"
+    moved = sorted(path for path in want if want[path] != got[path])
+    assert not moved, f"files whose bytes moved: {moved}"

@@ -65,4 +65,4 @@ def test_artifact_digests_pass_under_the_sandybridge_kernel():
     output = _assert_pass_under_sandybridge("tests/test_artifact_digests.py")
     skipped = [line for line in output.splitlines() if line.startswith("SKIPPED")]
     if skipped:  # this OpenBLAS's SandyBridge kernel has no list
-        pytest.skip(skipped[0])
+        pytest.skip(f"the SandyBridge run skipped: {skipped[0]}")

@@ -223,6 +223,9 @@ DELETE = object()
     "path, value",
     [
         ("model/d_hidden", True),
+        ("model/d_in", 10**20),
+        ("model/d_hidden", 2**63),
+        ("model/d_out", 10**20),
         ("model/d_out", "4"),
         ("model/classes", 2.0),
         ("training/alpha", "0.5"),
@@ -379,6 +382,8 @@ def test_earlydetect_missing_snapshot_exit_1(tmp_path, synth_dirs):
             "1,inf",
             "--mode",
             "count",
+            "--embeddings",
+            "hashed:8",
             "--out",
             str(tmp_path / "c"),
         ]
@@ -394,7 +399,8 @@ def test_earlydetect_embeds_each_post_once(tmp_path, synth_dirs, monkeypatch):
     vector_for = HashedProvider.vector_for
     monkeypatch.setattr(HashedProvider, "vector_for", lambda self, post: embedded.append(post) or vector_for(self, post))
     events = data_dir / "target_events.jsonl"
-    argv = ["earlydetect", "--snapshot", str(snapshot), "--events", str(events), "--checkpoints", "1,2,4,inf"]
+    argv = ["earlydetect", "--snapshot", str(snapshot), "--events", str(events), "--checkpoints", "1,2,4,inf",
+            "--embeddings", "hashed:8"]
     assert main([*argv, "--mode", "count", "--out", str(tmp_path / "curve")]) == 0
     assert embedded == [post for e in parse_events(events).events for post in e.posts]
 
@@ -456,9 +462,12 @@ def test_train_determinism_byte_identical(tmp_path, synth_dirs):
 def test_seed_override_changes_outcome(tmp_path, synth_dirs):
     tmp_path, data_dir = synth_dirs
     config_path = _run_config(tmp_path, data_dir)
+    record = json.loads(config_path.read_text())
     out_a, out_b = tmp_path / "seedA", tmp_path / "seedB"
-    assert main(["train", "--config", str(config_path), "--out", str(out_a), "--seed", "77"]) == 0
-    assert main(["train", "--config", str(config_path), "--out", str(out_b), "--seed", "78"]) == 0
+    config_path.write_text(json.dumps({**record, "seed": 77}))
+    assert main(["train", "--config", str(config_path), "--out", str(out_a)]) == 0
+    config_path.write_text(json.dumps({**record, "seed": 78}))
+    assert main(["train", "--config", str(config_path), "--out", str(out_b)]) == 0
     assert (out_a / "metrics.json").read_bytes() != (out_b / "metrics.json").read_bytes()
 
 
@@ -500,7 +509,8 @@ def test_scoring_after_an_f32_train_writes_what_a_fresh_process_writes(tmp_path,
     record = {**json.loads(config_path.read_text()), "precision": "f32", "protocol": {"mode": "single"}}
     config_path.write_text(json.dumps(record))
     assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
-    inputs = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl")]
+    inputs = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl"),
+              "--embeddings", "hashed:8"]
     commands = {
         "early_detection.csv": ["earlydetect", *inputs, "--checkpoints", "1,2,4,inf", "--mode", "count"],
         "features.csv": ["export-features", *inputs],
@@ -570,7 +580,8 @@ def test_evaluation_chunks_change_no_artifact(tmp_path, synth_dirs, monkeypatch)
     record["protocol"] = {"mode": "single"}
     config_path.write_text(json.dumps(record))
     assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
-    common = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl")]
+    common = ["--snapshot", str(tmp_path / "run" / "model.snapshot"), "--events", str(data_dir / "target_events.jsonl"),
+              "--embeddings", "hashed:8"]
     chunks, encode = [], model.encode_batch
 
     def spy(batch, *args, **kwargs):
@@ -604,12 +615,15 @@ def _train_argv(embeddings):
 
 
 def _inference_argv(command, *extra, truncate=False):
+    """``command`` scoring the target events with ``hashed:8`` embeddings; a flag in ``extra`` overrides its default."""
+
     def build(tmp_path, data_dir, snapshot):
         if truncate:
             damaged = tmp_path / "truncated.snapshot"
             damaged.write_bytes(snapshot.read_bytes()[:-8])
             snapshot = damaged
         argv = [command, "--snapshot", str(snapshot), "--events", str(data_dir / "target_events.jsonl")]
+        argv += ["--embeddings", "hashed:8"]
         if command == "earlydetect":
             argv += ["--checkpoints", "1,inf", "--mode", "count"]
         return argv + ["--out", str(tmp_path / "out"), *extra]
@@ -617,14 +631,15 @@ def _inference_argv(command, *extra, truncate=False):
     return build
 
 
-def _config_argv(*extra, content=None):
-    """``train`` with ``extra`` flags on the test config, or on a config file holding ``content``."""
+def _config_argv(content=None, **top_level):
+    """``train`` on the test config with its ``top_level`` keys set, or on a config file holding ``content``."""
 
     def build(tmp_path, data_dir, snapshot):
         argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
-        if content is not None:
-            Path(argv[-1]).write_bytes(content)
-        return argv + list(extra)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        config.write_bytes(json.dumps({**record, **top_level}).encode() if content is None else content)
+        return argv
 
     return build
 
@@ -678,13 +693,13 @@ def _single_event_argv(tmp_path, data_dir, snapshot):
     return argv
 
 
-def _synth_argv(spec: dict | bytes, *extra):
-    """``synth`` with ``extra`` flags on a spec file holding ``spec``."""
+def _synth_argv(spec: dict | bytes):
+    """``synth`` on a spec file holding ``spec``."""
 
     def build(tmp_path, data_dir, snapshot):
         path = tmp_path / "spec_under_test.json"
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
-        return ["synth", "--spec", str(path), "--out", str(tmp_path / "synth"), *extra]
+        return ["synth", "--spec", str(path), "--out", str(tmp_path / "synth")]
 
     return build
 
@@ -705,6 +720,16 @@ def _nan_eps_argv(command):
 
     def build(tmp_path, data_dir, snapshot):
         content = snapshot.read_bytes().replace(b'"layer_norm_eps": 1e-05', b'"layer_norm_eps": NaN')
+        return _broken_snapshot_argv(command, content)(tmp_path, data_dir, snapshot)
+
+    return build
+
+
+def _edited_header_argv(command, old: bytes, new: bytes):
+    """``command`` loading the test snapshot with ``old`` replaced by ``new`` in its header."""
+
+    def build(tmp_path, data_dir, snapshot):
+        content = snapshot.read_bytes().replace(old, new, 1)
         return _broken_snapshot_argv(command, content)(tmp_path, data_dir, snapshot)
 
     return build
@@ -757,6 +782,8 @@ def _broken_events_argv(command, content: bytes):
 
 
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
+BAD_WIDTH = r"width must be a positive integer up to 9223372036854775807"
+PAST_INT64 = r"must lie in \[1, 9223372036854775807\], got 100000000000000000000"
 NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 NON_FINITE = r"non-finite class probabilities or representations"
@@ -771,6 +798,16 @@ DEEP = b"[" * 100_000 + b"\n"
         (_train_argv("hashed:abc"), 1, "width must be a positive integer"),
         # a superscript two is a digit to str.isdigit but not to int
         (_train_argv("hashed:\u00b2"), 1, "width must be a positive integer"),
+        (_train_argv("hashed:" + "1" * 5000), 1, BAD_WIDTH),
+        (_train_argv(f"hashed:{10**20}"), 1, BAD_WIDTH),
+        (_train_argv(f"hashed:{2**63}"), 1, BAD_WIDTH),
+        (_section_argv("model", d_in=10**20), 2, "model config: d_in " + PAST_INT64),
+        (_section_argv("model", d_hidden=10**20), 2, "model config: d_hidden " + PAST_INT64),
+        (_section_argv("model", d_out=10**20), 2, "model config: d_out " + PAST_INT64),
+        (_edited_header_argv("earlydetect", b'"d_hidden": 6', b'"d_hidden": 100000000000000000000'), 1,
+         r"unreadable header \(ValueError: d_hidden " + PAST_INT64),
+        (_edited_header_argv("export-features", b'"d_out": 4', b'"d_out": 100000000000000000000'), 1,
+         r"unreadable header \(ValueError: d_out " + PAST_INT64),
         (_inference_argv("earlydetect", "--embeddings", "hashed:\u00b2"), 1, "width must be a positive integer"),
         (_train_argv("hashed:16"), 1, WIDTH_MISMATCH),
         (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
@@ -797,12 +834,10 @@ DEEP = b"[" * 100_000 + b"\n"
         (_section_argv("training", learning_rate=1e300, source_batch_size=16), 3, NON_FINITE),
         # several steps a fold: the second step's forward overflows
         (_section_argv("training", learning_rate=1e300), 3, "non-finite loss term"),
-        (_config_argv("--seed", "-1"), 2, "seed must be >= 0"),
         (_config_argv(content=DEEP), 2, "invalid JSON"),
         (_config_argv(content=b'{"seed": "\xff"}'), 2, "invalid JSON"),
         (_synth_argv(DEEP), 2, "invalid JSON"),
         (_synth_argv({"seed": -1}), 2, "seed must be >= 0"),
-        (_synth_argv({}, "--seed", "-5"), 2, "seed must be >= 0"),
         (_synth_argv({"source_events": 20.5}), 2, "field source_events: expected an integer"),
         (_synth_argv({"vocab_size": 2.5}), 2, "field vocab_size: expected an integer"),
         (_synth_argv({"mean_replies": True}), 2, "field mean_replies: expected a number"),
@@ -836,6 +871,14 @@ DEEP = b"[" * 100_000 + b"\n"
     ids=[
         "train-malformed-hashed-spec",
         "train-superscript-hashed-width",
+        "train-hashed-width-past-the-digit-limit",
+        "train-hashed-width-beyond-int64",
+        "train-hashed-width-just-beyond-int64",
+        "train-d-in-beyond-int64",
+        "train-d-hidden-beyond-int64",
+        "train-d-out-beyond-int64",
+        "earlydetect-snapshot-d-hidden-beyond-int64",
+        "export-snapshot-d-out-beyond-int64",
         "earlydetect-superscript-hashed-width",
         "train-embedding-width",
         "earlydetect-embedding-width",
@@ -860,12 +903,10 @@ DEEP = b"[" * 100_000 + b"\n"
         "export-overflowing-weights",
         "train-overflowing-weights",
         "train-overflowing-steps",
-        "train-negative-seed-override",
         "train-deeply-nested-config",
         "train-non-utf8-config",
         "synth-deeply-nested-spec",
         "synth-negative-seed",
-        "synth-negative-seed-override",
         "synth-float-event-count",
         "synth-float-vocab-size",
         "synth-boolean-mean-replies",
@@ -906,6 +947,19 @@ def test_cli_failure_exit_codes(tmp_path, synth_dirs, capsys, build, code, messa
     assert err.startswith("error: ") and re.search(message, err)
 
 
+@pytest.mark.parametrize("command", ["earlydetect", "export-features"])
+def test_scorers_require_embeddings(tmp_path, synth_dirs, capsys, command):
+    # nothing picks a provider for a model: without --embeddings, argparse exits 2 naming the flag
+    _tmp, data_dir = synth_dirs
+    argv = _inference_argv(command)(tmp_path, data_dir, tmp_path / "tiny.snapshot")
+    flag = argv.index("--embeddings")
+    del argv[flag : flag + 2]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "the following arguments are required: --embeddings" in capsys.readouterr().err
+
+
 def test_an_error_outside_the_command_table_propagates(tmp_path, monkeypatch, capsys):
     def unexpected(path):
         raise KeyError("not in validate's table")
@@ -922,7 +976,7 @@ def test_an_error_outside_the_command_table_propagates(tmp_path, monkeypatch, ca
         lambda tmp_path, data_dir, snapshot: ["validate", "--events", str(data_dir / "target_events.jsonl")],
         _synth_argv({}),
         _config_argv(),
-        _config_argv("--precision", "f32"),
+        _config_argv(precision="f32"),
         _inference_argv("earlydetect"),
         _inference_argv("export-features"),
     ],

@@ -98,8 +98,8 @@ def test_early_detection_final_checkpoint_is_full_data_bitwise():
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("elapsed_time", (60.0, 150.0, math.inf))
     curve = early_detection(prepare_events(events, provider), params, spec)
-    assert len(curve.metrics) == 3
-    for value, metrics in zip(spec.values, curve.metrics):
+    assert len(curve) == 3
+    for value, metrics in zip(spec.values, curve):
         assert metrics == _reference_metrics(events, params, provider, spec, value)
 
 
@@ -109,7 +109,7 @@ def test_early_detection_first_post_count_is_claim_only():
     provider = HashedProvider(dim=8)
     spec = CheckpointSpec("post_count", (1, 3, math.inf))
     curve = early_detection(prepare_events(events, provider), params, spec)
-    for value, metrics in zip(spec.values, curve.metrics):
+    for value, metrics in zip(spec.values, curve):
         assert metrics == _reference_metrics(events, params, provider, spec, value)
 
 
@@ -119,7 +119,7 @@ def test_early_detection_csv_format(tmp_path):
     spec = CheckpointSpec("post_count", (1, 2, 4, math.inf))
     curve = early_detection(prepare_events(events, HashedProvider(dim=8)), params, spec)
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    write_curve_csv(spec.values, curve, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4

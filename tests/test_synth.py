@@ -5,6 +5,7 @@ import collections
 import pytest
 
 from rumorgraph.embed import tokenize
+from rumorgraph.runconfig import dataclass_from_json
 from rumorgraph.synth import SynthSpec, SynthSpecError, generate
 
 
@@ -15,7 +16,7 @@ def test_spec_validation():
     with pytest.raises(SynthSpecError):
         SynthSpec(source_events=3, class_balance=0.5)  # a class would get < 2 events
     with pytest.raises(SynthSpecError):
-        SynthSpec.from_dict({"source_events": 20, "target_events": 20, "bogus": 1})
+        dataclass_from_json(SynthSpec, {"source_events": 20, "target_events": 20, "bogus": 1}, SynthSpecError)
 
 
 def test_generation_deterministic():

@@ -76,6 +76,12 @@ def _mini_events(count, prefix, dim=8):
     return prepare_events(events, provider)
 
 
+def _monitor(result) -> str:
+    """The score a fit monitored: the one key of its history records beside ``epoch``."""
+    (name,) = set(result.history[0]) - {"epoch"}
+    return name
+
+
 def _discard(step, record):
     """A ``train_epoch`` step logger that keeps nothing."""
 
@@ -203,7 +209,7 @@ def test_fit_patience_stops_and_epoch_cap_zero(tmp_path):
     cfg = _config(max_epochs=50, patience=1, learning_rate=0.0)
     result = fit(source, target, cfg, tmp_path / "patient.jsonl")
     assert len(result.history) == 2  # stopped right after the second epoch
-    assert result.best_score == max(h[result.monitor] for h in result.history)
+    assert result.best_score == max(h[_monitor(result)] for h in result.history)
 
 
 def test_fit_best_snapshot_is_best_observed(tmp_path):
@@ -219,7 +225,7 @@ def test_fit_returns_the_best_epochs_parameters(tmp_path):
     # a fit cut at the first best epoch ends on the parameters the full fit keeps
     source, target = _mini_events(6, "s"), _mini_events(10, "t")
     full = fit(source, target, _config(max_epochs=8, patience=8, val_fraction=0.0), tmp_path / "full.jsonl")
-    best_epoch = next(h["epoch"] for h in full.history if h[full.monitor] == full.best_score)
+    best_epoch = next(h["epoch"] for h in full.history if h[_monitor(full)] == full.best_score)
     assert best_epoch < len(full.history)
     cut_cfg = _config(max_epochs=best_epoch, patience=8, val_fraction=0.0)
     cut = fit(source, target, cut_cfg, tmp_path / "cut.jsonl")
@@ -234,7 +240,7 @@ def test_fit_small_fold_falls_back_to_loss_monitor(tmp_path, caplog):
     cfg = _config(max_epochs=1)
     with caplog.at_level("WARNING"):
         result = fit(source, target, cfg, tmp_path / "log.jsonl")
-    assert result.monitor == "neg_train_loss"
+    assert _monitor(result) == "neg_train_loss"
     assert any("validation carve" in r.message for r in caplog.records)
 
 
@@ -243,7 +249,7 @@ def test_fit_without_a_carve_asked_for_does_not_warn(tmp_path, caplog):
     cfg = _config(max_epochs=1, val_fraction=0.0)
     with caplog.at_level("WARNING"):
         results = [fit(source, _mini_events(count, "t"), cfg, tmp_path / f"{count}.jsonl") for count in (2, 8)]
-    assert [r.monitor for r in results] == ["neg_train_loss", "neg_train_loss"]
+    assert [_monitor(r) for r in results] == ["neg_train_loss", "neg_train_loss"]
     assert not any("validation carve" in r.message for r in caplog.records)
 
 
