@@ -84,7 +84,7 @@ def augment_batch(
     streams: RngStreams,
 ) -> Tensor:
     """One augmented representation per event of ``batch``, whose representations are
-    ``reps``, as a differentiable tensor. The DropEdge view encodes the batch's own feature
+    ``reps``, as a differentiable tensor. The DropEdge view encodes the batch's own packed
     rows again over its deformed graphs, which keep every node."""
     if strategy.kind == "adversarial":
         grads = classification_gradients(reps, labels, params)
@@ -92,4 +92,4 @@ def augment_batch(
     if strategy.kind == "feature_dropout":
         return feature_dropout(reps, strategy.feature_dropout_rate, streams.feature_dropout)
     deformed = [dropedge(g, strategy.dropedge_rate, streams.dropedge) for g in batch.graphs]
-    return encode_batch(GraphBatch(batch.features, deformed), params, mode="train", streams=streams)
+    return encode_batch(GraphBatch(batch.rows, deformed), params, mode="train", streams=streams)

@@ -9,10 +9,10 @@ to the instance, and the module keeps no state between calls.
 
 Prepared events keep their rows packed (``pack``): one bit per entry saying
 whether it is nonzero, the nonzero values, and a running count of them per
-row. A batch scatters them back into one dense matrix (``unpack``). A
-hashed row holds a few nonzero entries, so at width w it packs to w / 8 + 8
-bytes plus 8 per entry (about 130 B at 768, against 6,144 dense); a fully
-dense row costs 1 + 1/64 + 1/w times its dense bytes.
+row. An encode scatters its batch's rows into one dense matrix at the active
+element type (``unpack``). A hashed row holds a few nonzero entries, so at
+width w it packs to w / 8 + 8 bytes plus 8 per entry (about 130 B at 768,
+against 6,144 dense); a dense row costs 1 + 1/64 + 1/w times its dense bytes.
 """
 
 from __future__ import annotations
@@ -70,17 +70,18 @@ def pack(rows: np.ndarray) -> PackedRows:
     return PackedRows(rows.shape[1], np.packbits(nonzero, axis=1), rows[nonzero], ends)
 
 
-def unpack(parts: list[PackedRows]) -> np.ndarray:
-    """The dense rows of ``parts`` stacked in order: the values if no entry is zero, else scattered into zeros."""
+def unpack(parts: list[PackedRows], dtype=np.float64) -> np.ndarray:
+    """The dense rows of ``parts`` stacked in order at ``dtype``: the values, cast first (the bits of a cast
+    after), if no entry is zero, else scattered into zeros."""
     widths = {p.width for p in parts}
     if len(widths) > 1:
         raise ShapeError(f"cannot stack packed rows of widths {sorted(widths)}")
     masks = np.concatenate([p.masks for p in parts])
-    values = np.concatenate([p.values for p in parts])
+    values = np.concatenate([p.values for p in parts], dtype=dtype)
     (width,) = widths
     if values.size == masks.shape[0] * width:
         return values.reshape(-1, width)
-    out = np.zeros((masks.shape[0], width))
+    out = np.zeros((masks.shape[0], width), dtype=dtype)
     out[np.unpackbits(masks, axis=1, count=width).view(bool)] = values
     return out
 

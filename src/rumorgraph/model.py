@@ -9,9 +9,9 @@ affine head plus softmax (``classify``) turns representations into class
 probabilities; each caller runs the head once per view it scores.
 
 A batch of events is encoded in one pass over one feature matrix, into which
-``GraphBatch.from_events`` scatters the events' packed embedding rows
-(``embed.unpack``), so each event is a segment of consecutive rows whose
-first row is its claim. A ``GraphBatch`` holds those rows and the events'
+each encode scatters the events' packed embedding rows at the active element
+type (``embed.unpack``), so each event is a segment of consecutive rows whose
+first row is its claim. A ``GraphBatch`` holds the packed rows and the events'
 graphs, and derives from the graphs, once at construction, the segment
 lengths (``sizes``, all that the claim lookups and the per-event pooling
 read) and the operator (``mixing_operator``), built straight from the
@@ -23,23 +23,18 @@ Scoring (``encode_events``) encodes consecutive whole events in chunks under
 a fixed byte budget, so its peak memory does not grow with the event count.
 
 Each convolution is one ``numcore.graph_conv`` node, the second taking the
-boolean dropout mask (drawn a block of rows at a time, ``numcore.keep_mask``)
-as an operand, and each claim residual is built inside ``numcore.layer_norm``
-straight into its own buffer, a block of rows at a time. An encode drops the
-outputs of both convolutions and both normalizations (``numcore.drop``),
-each right after its last consumer has run forward: no backward rule reads
-them, and the second convolution's weight gradient forms the first
-normalization's output again. So per node row a training encode keeps only
-what a backward reads: the two relu masks, the dropout mask, and of each
+boolean dropout mask (``numcore.keep_mask``) as an operand, and each claim
+residual is built inside ``numcore.layer_norm`` straight into its own buffer.
+An encode lets each dense value go right after its last consumer's forward
+(``numcore.drop``), as no rule reads it: conv1's weight gradient unpacks the
+feature rows again (``numcore.recomputable``), and conv2's forms ln1's
+output again, which conv2's forward masks in place. So per node a training
+encode keeps only the two relu masks, the dropout mask, and of each
 normalization the normalized columns of its ``h`` and the row's mean and
-inverse standard deviation (each normalization also keeps one claim row per
-event), beside the batch's feature rows; no conv products or
-pre-activations, no masked rows, no gathered claim rows, no concatenation,
-no normalized claim columns and no layer output. At 768/512/128 and f64 that
-is about 7.1 kB per encoded node beside 6.1 kB of features, and a backward
-lets go of each node's share as soon as that node's rule has run. An
-evaluation encode under ``no_grad`` keeps one buffer per normalization,
-since ``layer_norm`` keeps nothing for a backward untaped.
+inverse standard deviation (and one claim row per event): about 7.1 kB at
+768/512/128 and f64, beside the batch's packed rows (about 0.13 kB a hashed
+node). A backward lets go of each node's share as soon as its rule has run.
+An evaluation encode under ``no_grad`` keeps one buffer per normalization.
 
 Parameters read from a snapshot, and the best epoch's parameters that
 ``fit`` returns, are built from their shapes (``ModelParams.from_values``)
@@ -84,6 +79,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 1 <= value <= nc.INT64_MAX:  # numpy's largest array dimension
                 raise ValueError(f"{name} must lie in [1, {nc.INT64_MAX}], got {value}")
+        for name, shape in _shapes(self).items():
+            if 8 * math.prod(shape) > nc.INT64_MAX:  # numpy's largest array in bytes
+                raise ValueError(f"{name} of shape {shape} would hold more than {nc.INT64_MAX} bytes at float64")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0 < self.layer_norm_eps < math.inf:
@@ -156,10 +154,10 @@ def init_params(cfg: ModelConfig, streams: RngStreams) -> ModelParams:
 
 @dataclass
 class GraphBatch:
-    """Several events stacked for a single encoding pass: their rows and their graphs,
-    from which the segment sizes and the operator are derived once, at construction."""
+    """Several events stacked for a single encoding pass: their packed rows, which each encode
+    unpacks, and their graphs, from which the segment sizes and the operator are derived once."""
 
-    features: np.ndarray  # (sum(sizes), d_in): the events' rows in order
+    rows: list[PackedRows]  # each event's embedding rows, in order
     graphs: list[PropagationGraph]
     sizes: list[int] = field(init=False)
     mixing: nc.NeighborOperator = field(init=False)  # D^{-1/2} (A + I) D^{-1/2} of every graph
@@ -170,11 +168,11 @@ class GraphBatch:
 
     @classmethod
     def from_events(cls, embeddings: list[PackedRows], graphs: list[PropagationGraph]) -> "GraphBatch":
-        """The events' packed rows unpacked in order, beside their graphs."""
+        """The events' packed rows beside their graphs, which must hold as many nodes."""
         sizes = [g.n for g in graphs]
         if [e.n for e in embeddings] != sizes:
             raise nc.ShapeError(f"embedding row counts {[e.n for e in embeddings]} do not match graphs {sizes}")
-        return cls(unpack(embeddings), graphs)
+        return cls(embeddings, graphs)
 
 
 def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:
@@ -200,22 +198,21 @@ def encode_batch(
     """Run the two-scale convolution over a stacked batch of events: their representations,
     ``(events, d_out + d_hidden)``."""
     cfg = params.config
-    if batch.features.shape[1] != cfg.d_in:
-        raise nc.ShapeError(f"feature width {batch.features.shape[1]} does not match d_in {cfg.d_in}")
-
-    x = Tensor(batch.features)
-    eps = cfg.layer_norm_eps
+    dtype = nc.active_dtype()
+    x = nc.recomputable(lambda: unpack(batch.rows, dtype))  # conv1's weight gradient unpacks the rows again
+    if x.shape[1] != cfg.d_in:
+        raise nc.ShapeError(f"feature width {x.shape[1]} does not match d_in {cfg.d_in}")
 
     h1 = nc.graph_conv(batch.mixing, x, params.w0, params.b0)
-    h1_tilde = nc.layer_norm(h1, x, batch.sizes, params.ln1_gain, params.ln1_bias, eps)
+    h1_tilde = nc.layer_norm(h1, x, batch.sizes, params.ln1_gain, params.ln1_bias, cfg.layer_norm_eps)
+    nc.drop(x)  # each value goes once its consumers have run forward; ln1 keeps x's claim rows
     keep = None
     if mode == "train" and cfg.dropout > 0.0:
         # mask-and-zero: survivors are not rescaled
         keep = nc.keep_mask(streams.dropout, h1_tilde.shape, cfg.dropout)
     h2 = nc.graph_conv(batch.mixing, h1_tilde, params.w1, params.b1, keep)
-    # each value is dropped once its consumers have run forward; conv2's weight gradient forms h1_tilde again
-    nc.drop(h1_tilde)
-    h2_tilde = nc.layer_norm(h2, h1, batch.sizes, params.ln2_gain, params.ln2_bias, eps)
+    nc.drop(h1_tilde)  # unless conv2 masked it and let it go; conv2's weight gradient forms it again
+    h2_tilde = nc.layer_norm(h2, h1, batch.sizes, params.ln2_gain, params.ln2_bias, cfg.layer_norm_eps)
     nc.drop(h1, h2)
     reps = nc.segment_mean(h2_tilde, batch.sizes)
     nc.drop(h2_tilde)

@@ -31,7 +31,10 @@ kernel may likewise overwrite a buffer it has just allocated once nothing
 will read it again: ``layer_norm`` normalizes and maps its rows in place in
 its output buffer, and copies out what its rule reads first. Whether a call
 is taped is decided by ``_taped``, the one test ``_make`` also applies, so
-``layer_norm`` keeps those copies exactly when a rule will read them.
+``layer_norm`` keeps those copies exactly when a rule will read them. One
+forward writes into an operand's value: ``graph_conv`` masks an operand that
+has a rebuild in place and drops it. That is safe: the value is its own
+buffer, each rule forms it again, and a later read raises.
 
 A taped node keeps its output's value and what its rule reads: ``graph_conv``
 its relu mask, ``layer_norm`` the normalized columns of ``h``, each
@@ -40,12 +43,10 @@ deviation, ``softmax_rows`` its output, ``segment_mean`` nothing but the
 segment sizes. Neither ``graph_conv``'s nor ``layer_norm``'s rule reads its
 own output, and neither ``layer_norm``'s rule nor its rebuild reads the
 values of ``h`` and ``source``, so once every consumer of such a value has
-run forward, the caller may ``drop`` it; the model drops both convolutions'
-and both normalizations' outputs, each right after its last consumer's
-forward. A ``layer_norm`` output that a ``graph_conv`` later convolves is
-formed again in that rule from what the ``layer_norm`` keeps (its rebuild).
-Reading a dropped value raises ``DroppedValueError``, so no rule can read a
-stale or stand-in value by mistake.
+run forward, the caller may ``drop`` it, as the model does. A ``graph_conv``
+rule forms its input again from its rebuild: a ``layer_norm`` output from
+what the ``layer_norm`` keeps, a ``recomputable`` constant by its maker.
+Reading a dropped value raises ``DroppedValueError``, never a stale one.
 
 ``Tensor.__init__`` is the one place that casts to the active element type:
 float64 by default, float32 inside a ``precision`` block for faster
@@ -215,10 +216,18 @@ def drop(*tensors: Tensor) -> None:
 
     Call it only for values no backward rule reads, or ones with a rebuild
     (``layer_norm``'s output, which ``graph_conv``'s backward forms again); a
-    later read raises ``DroppedValueError``.
+    later read raises ``DroppedValueError``. One already dropped stays so.
     """
     for t in tensors:
-        del t.data
+        with contextlib.suppress(AttributeError):  # already dropped
+            del t.data
+
+
+def recomputable(form: Callable[[], np.ndarray]) -> Tensor:
+    """A constant holding ``form()``, a fresh array on each call, that a rule forms again by calling ``form``."""
+    out = Tensor(form())
+    out._rebuild = form
+    return out
 
 
 # -- primitive construction helpers ----------------------------------------
@@ -361,20 +370,30 @@ def keep_mask(gen: np.random.Generator, shape: tuple[int, int], rate: float) -> 
 def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
     """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
 
-    A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead. One tape node keeps only
-    the output and the relu mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one
-    fresh buffer when ``x`` has one, and lets it go before it forms ``x``'s gradient, which takes
-    the mask in place, so the two ``x``-shaped buffers never coexist. It runs the numpy operations
-    of ``mul`` by ``keep``, ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and
-    gradients match those five ops' bit for bit.
+    A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead, masking ``x``'s own value
+    and dropping ``x`` when ``x`` has a rebuild. One tape node keeps only the output and the relu
+    mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one fresh buffer when ``x`` has
+    one, and lets it go before it forms ``x``'s gradient, which takes the mask in place, so the two
+    ``x``-shaped buffers never coexist. It runs the numpy operations of ``mul`` by ``keep``,
+    ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and gradients match those five
+    ops' bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"cannot multiply shapes {x.data.shape} and {w.data.shape}")
-    pre = op.apply((x.data if keep is None else x.data * keep) @ w.data) + b.data
+    rows = x.data
+    if keep is not None and x._rebuild is not None:
+        drop(x)  # every rule that reads x forms it again, so its own buffer takes the mask
+        rows *= keep
+    elif keep is not None:
+        rows = rows * keep
+    pre = rows @ w.data
+    del rows  # masked rows go before the operator allocates
+    pre = op.apply(pre)
+    pre += b.data
     mask = pre > 0.0
-    # np.where, not pre *= mask, which would turn negative entries into -0.0
-    data = np.where(mask, pre, 0.0)
+    # writes +0.0, as np.where does; pre *= mask would turn negative entries into -0.0
+    pre[~mask] = 0.0
 
     def backward(g):
         g = g * mask
@@ -391,7 +410,7 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
                     grad *= keep
                 _accumulate(x, grad)
 
-    return _make(data, (x, w, b), backward)
+    return _make(pre, (x, w, b), backward)
 
 
 def _convolved_rows(x: Tensor, keep: np.ndarray | None) -> np.ndarray:

@@ -644,11 +644,12 @@ def _config_argv(content=None, **top_level):
     return build
 
 
-def _section_argv(section: str, **values):
-    """``train`` with a section of the test config ("model", "training", "protocol") updated with ``values``."""
+def _section_argv(section: str, embeddings: str = "hashed:8", **values):
+    """``train`` on ``embeddings`` with a section of the test config ("model", "training", "protocol") updated
+    with ``values``."""
 
     def build(tmp_path, data_dir, snapshot):
-        argv = _train_argv("hashed:8")(tmp_path, data_dir, snapshot)
+        argv = _train_argv(embeddings)(tmp_path, data_dir, snapshot)
         config = Path(argv[-1])
         record = json.loads(config.read_text())
         record[section].update(values)
@@ -784,6 +785,7 @@ def _broken_events_argv(command, content: bytes):
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 BAD_WIDTH = r"width must be a positive integer up to 9223372036854775807"
 PAST_INT64 = r"must lie in \[1, 9223372036854775807\], got 100000000000000000000"
+PAST_INT64_BYTES = r"would hold more than 9223372036854775807 bytes at float64"
 NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 NON_FINITE = r"non-finite class probabilities or representations"
@@ -804,10 +806,17 @@ DEEP = b"[" * 100_000 + b"\n"
         (_section_argv("model", d_in=10**20), 2, "model config: d_in " + PAST_INT64),
         (_section_argv("model", d_hidden=10**20), 2, "model config: d_hidden " + PAST_INT64),
         (_section_argv("model", d_out=10**20), 2, "model config: d_out " + PAST_INT64),
+        # widths numpy takes one by one, but not as a parameter's bytes
+        (_section_argv("model", f"hashed:{2**62}", d_in=2**62), 2,
+         r"model config: w0 of shape \(4611686018427387904, 6\) " + PAST_INT64_BYTES),
+        (_section_argv("model", d_hidden=1, d_out=2**59), 2,
+         r"model config: w1 of shape \(9, 576460752303423488\) " + PAST_INT64_BYTES),
         (_edited_header_argv("earlydetect", b'"d_hidden": 6', b'"d_hidden": 100000000000000000000'), 1,
          r"unreadable header \(ValueError: d_hidden " + PAST_INT64),
         (_edited_header_argv("export-features", b'"d_out": 4', b'"d_out": 100000000000000000000'), 1,
          r"unreadable header \(ValueError: d_out " + PAST_INT64),
+        (_edited_header_argv("earlydetect", b'"d_in": 8', b'"d_in": 4611686018427387904'), 1,
+         r"unreadable header \(ValueError: w0 of shape \(4611686018427387904, 6\) " + PAST_INT64_BYTES),
         (_inference_argv("earlydetect", "--embeddings", "hashed:\u00b2"), 1, "width must be a positive integer"),
         (_train_argv("hashed:16"), 1, WIDTH_MISMATCH),
         (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
@@ -877,8 +886,11 @@ DEEP = b"[" * 100_000 + b"\n"
         "train-d-in-beyond-int64",
         "train-d-hidden-beyond-int64",
         "train-d-out-beyond-int64",
+        "train-w0-bytes-beyond-int64",
+        "train-w1-bytes-beyond-int64",
         "earlydetect-snapshot-d-hidden-beyond-int64",
         "export-snapshot-d-out-beyond-int64",
+        "earlydetect-snapshot-w0-bytes-beyond-int64",
         "earlydetect-superscript-hashed-width",
         "train-embedding-width",
         "earlydetect-embedding-width",

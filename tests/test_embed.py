@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rumorgraph.dataio import Post
 from rumorgraph.numcore import ShapeError
@@ -290,6 +291,8 @@ def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of
     assert (packed.n, packed.width) == rows.shape
     out = unpack([packed])
     assert out.dtype == rows.dtype and out.shape == rows.shape and out.tobytes() == rows.tobytes()
+    single = unpack([packed], np.float32)
+    assert single.dtype == np.float32 and single.tobytes() == rows.astype(np.float32).tobytes()
     for k in range(1, rows.shape[0] + 1):
         prefix, expected = packed.prefix(k), pack(rows[:k])
         assert (prefix.n, prefix.width) == (expected.n, expected.width) == (k, width)
@@ -301,6 +304,25 @@ def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of
     # after an event of dense rows: a batch that stores all its entries, or only some
     other = _dense_rows(width, tmp_path)
     assert unpack([pack(other), packed]).tobytes() == np.concatenate([other, rows]).tobytes()
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        # within float32's range, so the cast does not overflow; tiny values round to a signed zero
+        elements=st.one_of(st.sampled_from([0.0, -0.0, 1e-320, -1e-50]), st.floats(-1e38, 1e38)),
+    ),
+    st.integers(1, 3),
+)
+def test_unpacking_at_f32_gives_the_bits_of_casting_the_f64_rows(rows, split):
+    # casting the values before the scatter, as unpack does, and the dense rows after it agree;
+    # with every +0.0 made -0.0 each entry is stored, so the dense branch is taken
+    for case in (rows, np.where(rows.view(np.int64) == 0, -0.0, rows)):
+        parts = [pack(case[:split]), pack(case[split:])] if split < len(case) else [pack(case)]
+        want = unpack(parts).astype(np.float32)
+        got = unpack(parts, np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def test_unpacking_refuses_rows_of_different_widths():

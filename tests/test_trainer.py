@@ -428,8 +428,9 @@ def test_train_step_memory_peak_stays_lean():
     # conv2's backward and sharing the target's feature rows with its view,
     # 3.06 MB; layer norms that keep h's normalized columns, the claim rows
     # and per-row statistics instead of whole normalized rows, rules let go
-    # as backward runs and a dropout mask drawn a block at a time, 2.55 MB.
-    # The bound leaves about 10% over that.
+    # as backward runs and a dropout mask drawn a block at a time, 2.55 MB;
+    # feature rows unpacked again for conv1's weight gradient and conv2's
+    # input masked in place, 2.28 MB. The bound leaves about 10% over 2.55 MB.
     source_ds, target_ds = generate(SynthSpec(source_events=16, target_events=16, mean_replies=20.0, seed=7))
     provider = HashedProvider(dim=64)
     source, target = prepare_events(source_ds.events, provider), prepare_events(target_ds.events, provider)
@@ -437,6 +438,28 @@ def test_train_step_memory_peak_stays_lean():
         model=ModelConfig(d_in=64, d_hidden=32, d_out=16), source_batch_size=16, target_batch_size=16
     )
     assert _step_peak(source, target, cfg) < 2_800_000
+
+
+def test_a_training_encode_keeps_no_dense_feature_rows():
+    # 32 events, 231 nodes, at d_in 768 and d_hidden = d_out = 8, f64: a dense
+    # feature row takes 6,144 B, more than the rest of a node's share of the
+    # tape (the dropout mask, 776 B, leads it) and its event's share of ln1's
+    # claim rows. Keeping the dense rows for conv1's weight gradient read 8,063 B
+    # a node live after the batch's encode; unpacking them again in that rule, 1,924.
+    source_ds, _ = generate(SynthSpec(source_events=32, target_events=4, seed=4))
+    cfg = ModelConfig(d_in=768, d_hidden=8, d_out=8)
+    prepared = prepare_events(source_ds.events, HashedProvider(dim=cfg.d_in))
+    rows, graphs = [p.embedding for p in prepared], [p.graph for p in prepared]
+    params, streams = init_params(cfg, RngStreams(1)), RngStreams(2)
+    encode_batch(GraphBatch.from_events(rows, graphs), params, mode="train", streams=streams)  # lazy imports outside
+    tracemalloc.start()
+    try:
+        reps = encode_batch(GraphBatch.from_events(rows, graphs), params, mode="train", streams=streams)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reps._backward is not None
+    assert kept / sum(g.n for g in graphs) < cfg.d_in * 8 / 2
 
 
 def _desk_step_peak(mean_replies: float) -> tuple[int, int]:
@@ -454,25 +477,27 @@ def test_train_step_peak_per_node_follows_the_buffer_inventory(mean_replies, nod
     # a step encodes 1.5 nodes per node of its batches. Per encoded node the
     # tape keeps the two relu masks (16 + 8 B), the dropout mask (32 B), both
     # layer norms' normalized columns of h ((16 + 8) x 8 B) and their per-row
-    # means and inverse standard deviations (2 x 2 x 8 B); per node it holds
-    # the stacked features (16 x 8 B) and, over three neighbour operators,
-    # about 60 B of index arrays. The widest backward transient is at most
-    # four (rows, 32) float64 arrays over one batch, half the nodes. Batch-sized
-    # buffers (the loss terms' matrices, the parameters' gradients) add about
-    # 0.34 MB, the intercept of the peak over mean_replies 1 to 200. The
-    # bound leaves 10% over that sum; the peak read 1,705 and 944 B per node
-    # here, 2,132 and 1,438 with whole normalized rows on the tape, and 3,168
-    # and 2,463 with every value kept.
+    # means and inverse standard deviations (2 x 2 x 8 B); per node it holds,
+    # over three neighbour operators, about 60 B of index arrays, and no dense
+    # feature rows, which conv1's weight gradient unpacks again. The widest
+    # backward transient is at most four (rows, 32) float64 arrays over one
+    # batch, half the nodes. Batch-sized buffers (the loss terms' matrices,
+    # the parameters' gradients) add about 0.34 MB, the intercept of the peak
+    # over mean_replies 1 to 200. The bound leaves 10% over that sum; the
+    # peak read 1,660 and 815 B per node here, 1,705 and 944 with the stacked
+    # features on the tape, 2,132 and 1,438 with whole normalized rows as
+    # well, and 3,168 and 2,463 with every value kept.
     peak, counted = _desk_step_peak(mean_replies)
     assert counted == nodes
-    per_node = 1.5 * (16 + 8 + 32 + 8 * (16 + 8) + 2 * 2 * 8) + 8 * 16 + 60 + 0.5 * 4 * 8 * 32
+    per_node = 1.5 * (16 + 8 + 32 + 8 * (16 + 8) + 2 * 2 * 8) + 60 + 0.5 * 4 * 8 * 32
     assert peak / nodes < 1.1 * (per_node + 340_000 / nodes)
 
 
 def test_train_step_peak_per_node_does_not_grow_with_the_trees():
     # memory linear in nodes: no buffer of a step may grow faster than the
-    # nodes do, as a dense (sum n)^2 operator would. The peak read 1,203 B per
-    # node over 3,208 nodes at mean_replies 50 and 922 B over 50,973 at 800.
+    # nodes do, as a dense (sum n)^2 operator would. The peak read 1,079 B per
+    # node over 3,208 nodes at mean_replies 50 and 777 B over 50,973 at 800
+    # (1,203 and 922 with the stacked features on the tape).
     (peak_small, nodes_small), (peak_large, nodes_large) = _desk_step_peak(50.0), _desk_step_peak(800.0)
     assert nodes_large > 10 * nodes_small
     assert peak_large / nodes_large <= peak_small / nodes_small
