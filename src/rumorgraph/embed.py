@@ -8,11 +8,12 @@ memoizes the bucket and sign of every token it has hashed; the memo belongs
 to the instance, and the module keeps no state between calls.
 
 Prepared events keep their rows packed (``pack``): one bit per entry saying
-whether it is nonzero, the nonzero values, and a running count of them per
-row. An encode scatters its batch's rows into one dense matrix at the active
-element type (``unpack``). A hashed row holds a few nonzero entries, so at
-width w it packs to w / 8 + 8 bytes plus 8 per entry (about 130 B at 768,
-against 6,144 dense); a dense row costs 1 + 1/64 + 1/w times its dense bytes.
+whether it is nonzero, the nonzero values, and a count of them per row. A
+batch stacks its events' packed rows once (``stack``), and each encode
+scatters that stack into one dense matrix at the active element type
+(``unpack``). A hashed row holds a few nonzero entries, so at width w it
+packs to w / 8 + 8 bytes plus 8 per entry (about 130 B at 768, against
+6,144 dense); a dense row costs 1 + 1/64 + 1/w times its dense bytes.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ class PackedRows:
 
     ``masks`` holds each row's nonzero pattern, eight entries a byte
     (``np.packbits``); ``values`` the nonzero entries in row-major order; and
-    ``ends[i]`` how many of them rows ``0 .. i - 1`` hold. An entry counts as
-    zero only when all its bits are, so a ``-0.0`` is kept.
+    ``counts[i]`` how many of them row ``i`` holds, so stacking events
+    concatenates each of the three arrays. An entry counts as zero only when
+    all its bits are, so a ``-0.0`` is kept.
     """
 
     width: int
     masks: np.ndarray  # (n, ceil(width / 8)) uint8
-    values: np.ndarray  # (ends[-1],) float64
-    ends: np.ndarray  # (n + 1,) intp, ends[0] == 0
+    values: np.ndarray  # (counts.sum(),) float64
+    counts: np.ndarray  # (n,) intp
 
     @property
     def n(self) -> int:
@@ -59,30 +61,31 @@ class PackedRows:
 
     def prefix(self, k: int) -> PackedRows:
         """The first ``k`` rows, as views of these arrays."""
-        return PackedRows(self.width, self.masks[:k], self.values[: self.ends[k]], self.ends[: k + 1])
+        return PackedRows(self.width, self.masks[:k], self.values[: self.counts[:k].sum()], self.counts[:k])
 
 
 def pack(rows: np.ndarray) -> PackedRows:
     """Pack C-contiguous float64 ``(n, width)`` rows."""
     nonzero = rows.view(np.int64) != 0
-    ends = np.zeros(rows.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=ends[1:])
-    return PackedRows(rows.shape[1], np.packbits(nonzero, axis=1), rows[nonzero], ends)
+    return PackedRows(rows.shape[1], np.packbits(nonzero, axis=1), rows[nonzero], np.count_nonzero(nonzero, axis=1))
 
 
-def unpack(parts: list[PackedRows], dtype=np.float64) -> np.ndarray:
-    """The dense rows of ``parts`` stacked in order at ``dtype``: the values, cast first (the bits of a cast
-    after), if no entry is zero, else scattered into zeros."""
+def stack(parts: list[PackedRows]) -> PackedRows:
+    """The rows of ``parts`` in order as one ``PackedRows``, which all must be as wide."""
     widths = {p.width for p in parts}
-    if len(widths) > 1:
+    if len(widths) != 1:
         raise ShapeError(f"cannot stack packed rows of widths {sorted(widths)}")
-    masks = np.concatenate([p.masks for p in parts])
-    values = np.concatenate([p.values for p in parts], dtype=dtype)
-    (width,) = widths
-    if values.size == masks.shape[0] * width:
-        return values.reshape(-1, width)
-    out = np.zeros((masks.shape[0], width), dtype=dtype)
-    out[np.unpackbits(masks, axis=1, count=width).view(bool)] = values
+    masks, values = np.concatenate([p.masks for p in parts]), np.concatenate([p.values for p in parts])
+    return PackedRows(widths.pop(), masks, values, np.concatenate([p.counts for p in parts]))
+
+
+def unpack(rows: PackedRows, dtype=np.float64) -> np.ndarray:
+    """The dense rows in a fresh array at ``dtype``: the values cast (the bits of a cast after the scatter) if
+    no entry is zero, else scattered into zeros."""
+    if rows.values.size == rows.n * rows.width:
+        return rows.values.astype(dtype).reshape(rows.n, rows.width)
+    out = np.zeros((rows.n, rows.width), dtype=dtype)
+    out[np.unpackbits(rows.masks, axis=1, count=rows.width).view(bool)] = rows.values
     return out
 
 

@@ -11,11 +11,11 @@ probabilities; each caller runs the head once per view it scores.
 A batch of events is encoded in one pass over one feature matrix, into which
 each encode scatters the events' packed embedding rows at the active element
 type (``embed.unpack``), so each event is a segment of consecutive rows whose
-first row is its claim. A ``GraphBatch`` holds the packed rows and the events'
-graphs, and derives from the graphs, once at construction, the segment
-lengths (``sizes``, all that the claim lookups and the per-event pooling
-read) and the operator (``mixing_operator``), built straight from the
-graphs' reply edges as a sparse neighbor-list operator
+first row is its claim. A ``GraphBatch`` holds the events' packed rows, stacked
+once (``embed.stack``), and their graphs, and derives from the graphs, once at
+construction, the segment lengths (``sizes``, all that the claim lookups and
+the per-event pooling read) and the operator (``mixing_operator``), built
+straight from the graphs' reply edges as a sparse neighbor-list operator
 (``numcore.NeighborOperator``) whose time and memory grow with nodes plus
 edges; no event's rows reach another's, so the batched pass computes the
 same function as event-at-a-time encoding.
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import numcore as nc
 from .dataio import LABELS
-from .embed import PackedRows, unpack
+from .embed import PackedRows, stack, unpack
 from .numcore import RngStreams, Tensor
 from .propagation import PropagationGraph
 
@@ -154,10 +154,10 @@ def init_params(cfg: ModelConfig, streams: RngStreams) -> ModelParams:
 
 @dataclass
 class GraphBatch:
-    """Several events stacked for a single encoding pass: their packed rows, which each encode
-    unpacks, and their graphs, from which the segment sizes and the operator are derived once."""
+    """Several events stacked for a single encoding pass: their packed rows in one stack, which each
+    encode unpacks, and their graphs, from which the segment sizes and the operator are derived once."""
 
-    rows: list[PackedRows]  # each event's embedding rows, in order
+    rows: PackedRows  # the events' embedding rows, stacked in order
     graphs: list[PropagationGraph]
     sizes: list[int] = field(init=False)
     mixing: nc.NeighborOperator = field(init=False)  # D^{-1/2} (A + I) D^{-1/2} of every graph
@@ -172,7 +172,7 @@ class GraphBatch:
         sizes = [g.n for g in graphs]
         if [e.n for e in embeddings] != sizes:
             raise nc.ShapeError(f"embedding row counts {[e.n for e in embeddings]} do not match graphs {sizes}")
-        return cls(embeddings, graphs)
+        return cls(stack(embeddings), graphs)
 
 
 def mixing_operator(graphs: list[PropagationGraph]) -> nc.NeighborOperator:

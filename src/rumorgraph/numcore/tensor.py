@@ -29,9 +29,13 @@ closure keeps (``layer_norm``'s normalized columns and row statistics,
 return ``g`` itself, so a node's ``grad`` may alias its parent's. A forward
 kernel may likewise overwrite a buffer it has just allocated once nothing
 will read it again: ``layer_norm`` normalizes and maps its rows in place in
-its output buffer, and copies out what its rule reads first. Whether a call
-is taped is decided by ``_taped``, the one test ``_make`` also applies, so
-``layer_norm`` keeps those copies exactly when a rule will read them. One
+its output buffer, and copies out what its rule reads first, and
+``graph_conv``'s relu writes +0.0 with ``np.fmax`` and ``+= 0.0``.
+``NeighborOperator.apply`` consumes its operand, scaling it in place, so
+``graph_conv`` hands it only buffers of its own (its product, its masked
+gradient). Whether a call is taped is decided by ``_taped``, the one test
+``_make`` also applies, so ``layer_norm`` keeps those copies, and
+``graph_conv`` forms its mask, exactly when a rule will read them. One
 forward writes into an operand's value: ``graph_conv`` masks an operand that
 has a rebuild in place and drops it. That is safe: the value is its own
 buffer, each rule forms it again, and a later read raises.
@@ -338,14 +342,14 @@ class NeighborOperator:
         return self.scale.nbytes + sum(members.nbytes + cols.nbytes for members, cols in self.groups)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """``diag(s) A diag(s) @ y`` in the dtype of ``y``."""
+        """``diag(s) A diag(s) @ y`` in the dtype of ``y``, which it consumes: ``y`` takes ``diag(s)`` in place."""
         if y.ndim != 2 or y.shape[0] != len(self.scale):
             raise ShapeError(f"cannot apply a {len(self.scale)}-row operator to shape {y.shape}")
         scale = self.scale.astype(y.dtype, copy=False)[:, None]
-        scaled = scale * y
-        out = np.empty_like(scaled)
+        y *= scale
+        out = np.empty_like(y)
         for members, cols in self.groups:
-            out[members] = scaled[cols].sum(axis=0)
+            out[members] = y[cols].sum(axis=0)
         out *= scale
         return out
 
@@ -368,19 +372,19 @@ def keep_mask(gen: np.random.Generator, shape: tuple[int, int], rate: float) -> 
 
 
 def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) -> Tensor:
-    """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric.
+    """One graph-convolution layer ``relu(op @ (x @ w) + b)``; ``op`` is constant and symmetric, ``b`` one row.
 
     A boolean ``keep`` shaped like ``x`` convolves ``x * keep`` instead, masking ``x``'s own value
     and dropping ``x`` when ``x`` has a rebuild. One tape node keeps only the output and the relu
-    mask; backward forms ``x * keep`` again, from ``x``'s rebuild in one fresh buffer when ``x`` has
-    one, and lets it go before it forms ``x``'s gradient, which takes the mask in place, so the two
-    ``x``-shaped buffers never coexist. It runs the numpy operations of ``mul`` by ``keep``,
-    ``matmul``, ``op.apply``, ``add`` and a relu in order, so values and gradients match those five
-    ops' bit for bit.
+    mask, formed only when taped; backward forms ``x * keep`` again, from ``x``'s rebuild in one
+    fresh buffer when ``x`` has one, and lets it go before it forms ``x``'s gradient, which takes the
+    mask in place, so the two ``x``-shaped buffers never coexist. It runs the numpy operations of
+    ``mul`` by ``keep``, ``matmul``, ``op.apply``, ``add`` and a relu (in place, the bits of
+    ``np.where(pre > 0.0, pre, 0.0)``) in order, so values and gradients match those five ops' bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {x.data.shape} and {w.data.shape}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"cannot convolve shapes {x.data.shape} and {w.data.shape} with bias {b.data.shape}")
     rows = x.data
     if keep is not None and x._rebuild is not None:
         drop(x)  # every rule that reads x forms it again, so its own buffer takes the mask
@@ -391,9 +395,10 @@ def graph_conv(op: NeighborOperator, x, w, b, keep: np.ndarray | None = None) ->
     del rows  # masked rows go before the operator allocates
     pre = op.apply(pre)
     pre += b.data
-    mask = pre > 0.0
-    # writes +0.0, as np.where does; pre *= mask would turn negative entries into -0.0
-    pre[~mask] = 0.0
+    mask = pre > 0.0 if _taped((x, w, b)) else None
+    # the bits of np.where(mask, pre, 0.0): fmax gives 0.0 for NaN and -inf, and adding +0.0 makes -0.0 +0.0
+    np.fmax(pre, 0.0, out=pre)
+    pre += 0.0
 
     def backward(g):
         g = g * mask
@@ -506,15 +511,15 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
     inv_std``: the forward's own ufuncs on the same operands, so they match
     it bit for bit. Neither reads ``h``'s or ``source``'s value, only
     ``source``'s shape and dtype, and the rebuild lets a caller ``drop`` the
-    output. The backward carries the ``gain`` and ``bias`` column sums, from
-    zeros, as the leading row of each block's sum: numpy's axis-0 sum of a
-    C-contiguous array at least two columns wide starts from +0.0 and adds
-    its rows in order, so for a C-contiguous ``g`` (the encoder's are) the
-    carried sums equal the whole-array sums bit for bit. It finishes each
-    block's input gradient in a block scratch and keeps only the columns of
-    ``h`` or ``source`` that need one; each claim's gradient is the sum of its
-    segment's rows of the joined block's gradient, added in row order as
-    ``np.add.at`` would.
+    output. The backward takes the ``bias`` column sums in one ``g.sum(axis=0)``
+    and carries the ``gain`` column sums, from zeros, as the leading row of
+    each block's sum: numpy's axis-0 sum of a C-contiguous array at least two
+    columns wide starts from +0.0 and adds its rows in order, so for a
+    C-contiguous ``g`` (the encoder's are) the carried sums equal a
+    whole-array sum bit for bit. It finishes each block's input gradient in a
+    block scratch and keeps only the columns of ``h`` or ``source`` that need
+    one; each claim's gradient is the sum of its segment's rows of the joined
+    block's gradient, added in row order as ``np.add.at`` would.
     """
     h, source, gain, bias = as_tensor(h), as_tensor(source), as_tensor(gain), as_tensor(bias)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -577,18 +582,15 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
         term = np.empty((n, len(range(d)[cols])), dtype=dtype)
         scratch_rows = np.empty((min(step, n), d), dtype=dtype)
         carry = np.empty((min(step, n) + 1, d), dtype=np.result_type(g, dtype))
-        gain_sum = bias_sum = np.zeros(d, dtype=carry.dtype)
+        gain_sum = np.zeros(d, dtype=carry.dtype)
         for rows, x in normalized_blocks():
             gb = g[rows]
-            # the sums so far lead the block's rows, so each sum adds rows in whole-array order
+            # the sum so far leads the block's rows, so it adds rows in whole-array order
             lead = carry[: len(x) + 1]
             tmp = lead[1:]
             lead[0] = gain_sum
             np.multiply(gb, x, out=tmp)
             gain_sum = lead.sum(axis=0)
-            lead[0] = bias_sum
-            tmp[...] = gb
-            bias_sum = lead.sum(axis=0)
             if not needs_input:
                 continue
             t = scratch_rows[: len(x)]
@@ -601,7 +603,7 @@ def layer_norm(h, source, sizes: Sequence[int], gain, bias, eps: float) -> Tenso
             t -= scratch
             np.multiply(t, inv_stds[rows], out=term[rows])
         _accumulate(gain, gain_sum)
-        _accumulate(bias, bias_sum)
+        _accumulate(bias, g.sum(axis=0))
         if h.requires_grad:
             _accumulate(h, term[:, :split])
         if source.requires_grad:

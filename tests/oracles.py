@@ -404,12 +404,13 @@ def segment_mean(x, sizes) -> Tensor:
 
 
 def spmm(op: NeighborOperator, y) -> Tensor:
-    """Product ``op @ y`` with a constant operator; ``op`` is symmetric, so the backward applies it again."""
+    """Product ``op @ y`` with a constant operator; ``op`` is symmetric, so the backward applies it again.
+    ``op.apply`` consumes its operand, so it gets copies of ``y``'s value and of ``g``."""
     y = as_tensor(y)
-    data = op.apply(y.data)
+    data = op.apply(y.data.copy())
 
     def backward(g):
-        _accumulate(y, op.apply(g))
+        _accumulate(y, op.apply(g.copy()))
 
     return _make(data, (y,), backward)
 

@@ -19,6 +19,7 @@ from rumorgraph.embed import (
     load_precomputed,
     pack,
     provider_from_spec,
+    stack,
     tokenize,
     unpack,
 )
@@ -289,21 +290,25 @@ def test_packing_then_unpacking_returns_the_dense_rows_bitwise(tmp_path, rows_of
     packed = pack(rows)
     assert (packed.values.size == rows.size) == dense
     assert (packed.n, packed.width) == rows.shape
-    out = unpack([packed])
+    out = unpack(packed)
     assert out.dtype == rows.dtype and out.shape == rows.shape and out.tobytes() == rows.tobytes()
-    single = unpack([packed], np.float32)
+    # a fresh array on every call, also where it is the stored values reshaped
+    assert not np.shares_memory(out, packed.values) and not np.shares_memory(out, unpack(packed))
+    single = unpack(packed, np.float32)
     assert single.dtype == np.float32 and single.tobytes() == rows.astype(np.float32).tobytes()
     for k in range(1, rows.shape[0] + 1):
         prefix, expected = packed.prefix(k), pack(rows[:k])
         assert (prefix.n, prefix.width) == (expected.n, expected.width) == (k, width)
-        for name in ("masks", "values", "ends"):
+        for name in ("masks", "values", "counts"):
             assert getattr(prefix, name).tobytes() == getattr(expected, name).tobytes(), (k, name)
-        # stacked with another event, as a batch scatters them
-        stacked = unpack([prefix, packed])
-        assert stacked.tobytes() == np.concatenate([rows[:k], rows]).tobytes()
+        # stacked with another event, as a batch stacks them: the packing of the joined rows
+        stacked, joined = stack([prefix, packed]), np.concatenate([rows[:k], rows])
+        for name in ("masks", "values", "counts"):
+            assert getattr(stacked, name).tobytes() == getattr(pack(joined), name).tobytes(), (k, name)
+        assert unpack(stacked).tobytes() == joined.tobytes()
     # after an event of dense rows: a batch that stores all its entries, or only some
     other = _dense_rows(width, tmp_path)
-    assert unpack([pack(other), packed]).tobytes() == np.concatenate([other, rows]).tobytes()
+    assert unpack(stack([pack(other), packed])).tobytes() == np.concatenate([other, rows]).tobytes()
 
 
 @given(
@@ -320,14 +325,14 @@ def test_unpacking_at_f32_gives_the_bits_of_casting_the_f64_rows(rows, split):
     # with every +0.0 made -0.0 each entry is stored, so the dense branch is taken
     for case in (rows, np.where(rows.view(np.int64) == 0, -0.0, rows)):
         parts = [pack(case[:split]), pack(case[split:])] if split < len(case) else [pack(case)]
-        want = unpack(parts).astype(np.float32)
-        got = unpack(parts, np.float32)
+        want = unpack(stack(parts)).astype(np.float32)
+        got = unpack(stack(parts), np.float32)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def test_unpacking_refuses_rows_of_different_widths():
     with pytest.raises(ShapeError, match="widths"):
-        unpack([pack(np.ones((2, 9))), pack(np.ones((1, 16)))])
+        stack([pack(np.ones((2, 9))), pack(np.ones((1, 16)))])
 
 
 def test_a_dense_precomputed_event_packs_to_at_most_1_02_times_its_dense_bytes():
@@ -338,4 +343,4 @@ def test_a_dense_precomputed_event_packs_to_at_most_1_02_times_its_dense_bytes()
     rows = embed_event(event, provider).rows
     packed = pack(rows)
     assert packed.values.size == rows.size
-    assert packed.masks.nbytes + packed.values.nbytes + packed.ends.nbytes <= 1.02 * rows.nbytes
+    assert packed.masks.nbytes + packed.values.nbytes + packed.counts.nbytes <= 1.02 * rows.nbytes

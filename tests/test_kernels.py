@@ -9,6 +9,7 @@ one tape node. Each must still give the same values and gradients as the
 composition in ``tests.oracles`` at f64 and at f32, whatever the block size.
 """
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -268,6 +269,45 @@ def test_graph_conv_masks_a_rebuildable_operand_in_place_and_matches_the_oracle_
     assert _same_bytes(got, want)
     for a, c in zip(got_grads, want_grads):
         assert _same_bytes(a, c)
+
+
+class _StubOperator:
+    """An operator whose forward product is ``pre`` and whose backward product is the gradient it is given."""
+
+    def __init__(self, pre: np.ndarray):
+        self.pre = pre
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        product = y if self.pre is None else self.pre.copy()
+        self.pre = None
+        return product
+
+
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_graph_conv_relu_of_special_values_matches_np_where_bitwise(precision, taped):
+    # NaN, both infinities, both zeros, both smallest subnormals and two normal values in three
+    # rows, then a row of -0.0: np.fmax returns -0.0 for -0.0 at some positions only, which depend
+    # on its vector blocks. A -0.0 bias keeps every value, -0.0 included, as the pre-activation
+    dtype = DTYPES[precision]
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1.5, -2.5], dtype=dtype)
+    pre = np.vstack([np.tile(values, (3, 1)), np.full(len(values), -0.0, dtype=dtype)])
+    want = np.where(pre > 0.0, pre, 0.0)
+    upstream = np.arange(1.0, 1.0 + pre.size).reshape(pre.shape)  # positive, so no inf * 0 or inf - inf
+    with nc.precision(precision), (contextlib.nullcontext() if taped else nc.no_grad()):
+        x, w = Tensor(np.ones((len(pre), 2))), nc.parameter(np.ones((2, pre.shape[1])), "w")
+        b = nc.parameter(np.full(pre.shape[1], -0.0), "b")
+        out = nc.graph_conv(_StubOperator(pre), x, w, b)
+        assert _same_bytes(out.data, want) and not np.signbit(out.data).any()
+        assert (out._backward is not None) == out.requires_grad == taped  # an untaped call records no rule
+        if taped:
+            oracles.sum_all(out * Tensor(upstream)).backward()
+            assert _same_bytes(b.grad, (upstream.astype(dtype) * (pre > 0.0)).sum(axis=0))
+    # without a parameter among its operands the call records no rule either
+    x = Tensor(np.ones((len(pre), 2)))
+    out = nc.graph_conv(_StubOperator(pre.astype(np.float64)), x, np.ones((2, pre.shape[1])), np.zeros(pre.shape[1]))
+    assert out._backward is None and not out.requires_grad
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -110,7 +110,27 @@ def test_spmm_matches_dense_oracle():
     graphs, op = _mixed_operator()
     y = np.random.default_rng(4).normal(size=(sum(g.n for g in graphs), 5))
     oracle = _block_diagonal([normalized_reference(dense_adjacency(g)) for g in graphs])
-    assert np.max(np.abs(op.apply(y) - oracle @ y)) <= 1e-15
+    assert np.max(np.abs(op.apply(y.copy()) - oracle @ y)) <= 1e-15  # apply consumes its operand
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_spmm_consumes_its_operand_and_matches_scaling_a_copy_bitwise(dtype):
+    # s * (A @ (s * y)) on a copy of y: each row adds its neighbors' scaled rows in ascending order
+    graphs, op = _mixed_operator()
+    adjacency = _block_diagonal([dense_adjacency(g) for g in graphs])
+    y = np.random.default_rng(9).normal(size=(len(adjacency), 5)).astype(dtype)
+    scale = op.scale.astype(dtype)[:, None]
+    scaled = scale * y
+    want = np.empty_like(scaled)
+    for i, row in enumerate(adjacency):
+        first, *rest = np.flatnonzero(row)
+        want[i] = scaled[first]
+        for j in rest:
+            want[i] += scaled[j]
+    want *= scale
+    got = op.apply(y)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert y.tobytes() == scaled.tobytes() and not np.shares_memory(got, y)  # y took the scale in place
 
 
 @pytest.mark.parametrize("dropout", [False, True])
@@ -150,6 +170,9 @@ def test_graph_conv_keeps_float32_and_checks_rows():
     assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
     with pytest.raises(nc.ShapeError, match=f"{rows}-row operator"):
         nc.graph_conv(op, Tensor(np.zeros((rows + 1, 4))), w, b)
+    # a bias is one row: the gradient of a full-shape one would be the masked gradient that apply consumes
+    with pytest.raises(nc.ShapeError, match="with bias"):
+        nc.graph_conv(op, x, w, nc.parameter(np.zeros((rows, 2)), "b"))
 
 
 def test_permutation_equivariance_exact():

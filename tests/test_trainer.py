@@ -643,7 +643,7 @@ def test_prepared_hashed_rows_are_packed_to_at_most_160_bytes_a_node():
     source, target = generate(SynthSpec(source_events=40, target_events=40, seed=6))
     prepared = prepare_events(source.events + target.events, HashedProvider(dim=768))
     nodes = sum(p.graph.n for p in prepared)
-    packed = sum(p.embedding.masks.nbytes + p.embedding.values.nbytes + p.embedding.ends.nbytes for p in prepared)
+    packed = sum(p.embedding.masks.nbytes + p.embedding.values.nbytes + p.embedding.counts.nbytes for p in prepared)
     assert nodes > 400
     assert packed <= 160 * nodes
 
@@ -681,7 +681,7 @@ def test_prefix_matches_preparing_the_truncated_event_bitwise(seed):
         for value in grid:
             truncated = truncate_event(event, mode, value)
             prefix = prepared.prefix(visible_posts(event, mode, value))
-            assert unpack([prefix.embedding]).tobytes() == embed_event(truncated, provider).rows.tobytes()
+            assert unpack(prefix.embedding).tobytes() == embed_event(truncated, provider).rows.tobytes()
             assert prefix.graph == build_graph(truncated)
             assert prefix.label == prepared.label
         assert prepared.prefix(visible_posts(event, mode, math.inf)) is prepared
