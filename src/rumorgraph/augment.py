@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GraphBatch, ModelParams, classify, encode_batch
-from .numcore import RngStreams, Tensor
+from .numcore import RngStreams, Tensor, keep_mask
 from .objectives import ce_from_probs
 from .propagation import dropedge
 
@@ -63,7 +63,7 @@ def adversarial(rep: Tensor, grad: np.ndarray, epsilon: float) -> Tensor:
 
 def feature_dropout(rep: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
     """Zero each coordinate independently with probability ``rate``; no rescaling."""
-    return rep * Tensor(gen.random(rep.shape) >= rate)
+    return rep * Tensor(keep_mask(gen, rep.shape, rate))
 
 
 def classification_gradients(reps: Tensor, labels: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -22,10 +22,10 @@ tool first writes ``blas_fingerprint.txt``, a digest of fixed matrix products
 that tells such kernels apart.
 
 Exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training
-failed, 4 degenerate projection. Each command is straight-line code; ``main``
-turns the error it raises into an ``error:`` line and an exit code through
-that command's table of ``(error types, code)`` pairs, the first matching pair
-deciding, and lets an error that no pair matches propagate.
+failed or could not allocate its arrays, 4 degenerate projection. Each
+command is straight-line code; ``main`` prints the error it raises as an
+``error:`` line and returns the code of the first ``(error types, code)``
+pair in its table that the error matches, and lets any other propagate.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rumorgraph",
         description="Contrastive transfer training over rumor propagation graphs",
         epilog="earlydetect and export-features require --embeddings, the embeddings the model was trained on; "
-        "exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training failed, 4 degenerate projection",
+        "exit codes: 0 ok, 1 input or IO error, 2 config or spec error, 3 training failed, 4 degenerate projection "
+        "(train also exits 3 when it cannot allocate its arrays)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_train,
         errors=[
             ((ConfigError,), 2),
-            ((TrainingStepError, SimilarityError, EncodingError), 3),
+            ((TrainingStepError, SimilarityError, EncodingError, MemoryError), 3),
             ((DatasetError, EmbeddingError, OSError), 1),
         ],
     )

@@ -12,6 +12,14 @@ claim sits at 0 and replies carry elapsed seconds since the claim.
 
 An event's posts sort claim first, then replies by time; a detection
 checkpoint keeps the first of them, and ``visible_posts`` says how many.
+
+Every JSON file read from outside, but a snapshot's header, is decoded here,
+and each fault becomes the caller's error type. ``read_json`` reads a
+whole-file value (run configs, synth specs): an unreadable file, invalid
+JSON, text that is not UTF-8, too many digits or too deep a nesting raise
+that error. ``json_lines`` yields each non-blank line's number and value
+(events, embeddings): invalid JSON names the file and line, text that is not
+UTF-8 names the file, and a missing file raises ``OSError``.
 """
 
 from __future__ import annotations
@@ -96,6 +104,31 @@ class CheckpointSpec:
 # -- parsing -----------------------------------------------------------------
 
 
+def read_json(path, error):
+    """The JSON value a whole file holds, raising ``error`` on any fault."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:  # missing or unreadable: as bad an input as a malformed one
+        raise error(str(err)) from err
+    except (ValueError, RecursionError) as err:  # malformed, not UTF-8, too many digits, or nested too deep
+        raise error(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
+
+
+def json_lines(path, error):
+    """Yield ``(line number, value)`` for each non-blank line of a JSONL file, raising ``error`` on a fault."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(map(str.strip, fh), start=1):
+                if line:
+                    try:
+                        yield line_no, json.loads(line)
+                    except (ValueError, RecursionError) as err:  # malformed, too many digits, or nested too deep
+                        raise error(f"{path} line {line_no}: invalid JSON ({getattr(err, 'msg', err)})") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text ({err.reason})") from err
+
+
 def _require(record: dict, key: str, kind, where: str):
     if key not in record:
         raise DatasetError(f"{where}: missing field {key!r}")
@@ -171,31 +204,18 @@ def _parse_event(record, line_no: int) -> Event:
 
 def parse_events(path) -> Dataset:
     """Parse and validate a JSONL event file into a Dataset."""
-    events = []
-    seen_ids = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as err:  # malformed, too many digits, or nested too deep
-                    raise DatasetError(f"line {line_no}: invalid JSON ({getattr(err, 'msg', err)})") from err
-                event = _parse_event(record, line_no)
-                if event.event_id in seen_ids:
-                    raise DatasetError(f"duplicate event_id {event.event_id!r}")
-                seen_ids.add(event.event_id)
-                events.append(event)
-    except UnicodeDecodeError as err:
-        raise DatasetError(f"{path}: not UTF-8 text ({err.reason})") from err
+    events: dict[str, Event] = {}
+    for line_no, record in json_lines(path, DatasetError):
+        event = _parse_event(record, line_no)
+        if event.event_id in events:
+            raise DatasetError(f"duplicate event_id {event.event_id!r}")
+        events[event.event_id] = event
     if not events:
         raise DatasetError(f"{path}: no events found")
-    labels = {e.label for e in events}
+    labels = {e.label for e in events.values()}
     if len(labels) == 1:
         log.warning("dataset %s contains a single label (%s)", path, labels.pop())
-    return Dataset(events=events)
+    return Dataset(events=list(events.values()))
 
 
 def write_events(dataset: Dataset, path) -> None:

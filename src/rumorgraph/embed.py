@@ -1,8 +1,8 @@
 """Per-post embedding providers.
 
-Real runs ingest vectors exported from a frozen cross-lingual sentence
-encoder (JSONL: a `{"dim", "count"}` header line, then one
-`{"post_id", "vector"}` record per line). Desk-scale runs use a hashed
+Real runs read a frozen cross-lingual sentence encoder's vectors from JSONL
+(``dataio.json_lines``): a ``{"dim", "count"}`` header on line 1, then one
+``{"post_id", "vector"}`` record a line. Desk-scale runs use a hashed
 bag-of-tokens stand-in of configurable dimension. Each ``HashedProvider``
 memoizes the bucket and sign of every token it has hashed; the memo belongs
 to the instance, and the module keeps no state between calls.
@@ -18,13 +18,12 @@ packs to w / 8 + 8 bytes plus 8 per entry (about 130 B at 768, against
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Event, Post
+from .dataio import Event, Post, json_lines
 from .numcore import INT64_MAX, ShapeError, fnv1a64
 
 class EmbeddingError(ValueError):
@@ -144,49 +143,35 @@ class PrecomputedProvider:
 
 
 def load_precomputed(path) -> PrecomputedProvider:
-    """Load an embedding file, validating the header and every record width."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header_line = fh.readline()
-            try:
-                header = json.loads(header_line)
-            except (ValueError, RecursionError) as err:  # malformed, too many digits, or nested too deep
-                raise EmbeddingError(f"{path} line 1: invalid header ({getattr(err, 'msg', err)})") from err
-            if not isinstance(header, dict) or "dim" not in header or "count" not in header:
-                raise EmbeddingError(f"{path} line 1: header must carry 'dim' and 'count'")
-            dim = header["dim"]
-            if type(dim) is not int or dim <= 0:  # bool is an int subclass
-                raise EmbeddingError(f"{path} line 1: header dimension must be a positive integer")
-            if type(header["count"]) is not int:
-                raise EmbeddingError(f"{path} line 1: header count must be an integer")
-            vectors: dict[str, np.ndarray] = {}
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path} line {line_no}"
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as err:
-                    raise EmbeddingError(f"{where}: invalid JSON ({getattr(err, 'msg', err)})") from err
-                if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
-                    raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
-                if record["post_id"] in vectors:
-                    raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
-                # np.asarray would parse numeric strings and take booleans as 0 and 1
-                if not isinstance(record["vector"], list) or not set(map(type, record["vector"])) <= {int, float}:
-                    raise EmbeddingError(f"{where}: vector is not numeric (expected a list of JSON numbers)")
-                try:
-                    vec = np.asarray(record["vector"], dtype=np.float64)
-                except OverflowError as err:
-                    raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
-                if vec.shape != (dim,):
-                    raise EmbeddingError(f"{where}: vector length {vec.shape[0]} does not match header dim {dim}")
-                if not np.all(np.isfinite(vec)):
-                    raise EmbeddingError(f"{where}: non-finite vector")
-                vectors[record["post_id"]] = vec
-    except UnicodeDecodeError as err:
-        raise EmbeddingError(f"{path}: not UTF-8 text ({err.reason})") from err
+    """Load an embedding file, validating the header, which must be line 1, and every record width."""
+    lines = json_lines(path, EmbeddingError)
+    line_no, header = next(lines, (None, None))
+    if line_no != 1 or not isinstance(header, dict) or "dim" not in header or "count" not in header:
+        raise EmbeddingError(f"{path} line 1: header must carry 'dim' and 'count'")
+    dim = header["dim"]
+    if type(dim) is not int or dim <= 0:  # bool is an int subclass
+        raise EmbeddingError(f"{path} line 1: header dimension must be a positive integer")
+    if type(header["count"]) is not int:
+        raise EmbeddingError(f"{path} line 1: header count must be an integer")
+    vectors: dict[str, np.ndarray] = {}
+    for line_no, record in lines:
+        where = f"{path} line {line_no}"
+        if not isinstance(record, dict) or not isinstance(record.get("post_id"), str) or "vector" not in record:
+            raise EmbeddingError(f"{where}: record must carry a string 'post_id' and a 'vector'")
+        if record["post_id"] in vectors:
+            raise EmbeddingError(f"{where}: duplicate post_id {record['post_id']!r}")
+        # np.asarray would parse numeric strings and take booleans as 0 and 1
+        if not isinstance(record["vector"], list) or not set(map(type, record["vector"])) <= {int, float}:
+            raise EmbeddingError(f"{where}: vector is not numeric (expected a list of JSON numbers)")
+        try:
+            vec = np.asarray(record["vector"], dtype=np.float64)
+        except OverflowError as err:
+            raise EmbeddingError(f"{where}: vector is not numeric ({err})") from err
+        if vec.shape != (dim,):
+            raise EmbeddingError(f"{where}: vector length {vec.shape[0]} does not match header dim {dim}")
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingError(f"{where}: non-finite vector")
+        vectors[record["post_id"]] = vec
     if len(vectors) != header["count"]:
         raise EmbeddingError(f"{path}: header count {header['count']} != {len(vectors)} records")
     return PrecomputedProvider(dim=dim, vectors=vectors)

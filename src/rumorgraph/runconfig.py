@@ -5,8 +5,8 @@ A run config is a JSON object with the sections ``paths`` and ``model``
 ``seed`` and ``precision``. The ``model``, ``augment`` and ``training``
 sections are the fields of ``ModelConfig``, ``AugmentStrategy`` and
 ``TrainConfig``; ``dataclass_from_json`` checks each key's JSON type and the
-dataclass checks its bounds, so no field is described twice. Every malformed
-config raises ``ConfigError`` naming the field.
+dataclass checks its bounds, so no field is described twice. A malformed
+field raises ``ConfigError`` naming it; ``dataio.read_json`` reads the file.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .augment import AugmentStrategy
+from .dataio import read_json
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -115,16 +116,7 @@ def parse_run_config(record: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     """Read and parse a config file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-    except OSError as err:  # missing or unreadable: as bad a config as a malformed one
-        raise ConfigError(str(err)) from err
-    except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
-        raise ConfigError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
-    if not isinstance(record, dict):
-        raise ConfigError(f"{path}: configuration must be a JSON object")
-    return parse_run_config(record)
+    return parse_run_config(read_json(path, ConfigError))
 
 
 def config_hash(record: dict) -> str:

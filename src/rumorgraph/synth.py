@@ -13,11 +13,10 @@ transfer; the reply-pattern channel is the domain-invariant evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .dataio import Dataset, Event, Post
+from .dataio import Dataset, Event, Post, read_json
 from .numcore import INT64_MAX, RngStreams
 from .runconfig import dataclass_from_json
 
@@ -62,14 +61,7 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-        except OSError as err:  # missing or unreadable: as bad a spec as a malformed one
-            raise SynthSpecError(str(err)) from err
-        except (ValueError, RecursionError) as err:  # malformed, not UTF-8, or nested too deep
-            raise SynthSpecError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
-        return dataclass_from_json(cls, record, SynthSpecError)
+        return dataclass_from_json(cls, read_json(path, SynthSpecError), SynthSpecError)
 
 
 def _pool(role: str, base: str, size: int, shift: float) -> list[str]:

@@ -748,18 +748,6 @@ def _overflow_argv(command):
     return build
 
 
-def _missing_embedding_argv(command):
-    """``command`` on an 8-wide embedding file whose one record matches no post."""
-
-    def build(tmp_path, data_dir, snapshot):
-        path = tmp_path / "stray.jsonl"
-        write_embeddings({"stray": np.ones(8)}, 8, path)
-        inner = _train_argv(str(path)) if command == "train" else _inference_argv(command, "--embeddings", str(path))
-        return inner(tmp_path, data_dir, snapshot)
-
-    return build
-
-
 def _broken_events_argv(command, content: bytes):
     """``command`` reading an event file that holds ``content``."""
 
@@ -782,6 +770,38 @@ def _broken_events_argv(command, content: bytes):
     return build
 
 
+def _embedding_file_argv(command, content: str):
+    """``command`` reading its embeddings from a file that holds ``content``."""
+
+    def build(tmp_path, data_dir, snapshot):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(content)
+        inner = _train_argv(str(path)) if command == "train" else _inference_argv(command, "--embeddings", str(path))
+        return inner(tmp_path, data_dir, snapshot)
+
+    return build
+
+
+def _missing_embedding_argv(command):
+    """``command`` on an 8-wide embedding file whose one record matches no post."""
+    header, record = {"dim": 8, "count": 1}, {"post_id": "stray", "vector": [1.0] * 8}
+    return _embedding_file_argv(command, f"{json.dumps(header)}\n{json.dumps(record)}\n")
+
+
+def _wide_input_argv(width: int):
+    """``train`` with ``d_in`` and both roles' hashed embeddings ``width`` wide."""
+
+    def build(tmp_path, data_dir, snapshot):
+        argv = _section_argv("model", f"hashed:{width}", d_in=width)(tmp_path, data_dir, snapshot)
+        config = Path(argv[-1])
+        record = json.loads(config.read_text())
+        record["paths"]["target_embeddings"] = f"hashed:{width}"
+        config.write_text(json.dumps(record))
+        return argv
+
+    return build
+
+
 WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
 BAD_WIDTH = r"width must be a positive integer up to 9223372036854775807"
 PAST_INT64 = r"must lie in \[1, 9223372036854775807\], got 100000000000000000000"
@@ -790,6 +810,10 @@ NO_EMBEDDING = r"no embedding found for post"
 NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 NON_FINITE = r"non-finite class probabilities or representations"
 NO_FILE = r"\[Errno 2\] No such file or directory"
+NO_HEADER = r"emb.jsonl line 1: header must carry 'dim' and 'count'"
+# a row of 2**50 float64 entries (8 PiB) exceeds the 47- or 48-bit address space a 64-bit process maps by
+# default, so the request fails at once without touching memory
+CANNOT_ALLOCATE = r"Unable to allocate"
 # the JSON reader recurses once per bracket and runs out of stack long before
 DEEP = b"[" * 100_000 + b"\n"
 
@@ -811,6 +835,9 @@ DEEP = b"[" * 100_000 + b"\n"
          r"model config: w0 of shape \(4611686018427387904, 6\) " + PAST_INT64_BYTES),
         (_section_argv("model", d_hidden=1, d_out=2**59), 2,
          r"model config: w1 of shape \(9, 576460752303423488\) " + PAST_INT64_BYTES),
+        (_section_argv("model", d_hidden=2**50), 3, CANNOT_ALLOCATE),
+        # the embedding rows are allocated before the parameters
+        (_wide_input_argv(2**50), 3, CANNOT_ALLOCATE),
         (_edited_header_argv("earlydetect", b'"d_hidden": 6', b'"d_hidden": 100000000000000000000'), 1,
          r"unreadable header \(ValueError: d_hidden " + PAST_INT64),
         (_edited_header_argv("export-features", b'"d_out": 4', b'"d_out": 100000000000000000000'), 1,
@@ -826,6 +853,8 @@ DEEP = b"[" * 100_000 + b"\n"
         (_missing_embedding_argv("train"), 1, NO_EMBEDDING),
         (_missing_embedding_argv("earlydetect"), 1, NO_EMBEDDING),
         (_missing_embedding_argv("export-features"), 1, NO_EMBEDDING),
+        (_embedding_file_argv("train", "\n" + json.dumps({"dim": 8, "count": 0}) + "\n"), 1, NO_HEADER),
+        (_embedding_file_argv("earlydetect", "  \n" + json.dumps({"dim": 8, "count": 0}) + "\n"), 1, NO_HEADER),
         (_broken_events_argv("validate", b"5\n"), 1, NOT_AN_OBJECT),
         (_broken_events_argv("train", b"null\n"), 1, NOT_AN_OBJECT),
         (_broken_events_argv("earlydetect", b"5\n"), 1, NOT_AN_OBJECT),
@@ -888,6 +917,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "train-d-out-beyond-int64",
         "train-w0-bytes-beyond-int64",
         "train-w1-bytes-beyond-int64",
+        "train-d-hidden-cannot-allocate",
+        "train-embedding-rows-cannot-allocate",
         "earlydetect-snapshot-d-hidden-beyond-int64",
         "export-snapshot-d-out-beyond-int64",
         "earlydetect-snapshot-w0-bytes-beyond-int64",
@@ -900,6 +931,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "train-missing-embedding",
         "earlydetect-missing-embedding",
         "export-missing-embedding",
+        "train-blank-embedding-header-line",
+        "earlydetect-whitespace-embedding-header-line",
         "validate-non-object-event",
         "train-non-object-event",
         "earlydetect-non-object-event",

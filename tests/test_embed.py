@@ -166,7 +166,7 @@ GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
         (HEADER, '{"post_id": "b", "vector": ["1.5", " 2 "]}', "not numeric", 3),
         (HEADER, '{"post_id": "b", "vector": [true, 2.0]}', "not numeric", 3),
         ('{"dim": 2, "count": true}', "", "header count must be an integer", 1),
-        ("[" * 100_000, GOOD, "invalid header", 1),
+        ("[" * 100_000, GOOD, "invalid JSON", 1),
         (HEADER, "[" * 100_000, "invalid JSON", 3),
     ],
     ids=[
@@ -192,6 +192,15 @@ def test_precomputed_malformed_record_names_file_and_line(tmp_path, header, reco
     with pytest.raises(EmbeddingError, match=message) as info:
         load_precomputed(path)
     assert f"{path} line {line}: " in str(info.value)
+
+
+@pytest.mark.parametrize("first", ["", "   \t"], ids=["blank", "whitespace-only"])
+def test_precomputed_header_must_be_line_one(tmp_path, first):
+    path = tmp_path / "emb.jsonl"
+    path.write_text("\n".join([first, HEADER, GOOD, GOOD.replace('"a"', '"b"')]) + "\n")
+    with pytest.raises(EmbeddingError, match="header must carry 'dim' and 'count'") as info:
+        load_precomputed(path)
+    assert f"{path} line 1: " in str(info.value)
 
 
 # a component too large for a float64 sits among the vector entries

@@ -1,4 +1,5 @@
-"""Every module-level function and class of ``rumorgraph`` has a library caller.
+"""Every module-level function and class of ``rumorgraph`` has a library caller, and only ``dataio``
+decodes JSON files.
 
 A name counts as used when a module of ``rumorgraph`` reads it outside any
 ``def`` or ``class`` of the same name: as a plain name that no enclosing
@@ -132,6 +133,58 @@ def test_every_module_level_definition_has_a_library_caller():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.relative_to(LIBRARY)}:{node.name}")
     assert not unused, f"defined in rumorgraph but used by no library module: {unused}"
+
+
+# the snapshot header heads a binary file, so ``load_snapshot`` decodes it itself
+JSON_DECODERS = {"dataio.py": None, "model.py": "load_snapshot"}
+
+
+def _decodes_json(node) -> bool:
+    """Whether ``node`` is a ``json.load``/``json.loads`` call or a ``from json import``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("load", "loads")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "json"
+    )
+
+
+def _json_decodes(source: str) -> list[tuple[str | None, int]]:
+    """The module-level function or class (None outside any) and line of each JSON decode in a module."""
+    return [
+        (top.name if isinstance(top, DEFINITIONS) else None, node.lineno)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if _decodes_json(node)
+    ]
+
+
+def test_only_dataio_decodes_json_files():
+    stray = []
+    for path in MODULES:
+        name = str(path.relative_to(LIBRARY))
+        for owner, line in _json_decodes(path.read_text(encoding="utf-8")):
+            if name not in JSON_DECODERS or JSON_DECODERS[name] not in (None, owner):
+                stray.append(f"{name}:{line}")
+    assert not stray, f"JSON decoded outside dataio and the snapshot header: {stray}"
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import json\ndef read(fh):\n    return json.load(fh)", [("read", 3)]),
+        ("import json\nclass Spec:\n    def read(self, text):\n        return json.loads(text)", [("Spec", 4)]),
+        ("import json\nvalue = json.loads('1')", [(None, 2)]),
+        ("from json import loads", [(None, 1)]),
+        ("import json\ndef write(fh):\n    json.dump({}, fh)\n    return json.dumps({})", []),
+    ],
+    ids=["load-in-function", "loads-in-method", "module-level", "from-import", "encoding-only"],
+)
+def test_json_decodes_are_found(source, found):
+    assert _json_decodes(source) == found
 
 
 @pytest.mark.parametrize(
