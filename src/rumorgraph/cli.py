@@ -6,8 +6,8 @@ Subcommands: validate (check an event file and print its statistics), train
 representations), and synth (generate the two-domain synthetic benchmark).
 
 The scorers, earlydetect and export-features, require ``--embeddings``: the
-provider the model was trained with, a file path or ``hashed:<dim>``. Nothing
-picks one for them.
+provider the model was trained with, a file path or ``hashed:<d_in>`` with the
+snapshot's ``d_in``. Nothing picks one for them.
 
 Commands that produce artifacts write them under ``--out`` and write
 ``manifest.json`` last, listing the files and a hash of the effective config;
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -91,10 +90,12 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out) if args.out else Path(run.output_dir)
     source_ds = parse_events(run.source_events)
     target_ds = parse_events(run.target_events)
-    source_provider = _checked_width(provider_from_spec(run.source_embeddings), run.train.model, "source")
-    target_provider = _checked_width(provider_from_spec(run.target_embeddings), run.train.model, "target")
-    source = prepare_events(source_ds.events, source_provider)
-    target = prepare_events(target_ds.events, target_provider)
+    # one provider per distinct spec: two roles that name one file decode and hold it once
+    specs = dict.fromkeys((run.source_embeddings, run.target_embeddings))
+    providers = {spec: provider_from_spec(spec, run.train.model.d_in) for spec in specs}
+    source = prepare_events(source_ds.events, providers[run.source_embeddings])
+    target = prepare_events(target_ds.events, providers[run.target_embeddings])
+    del providers
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if run.protocol_mode == "cv":
@@ -119,21 +120,15 @@ def cmd_train(args) -> int:
 
 
 def _parse_checkpoints(text: str, mode: str) -> CheckpointSpec:
-    values = tuple(math.inf if v.strip() == "inf" else float(v) for v in text.split(","))
+    values = tuple(float(v) for v in text.split(","))
     spec_mode = "elapsed_time" if mode == "time" else "post_count"
     return CheckpointSpec(mode=spec_mode, values=values)
-
-
-def _checked_width(provider, cfg, role: str):
-    if provider.dim != cfg.d_in:
-        raise EmbeddingError(f"{role} embeddings are {provider.dim} wide but the model expects d_in={cfg.d_in}")
-    return provider
 
 
 def cmd_earlydetect(args) -> int:
     params, _seed = load_snapshot(args.snapshot)
     events = parse_events(args.events).events
-    provider = _checked_width(provider_from_spec(args.embeddings), params.config, "event")
+    provider = provider_from_spec(args.embeddings, params.config.d_in)
     spec = _parse_checkpoints(args.checkpoints, args.mode)
     metrics = early_detection(prepare_events(events, provider), params, spec)
     out_dir = Path(args.out)
@@ -154,7 +149,7 @@ def cmd_earlydetect(args) -> int:
 def cmd_export_features(args) -> int:
     params, _seed = load_snapshot(args.snapshot)
     events = parse_events(args.events).events
-    provider = _checked_width(provider_from_spec(args.embeddings), params.config, "event")
+    provider = provider_from_spec(args.embeddings, params.config.d_in)
     _preds, reps = predict_events(events, params, provider)
     coords, explained = pca_project(reps)
     out_dir = Path(args.out)
@@ -222,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--checkpoints", required=True, help="comma-separated values; 'inf' allowed")
     p.add_argument("--mode", choices=["time", "count"], required=True)
-    p.add_argument("--embeddings", required=True, help="path or hashed:<dim>")
+    p.add_argument("--embeddings", required=True, help="path or hashed:<d_in>")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_earlydetect, errors=[((OSError, ValueError), 1)])
 
     p = sub.add_parser("export-features", help="export a 2-D projection of representations")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--embeddings", required=True, help="path or hashed:<dim>")
+    p.add_argument("--embeddings", required=True, help="path or hashed:<d_in>")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features, errors=[((DegenerateDataError,), 4), ((OSError, ValueError), 1)])
 

@@ -3,9 +3,11 @@
 Real runs read a frozen cross-lingual sentence encoder's vectors from JSONL
 (``dataio.json_lines``): a ``{"dim", "count"}`` header on line 1, then one
 ``{"post_id", "vector"}`` record a line. Desk-scale runs use a hashed
-bag-of-tokens stand-in of configurable dimension. Each ``HashedProvider``
-memoizes the bucket and sign of every token it has hashed; the memo belongs
-to the instance, and the module keeps no state between calls.
+bag-of-tokens stand-in, ``hashed:<d_in>``. Providers are built for the
+model's input width, which ``provider_from_spec`` checks once, against the spec
+or a file's header line, and a command builds one per distinct spec. Each
+``HashedProvider`` memoizes the bucket and sign of every token it has hashed;
+the memo belongs to the instance, and the module keeps no state between calls.
 
 Prepared events keep their rows packed (``pack``): one bit per entry saying
 whether it is nonzero, the nonzero values, and a count of them per row. A
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Event, Post, json_lines
-from .numcore import INT64_MAX, ShapeError, fnv1a64
+from .numcore import ShapeError, fnv1a64
 
 class EmbeddingError(ValueError):
     """Embedding file malformed or a post could not be resolved."""
@@ -142,15 +144,15 @@ class PrecomputedProvider:
             raise EmbeddingError(f"no embedding found for post {post.post_id!r}") from None
 
 
-def load_precomputed(path) -> PrecomputedProvider:
-    """Load an embedding file, validating the header, which must be line 1, and every record width."""
+def load_precomputed(path, dim: int) -> PrecomputedProvider:
+    """Load an embedding file of ``dim``-wide vectors: the header, which must be line 1 and name that width, is
+    checked before any record is decoded, then every record."""
     lines = json_lines(path, EmbeddingError)
     line_no, header = next(lines, (None, None))
     if line_no != 1 or not isinstance(header, dict) or "dim" not in header or "count" not in header:
         raise EmbeddingError(f"{path} line 1: header must carry 'dim' and 'count'")
-    dim = header["dim"]
-    if type(dim) is not int or dim <= 0:  # bool is an int subclass
-        raise EmbeddingError(f"{path} line 1: header dimension must be a positive integer")
+    if type(header["dim"]) is not int or header["dim"] != dim:  # bool is an int subclass, and 2.0 == 2
+        raise EmbeddingError(f"{path} line 1: header dim must be the integer {dim}, the model's d_in")
     if type(header["count"]) is not int:
         raise EmbeddingError(f"{path} line 1: header count must be an integer")
     vectors: dict[str, np.ndarray] = {}
@@ -177,15 +179,14 @@ def load_precomputed(path) -> PrecomputedProvider:
     return PrecomputedProvider(dim=dim, vectors=vectors)
 
 
-def provider_from_spec(spec: str):
-    """Build a provider from a config string: a file path or "hashed:<dim>"."""
+def provider_from_spec(spec: str, dim: int):
+    """The provider a config string names for a model whose input is ``dim`` wide: "hashed:<dim>" or the path
+    of an embedding file of that width."""
     if spec.startswith("hashed:"):
-        width = spec.split(":", 1)[1]
-        # a width longer than INT64_MAX's digits is out of bounds, so it is never converted
-        if not width.isdecimal() or len(width) > len(str(INT64_MAX)) or not 1 <= int(width) <= INT64_MAX:
-            raise EmbeddingError(f"embedding spec {spec!r}: the width must be a positive integer up to {INT64_MAX}")
-        return HashedProvider(dim=int(width))
-    return load_precomputed(spec)
+        if spec != f"hashed:{dim}":
+            raise EmbeddingError(f"embedding spec {spec!r} does not name the model's d_in: expected 'hashed:{dim}'")
+        return HashedProvider(dim)
+    return load_precomputed(spec, dim)
 
 
 def embed_event(event: Event, provider) -> EmbeddingMatrix:

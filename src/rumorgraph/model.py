@@ -59,7 +59,6 @@ from .propagation import PropagationGraph
 SNAPSHOT_VERSION = 1
 # nodes of one evaluation chunk: its widest per-node buffer, (n, d_hidden + d_in), stays within this
 _CHUNK_BYTES = 8 * 1024 * 1024
-PARAM_ORDER = ("w0", "b0", "ln1_gain", "ln1_bias", "w1", "b1", "ln2_gain", "ln2_bias", "wc", "bc")
 # format 1's header config records the fixed class count and depth beside the ModelConfig fields
 _FORMAT_CONSTANTS = {"classes": 2, "layers": 2}
 
@@ -200,8 +199,6 @@ def encode_batch(
     cfg = params.config
     dtype = nc.active_dtype()
     x = nc.recomputable(lambda: unpack(batch.rows, dtype))  # conv1's weight gradient unpacks the rows again
-    if x.shape[1] != cfg.d_in:
-        raise nc.ShapeError(f"feature width {x.shape[1]} does not match d_in {cfg.d_in}")
 
     h1 = nc.graph_conv(batch.mixing, x, params.w0, params.b0)
     h1_tilde = nc.layer_norm(h1, x, batch.sizes, params.ln1_gain, params.ln1_bias, cfg.layer_norm_eps)
@@ -270,16 +267,16 @@ class SnapshotError(ValueError):
 
 def save_snapshot(params: ModelParams, seed: int, path) -> None:
     """Sorted-key JSON header line, whose ``config`` adds the format-1 constants ``"classes": 2`` and
-    ``"layers": 2`` to the ``ModelConfig`` fields, then the tensors as little-endian float64 in ``PARAM_ORDER``."""
+    ``"layers": 2`` to the ``ModelConfig`` fields, then the tensors as little-endian float64 in ``_shapes``' order."""
     header = {
         "format_version": SNAPSHOT_VERSION,
         "config": {**asdict(params.config), **_FORMAT_CONSTANTS},
         "seed": seed,
-        "order": list(PARAM_ORDER),
+        "order": list(_shapes(params.config)),
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for name in PARAM_ORDER:
+        for name in header["order"]:
             fh.write(np.asarray(params.tensors[name].data, dtype="<f8").tobytes())
 
 
@@ -288,7 +285,7 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
 
     The header must hold the supported ``format_version``, the model
     configuration with its format-1 constants, the seed and an ``order`` that
-    is ``PARAM_ORDER``, the only order written; the payload must hold exactly
+    is ``_shapes``' order, the only order written; the payload must hold exactly
     those tensors, all finite.
     """
     with open(path, "rb") as fh:
@@ -310,9 +307,10 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
         order, seed = header["order"], header["seed"]
     except (ValueError, KeyError, TypeError) as err:
         raise SnapshotError(f"{path}: unreadable header ({type(err).__name__}: {err})") from err
-    if order != list(PARAM_ORDER):
-        raise SnapshotError(f"{path}: unreadable header (order {order} is not {list(PARAM_ORDER)})")
-    sizes = [math.prod(shape) for shape in _shapes(config).values()]
+    shapes = _shapes(config)
+    if order != list(shapes):
+        raise SnapshotError(f"{path}: unreadable header (order {order} is not {list(shapes)})")
+    sizes = [math.prod(shape) for shape in shapes.values()]
     expected = 8 * sum(sizes)
     if len(payload) != expected:
         problem = "truncated" if len(payload) < expected else "followed by trailing bytes"
@@ -320,6 +318,6 @@ def load_snapshot(path) -> tuple[ModelParams, int]:
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         raise SnapshotError(f"{path}: payload holds a non-finite value")
-    values = dict(zip(PARAM_ORDER, np.split(flat, np.cumsum(sizes)[:-1])))
+    values = dict(zip(shapes, np.split(flat, np.cumsum(sizes)[:-1])))
     with nc.precision("f64"):
         return ModelParams.from_values(config, values), seed

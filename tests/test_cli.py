@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rumorgraph
-from rumorgraph import model
+from rumorgraph import embed, model
 from rumorgraph import numcore as nc
 from rumorgraph.cli import main
 from rumorgraph.dataio import parse_events
@@ -459,6 +460,64 @@ def test_train_determinism_byte_identical(tmp_path, synth_dirs):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _dense_embeddings(path, event_files, width: int) -> int:
+    """Write unit random ``width``-wide vectors for every post of ``event_files`` to ``path``; their bytes."""
+    posts = [post.post_id for name in event_files for e in parse_events(name).events for post in e.posts]
+    gen = np.random.default_rng(0)
+    write_embeddings({post_id: (v := gen.normal(size=width)) / np.linalg.norm(v) for post_id in posts}, width, path)
+    return 8 * width * len(posts)
+
+
+def _embeddings_config(config_path, source, target, **sections):
+    """Name ``source`` and ``target`` as the roles' embeddings in the config at ``config_path``, and update its
+    sections with ``sections``' values."""
+    record = json.loads(config_path.read_text())
+    record["paths"].update(source_embeddings=str(source), target_embeddings=str(target))
+    for section, values in sections.items():
+        record[section].update(values)
+    config_path.write_text(json.dumps(record))
+
+
+def test_train_loads_an_embedding_file_both_roles_name_once(tmp_path, synth_dirs, monkeypatch):
+    tmp_path, data_dir = synth_dirs
+    shared, copy = tmp_path / "shared.jsonl", tmp_path / "copy.jsonl"
+    _dense_embeddings(shared, [data_dir / "source_events.jsonl", data_dir / "target_events.jsonl"], 8)
+    copy.write_bytes(shared.read_bytes())
+    loads = []
+    load_precomputed = embed.load_precomputed
+    monkeypatch.setattr(embed, "load_precomputed", lambda path, *dim: loads.append(path) or load_precomputed(path, *dim))
+    config_path = _run_config(tmp_path, data_dir)
+    artifacts = []
+    for target in (shared, copy):
+        _embeddings_config(config_path, shared, target)
+        out = tmp_path / target.stem
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        artifacts.append({name: (out / name).read_bytes() for name in _written_files(out)})
+    assert loads == [str(shared), str(shared), str(copy)]
+    assert artifacts[0] == artifacts[1]
+
+
+def test_train_on_one_dense_file_holds_it_once(tmp_path):
+    # two roles that name one file of 768-wide vectors: the traced peak of a one-epoch train, one decoded copy,
+    # the packed rows prepared from it and a step's scratch, reads about 2.8x the vectors' bytes; a decoded copy
+    # per role read 4.5-4.8x
+    data_dir = tmp_path / "data"
+    (tmp_path / "spec.json").write_text(json.dumps({"source_events": 30, "target_events": 15, "mean_replies": 10.0}))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data_dir)]) == 0
+    vectors = tmp_path / "vectors.jsonl"
+    vector_bytes = _dense_embeddings(vectors, [data_dir / "source_events.jsonl", data_dir / "target_events.jsonl"], 768)
+    config_path = _run_config(tmp_path, data_dir)
+    _embeddings_config(config_path, vectors, vectors, model={"d_in": 768, "d_hidden": 16, "d_out": 8},
+                       protocol={"mode": "single"})
+    tracemalloc.start()
+    try:
+        assert main(["train", "--config", str(config_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * vector_bytes, peak / vector_bytes
+
+
 def test_seed_override_changes_outcome(tmp_path, synth_dirs):
     tmp_path, data_dir = synth_dirs
     config_path = _run_config(tmp_path, data_dir)
@@ -788,22 +847,22 @@ def _missing_embedding_argv(command):
     return _embedding_file_argv(command, f"{json.dumps(header)}\n{json.dumps(record)}\n")
 
 
-def _wide_input_argv(width: int):
-    """``train`` with ``d_in`` and both roles' hashed embeddings ``width`` wide."""
+def _wide_input_argv(width: int, spec: str | None = None):
+    """``train`` with ``d_in`` ``width`` and both roles' embeddings ``spec``, by default ``hashed:<width>``."""
+    spec = spec or f"hashed:{width}"
 
     def build(tmp_path, data_dir, snapshot):
-        argv = _section_argv("model", f"hashed:{width}", d_in=width)(tmp_path, data_dir, snapshot)
+        argv = _section_argv("model", spec, d_in=width)(tmp_path, data_dir, snapshot)
         config = Path(argv[-1])
         record = json.loads(config.read_text())
-        record["paths"]["target_embeddings"] = f"hashed:{width}"
+        record["paths"]["target_embeddings"] = spec
         config.write_text(json.dumps(record))
         return argv
 
     return build
 
 
-WIDTH_MISMATCH = r"16 wide but the model expects d_in=8"
-BAD_WIDTH = r"width must be a positive integer up to 9223372036854775807"
+NOT_D_IN = r"does not name the model's d_in: expected 'hashed:8'"
 PAST_INT64 = r"must lie in \[1, 9223372036854775807\], got 100000000000000000000"
 PAST_INT64_BYTES = r"would hold more than 9223372036854775807 bytes at float64"
 NO_EMBEDDING = r"no embedding found for post"
@@ -811,6 +870,7 @@ NOT_AN_OBJECT = r"line 1: an event must be a JSON object"
 NON_FINITE = r"non-finite class probabilities or representations"
 NO_FILE = r"\[Errno 2\] No such file or directory"
 NO_HEADER = r"emb.jsonl line 1: header must carry 'dim' and 'count'"
+OTHER_WIDTH = r"emb.jsonl line 1: header dim must be the integer 8, the model's d_in"
 # a row of 2**50 float64 entries (8 PiB) exceeds the 47- or 48-bit address space a 64-bit process maps by
 # default, so the request fails at once without touching memory
 CANNOT_ALLOCATE = r"Unable to allocate"
@@ -821,12 +881,15 @@ DEEP = b"[" * 100_000 + b"\n"
 @pytest.mark.parametrize(
     "build, code, message",
     [
-        (_train_argv("hashed:abc"), 1, "width must be a positive integer"),
+        (_train_argv("hashed:abc"), 1, NOT_D_IN),
         # a superscript two is a digit to str.isdigit but not to int
-        (_train_argv("hashed:\u00b2"), 1, "width must be a positive integer"),
-        (_train_argv("hashed:" + "1" * 5000), 1, BAD_WIDTH),
-        (_train_argv(f"hashed:{10**20}"), 1, BAD_WIDTH),
-        (_train_argv(f"hashed:{2**63}"), 1, BAD_WIDTH),
+        (_train_argv("hashed:\u00b2"), 1, NOT_D_IN),
+        (_train_argv("hashed:" + "1" * 5000), 1, NOT_D_IN),
+        (_train_argv(f"hashed:{10**20}"), 1, NOT_D_IN),
+        (_train_argv(f"hashed:{2**63}"), 1, NOT_D_IN),
+        # int() reads both as 16, but a hashed spec must spell d_in as str() does
+        (_wide_input_argv(16, "hashed:016"), 1, "expected 'hashed:16'"),
+        (_wide_input_argv(16, "hashed:\uff11\uff16"), 1, "expected 'hashed:16'"),
         (_section_argv("model", d_in=10**20), 2, "model config: d_in " + PAST_INT64),
         (_section_argv("model", d_hidden=10**20), 2, "model config: d_hidden " + PAST_INT64),
         (_section_argv("model", d_out=10**20), 2, "model config: d_out " + PAST_INT64),
@@ -844,10 +907,15 @@ DEEP = b"[" * 100_000 + b"\n"
          r"unreadable header \(ValueError: d_out " + PAST_INT64),
         (_edited_header_argv("earlydetect", b'"d_in": 8', b'"d_in": 4611686018427387904'), 1,
          r"unreadable header \(ValueError: w0 of shape \(4611686018427387904, 6\) " + PAST_INT64_BYTES),
-        (_inference_argv("earlydetect", "--embeddings", "hashed:\u00b2"), 1, "width must be a positive integer"),
-        (_train_argv("hashed:16"), 1, WIDTH_MISMATCH),
-        (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
-        (_inference_argv("export-features", "--embeddings", "hashed:16"), 1, WIDTH_MISMATCH),
+        (_inference_argv("earlydetect", "--embeddings", "hashed:\u00b2"), 1, NOT_D_IN),
+        (_train_argv("hashed:16"), 1, NOT_D_IN),
+        (_inference_argv("earlydetect", "--embeddings", "hashed:16"), 1, NOT_D_IN),
+        (_inference_argv("export-features", "--embeddings", "hashed:16"), 1, NOT_D_IN),
+        # the header's width is refused before the malformed record is decoded
+        (_embedding_file_argv("train", json.dumps({"dim": 16, "count": 1}) + '\n{"post_id": "x", "vector": [1.0,\n'),
+         1, OTHER_WIDTH),
+        (_embedding_file_argv("export-features", json.dumps({"dim": 16, "count": 1}) + '\n{"post_id": "x"\n'),
+         1, OTHER_WIDTH),
         (_inference_argv("earlydetect", truncate=True), 1, "payload truncated"),
         (_inference_argv("export-features", truncate=True), 1, "payload truncated"),
         (_missing_embedding_argv("train"), 1, NO_EMBEDDING),
@@ -912,6 +980,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "train-hashed-width-past-the-digit-limit",
         "train-hashed-width-beyond-int64",
         "train-hashed-width-just-beyond-int64",
+        "train-zero-padded-hashed-width",
+        "train-full-width-hashed-width",
         "train-d-in-beyond-int64",
         "train-d-hidden-beyond-int64",
         "train-d-out-beyond-int64",
@@ -926,6 +996,8 @@ DEEP = b"[" * 100_000 + b"\n"
         "train-embedding-width",
         "earlydetect-embedding-width",
         "export-embedding-width",
+        "train-embedding-header-width-before-a-malformed-record",
+        "export-embedding-header-width-before-a-malformed-record",
         "earlydetect-truncated-snapshot",
         "export-truncated-snapshot",
         "train-missing-embedding",

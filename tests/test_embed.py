@@ -121,7 +121,7 @@ def test_disjoint_tokens_near_orthogonal():
 def test_precomputed_roundtrip(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_embeddings({"e-p0": np.arange(4.0), "e-p1": -np.ones(4)}, 4, path)
-    provider = load_precomputed(path)
+    provider = load_precomputed(path, 4)
     assert provider.dim == 4
     event = make_event("e", "rumor", [0], texts=["hi"])
     mat = embed_event(event, provider)
@@ -132,7 +132,7 @@ def test_precomputed_roundtrip(tmp_path):
 def test_precomputed_missing_post_resolution_error(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_embeddings({"only": np.ones(3)}, 3, path)
-    provider = load_precomputed(path)
+    provider = load_precomputed(path, 3)
     event = make_event("e", "rumor", [])
     with pytest.raises(EmbeddingError, match="e-p0"):
         embed_event(event, provider)
@@ -144,7 +144,7 @@ def test_precomputed_dimension_mismatch(tmp_path):
         fh.write(json.dumps({"dim": 3, "count": 1}) + "\n")
         fh.write(json.dumps({"post_id": "p", "vector": [1.0, 2.0]}) + "\n")
     with pytest.raises(EmbeddingError, match="does not match header dim"):
-        load_precomputed(path)
+        load_precomputed(path, 3)
 
 
 HEADER = json.dumps({"dim": 2, "count": 2})
@@ -161,7 +161,10 @@ GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
         (HEADER, '{"post_id": "b", "vector": ["x", 2.0]}', "not numeric", 3),
         (HEADER, '{"post_id": "b", "vector": [1' + "0" * 400 + ', 2.0]}', "too large to convert to float", 3),
         (HEADER, '{"post_id": "b", "vector": [1' + "0" * 5000 + ', 2.0]}', "invalid JSON .*digits", 3),
-        ('{"dim": true, "count": 2}', '{"post_id": "b", "vector": [1.0]}', "dimension must be a positive integer", 1),
+        ('{"dim": true, "count": 2}', '{"post_id": "b", "vector": [1.0]}', "header dim must be the integer 2", 1),
+        ('{"dim": 2.0, "count": 2}', GOOD, "header dim must be the integer 2", 1),
+        # the header's width is checked before any record is decoded
+        ('{"dim": 3, "count": 2}', '{"post_id": "b", "vector": [1.0,', "header dim must be the integer 2", 1),
         ("5", GOOD, "must carry 'dim' and 'count'", 1),
         (HEADER, '{"post_id": "b", "vector": ["1.5", " 2 "]}', "not numeric", 3),
         (HEADER, '{"post_id": "b", "vector": [true, 2.0]}', "not numeric", 3),
@@ -178,6 +181,8 @@ GOOD = '{"post_id": "a", "vector": [1.0, 2.0]}'
         "float-overflow",
         "integer-past-digit-limit",
         "boolean-dim",
+        "float-dim",
+        "other-width-before-a-malformed-record",
         "non-object-header",
         "numeric-string-vector",
         "boolean-vector-component",
@@ -190,7 +195,7 @@ def test_precomputed_malformed_record_names_file_and_line(tmp_path, header, reco
     path = tmp_path / "emb.jsonl"
     path.write_text("\n".join([header, GOOD, record]) + "\n")
     with pytest.raises(EmbeddingError, match=message) as info:
-        load_precomputed(path)
+        load_precomputed(path, 2)
     assert f"{path} line {line}: " in str(info.value)
 
 
@@ -199,7 +204,7 @@ def test_precomputed_header_must_be_line_one(tmp_path, first):
     path = tmp_path / "emb.jsonl"
     path.write_text("\n".join([first, HEADER, GOOD, GOOD.replace('"a"', '"b"')]) + "\n")
     with pytest.raises(EmbeddingError, match="header must carry 'dim' and 'count'") as info:
-        load_precomputed(path)
+        load_precomputed(path, 2)
     assert f"{path} line 1: " in str(info.value)
 
 
@@ -224,7 +229,7 @@ def test_load_precomputed_fuzz_raises_only_embedding_error(tmp_path_factory, con
     path = tmp_path_factory.mktemp("fuzz") / "emb.jsonl"
     path.write_bytes(content)
     try:
-        load_precomputed(path)
+        load_precomputed(path, 2)
     except EmbeddingError:
         pass
 
@@ -242,14 +247,19 @@ def test_embed_event_row_order_and_purity():
 
 
 def test_provider_from_spec(tmp_path):
-    hashed = provider_from_spec("hashed:24")
+    hashed = provider_from_spec("hashed:24", 24)
     assert isinstance(hashed, HashedProvider) and hashed.dim == 24
     path = tmp_path / "emb.jsonl"
     write_embeddings({"x": np.zeros(2)}, 2, path)
-    assert isinstance(provider_from_spec(str(path)), PrecomputedProvider)
-    for bad in ("hashed:abc", "hashed:0", "hashed:-3", "hashed:"):
-        with pytest.raises(EmbeddingError, match="positive integer"):
-            provider_from_spec(bad)
+    file = provider_from_spec(str(path), 2)
+    assert isinstance(file, PrecomputedProvider) and file.dim == 2
+    with pytest.raises(EmbeddingError, match=f"{path} line 1: header dim must be the integer 24"):
+        provider_from_spec(str(path), 24)
+    # a hashed spec must spell the width as str(d_in) does: no sign, padding, other digits or spaces
+    for bad in ("hashed:abc", "hashed:0", "hashed:-3", "hashed:", "hashed:16", "hashed:024", "hashed:+24",
+                "hashed:\uff12\uff14", "hashed:\u00b2\u2074", "hashed:24 ", "hashed: 24", "hashed:24.0"):
+        with pytest.raises(EmbeddingError, match="expected 'hashed:24'"):
+            provider_from_spec(bad, 24)
 
 
 def test_claim_only_event_single_row():
@@ -271,7 +281,7 @@ def _precomputed_rows(width, tmp_path):
     dense = np.random.default_rng(3).normal(size=width)
     vectors = {"e-p0": claim, "e-p1": dense, "e-p2": np.zeros(width), "e-p3": -dense}
     write_embeddings(vectors, width, tmp_path / "emb.jsonl")
-    rows = embed_event(make_event("e", "rumor", [0, 0, 1]), load_precomputed(tmp_path / "emb.jsonl")).rows
+    rows = embed_event(make_event("e", "rumor", [0, 0, 1]), load_precomputed(tmp_path / "emb.jsonl", width)).rows
     assert np.signbit(rows[0, 0]) and np.all(rows[1] != 0.0)
     return rows
 
